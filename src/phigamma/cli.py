@@ -48,27 +48,71 @@ def _int_keys(d):
     return {int(k): v for k, v in d.items()}
 
 
+def _int_field(name, v, least):
+    """v if it is an int >= least (a bool is not), else a ConfigError."""
+    if type(v) is not int or v < least:
+        raise ConfigError(f"ring field {name!r} must be an integer >= {least}, "
+                          f"got {v!r}")
+    return v
+
+
+def _phi_terms(d, f):
+    """{exponent: coefficient} from a JSON object whose keys are integer
+    strings and whose values are ints or lists of f ints."""
+    if not isinstance(d, dict):
+        raise ConfigError("ring field 'phi_terms' must be an object")
+    terms = {}
+    for k, c in d.items():
+        try:
+            e = int(k)
+        except ValueError:
+            raise ConfigError(f"phi_terms exponent {k!r} is not an integer") \
+                from None
+        if not (type(c) is int or isinstance(c, list) and len(c) == f
+                and all(type(v) is int for v in c)):
+            raise ConfigError(f"phi_terms coefficient {c!r} must be an "
+                              f"integer or a list of {f} integers")
+        terms[e] = c
+    return terms
+
+
 def build_ring(desc, window=None):
-    """Construct a period ring from a JSON descriptor."""
+    """Construct a period ring from a JSON descriptor.
+
+    Field types and ranges are checked here; a ring that still cannot be
+    built (say p not prime, or no e-th root of unity) raises a library
+    error, which becomes a ConfigError too.
+    """
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("ring descriptor needs a 'kind'")
     kind = desc["kind"]
-    w = window if window is not None else desc.get("window", 32)
     try:
+        if kind in ("cyclotomic", "custom"):
+            p = _int_field("p", desc["p"], 2)
+            a = _int_field("a", desc["a"], 1)
+            f = _int_field("f", desc.get("f", 1), 1)
+            w = _int_field("window", window if window is not None
+                           else desc.get("window", 32), 1)
         if kind == "cyclotomic":
-            return standard_cyclotomic(desc["p"], desc["a"],
-                                       desc.get("f", 1), w,
-                                       c=desc.get("c"))
+            c = desc.get("c")
+            return standard_cyclotomic(
+                p, a, f, w, c=c if c is None else _int_field("c", c, 1))
         if kind == "custom":
-            return make_custom_ring(desc["p"], desc["a"], desc.get("f", 1),
-                                    w, _int_keys(desc["phi_terms"]),
-                                    gamma_c=desc.get("gamma_c", 1))
+            return make_custom_ring(
+                p, a, f, w, _phi_terms(desc["phi_terms"], f),
+                gamma_c=_int_field("gamma_c", desc.get("gamma_c", 1), 1))
         if kind == "tame":
             base = build_ring(desc["base"], window)
-            return tame_extension(base, desc.get("e", 2),
-                                  desc.get("f_ext", 1))
+            return tame_extension(base, _int_field("e", desc.get("e", 2), 1),
+                                  _int_field("f_ext", desc.get("f_ext", 1), 1))
     except KeyError as exc:
         raise ConfigError(f"ring descriptor missing field {exc}")
+    except ConfigError:
+        raise
+    except PhigammaError as exc:
+        # a ring that cannot be built is bad input: exit 3, not a traceback
+        raise ConfigError(f"cannot build ring: {type(exc).__name__}: {exc}") \
+            from exc
     raise ConfigError(f"unknown ring kind {kind!r}")
 
 

@@ -77,6 +77,22 @@ def _poly_irreducible_p(m, p):
     return True
 
 
+def _eval_poly(ring, poly, x):
+    """Horner value at x of the integer polynomial poly (constant first)."""
+    acc = ring.zero
+    for c in reversed(poly):
+        acc = ring.add(ring.mul(acc, x), ring.from_int(c))
+    return acc
+
+
+def _eval_poly_deriv(ring, poly, x):
+    """Horner value at x of the derivative of poly."""
+    acc = ring.zero
+    for i in range(len(poly) - 1, 0, -1):
+        acc = ring.add(ring.mul(acc, x), ring.smul(i, ring.from_int(poly[i])))
+    return acc
+
+
 def _first_irreducible(p, f):
     for tail in itertools.product(range(p), repeat=f):
         # tail is (c_0, ..., c_{f-1}) in lexicographic order
@@ -250,8 +266,8 @@ class CoeffRing:
         r = self.pow(self.gen(), self.p)
         # Newton refinement: r <- r - m(r)/m'(r)
         for _ in range(max(1, (self.a - 1).bit_length()) + 1):
-            mr = self._eval_modulus(r)
-            dmr = self._eval_modulus_deriv(r)
+            mr = _eval_poly(self, self.modulus, r)
+            dmr = _eval_poly_deriv(self, self.modulus, r)
             r = self.sub(r, self.mul(mr, self.inv(dmr)))
         cols = [self.one]
         acc = self.one
@@ -260,18 +276,6 @@ class CoeffRing:
             cols.append(acc)
         self._frob_cols = cols
         return cols
-
-    def _eval_modulus(self, r):
-        acc = self.from_int(self.modulus[self.f])
-        for i in range(self.f - 1, -1, -1):
-            acc = self.add(self.mul(acc, r), self.from_int(self.modulus[i]))
-        return acc
-
-    def _eval_modulus_deriv(self, r):
-        acc = self.zero
-        for i in range(self.f, 0, -1):
-            acc = self.add(self.mul(acc, r), self.smul(i, self.from_int(self.modulus[i])))
-        return acc
 
     def frob(self, c, power=1):
         """Apply the Frobenius automorphism (lift of t -> t^p) `power` times."""

@@ -32,13 +32,34 @@ Rationale for inv: if x is known mod u^hi then perturbing x by
 delta = O(u^hi) perturbs the inverse by x^{-1} delta x^{-1} + ..., whose
 order is at least hi + 2 lo(x^{-1}).  The eth_root rule is the same
 argument applied to r' = r (1 + delta/w)^{1/e}.
+
+Series products go through one kernel, `_convolve`, by Kronecker
+substitution: each coefficient list is packed into one Python int with
+every coordinate in its own byte-aligned slot, and a single big-int
+product does the whole convolution.  A slot is wide enough for
+min(len(x), len(y)) * f * (q-1)^2, the largest sum a product slot can
+hold, so slots never carry into each other; for f > 1 the coordinates of
+a coefficient sit at stride 2f - 1 and the slots of x^f ... x^(2f-2) are
+folded back through the modulus rows once per output coefficient.
+`__mul__` and the power loops of `inv` and `eth_root_one_unit` all use
+it.  Unsigned packing needs every stored coordinate to be canonical, an
+int in [0, q): every constructor here keeps that invariant (`from_terms`
+and `from_json` reduce their input, arithmetic reduces its output), and
+a coordinate tuple handed to the constructor or returned by a
+`map_coeffs` function must keep it too.  The kernel checks it: a
+product with a coordinate of q or more raises PhigammaError rather than
+let that coordinate carry into its neighbour's slot.  The kernel changes
+how a product is computed, not what it is: the window rules above are
+unchanged.
 """
 
 import math
+import sys
+from array import array
 from collections import namedtuple
 
 from .errors import (BadIndex, Divergent, EmptyWindow, InsufficientWindow,
-                     NotAUnit, NotPrincipalForm)
+                     NotAUnit, NotPrincipalForm, PhigammaError)
 
 UnitDegree = namedtuple("UnitDegree", ["d", "pole"])
 
@@ -152,14 +173,10 @@ class LaurentSeries:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        ring = self.ring
-        hi = min(self.hi, other.hi)
-        lo = min(self.lo, other.lo, hi)
-        coeffs = [ring.add(self._at(e), other._at(e)) for e in range(lo, hi)]
-        return LaurentSeries(ring, lo, hi, coeffs)
+        return _add(self, other, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _add(self, other, True)
 
     def __neg__(self):
         ring = self.ring
@@ -174,18 +191,7 @@ class LaurentSeries:
         lo = self.lo + other.lo
         if hi <= lo:
             raise EmptyWindow("product window retains no exponent")
-        out = [ring.zero] * (hi - lo)
-        for i, ci in enumerate(self.coeffs):
-            if ring.is_zero(ci):
-                continue
-            ei = self.lo + i
-            jmax = min(len(other.coeffs), hi - ei - other.lo)
-            for j in range(jmax):
-                cj = other.coeffs[j]
-                if ring.is_zero(cj):
-                    continue
-                k = ei + other.lo + j - lo
-                out[k] = ring.add(out[k], ring.mul(ci, cj))
+        out = _convolve(ring, self.coeffs, other.coeffs, hi - lo)
         return LaurentSeries(ring, lo, hi, out)
 
     def scale(self, c):
@@ -234,29 +240,30 @@ class LaurentSeries:
         spread = d - pole
         pad = (a + 1) * (spread + 1) + 2
         work_hi = self.hi + pad
-        # m = c_d^{-1} u^{-d}; w = m*x - 1 has positive or nilpotent terms
+        # m = c_d^{-1} u^{-d}; w = m*x - 1 has positive or nilpotent terms.
+        # The loop multiplies by -w, so acc runs through (-w)^k.
         cd_inv = ring.inv(self.coeff(d))
-        w_terms = {}
-        for e, c in self.terms():
-            if e == d:
-                continue
-            w_terms[e - d] = ring.mul(cd_inv, c)
+        neg_w = _convolve(ring, [ring.neg(cd_inv)], self.coeffs,
+                          len(self.coeffs))
+        neg_w[d - self.lo] = ring.zero
+        w_lo, neg_w = _strip(ring, self.lo - d, neg_w)
         # truncated geometric series sum (-w)^k, exact on the padded window
-        acc = {0: ring.one}
-        res = {0: ring.one}
+        acc_lo, acc = 0, [ring.one]
+        res_lo, res = 0, [ring.one] + [ring.zero] * (work_hi - 1)
         kmax = work_hi + (a - 1) * (spread + 1) + 1
         for _ in range(kmax):
-            acc = _dict_mul(ring, acc, w_terms, work_hi)
+            acc_lo, acc = _dense_mul(ring, acc_lo, acc, w_lo, neg_w, work_hi)
             if not acc:
                 break
-            acc = {e: ring.neg(c) for e, c in acc.items()}
-            for e, c in acc.items():
-                res[e] = ring.add(res.get(e, ring.zero), c)
-            res = {e: c for e, c in res.items() if not ring.is_zero(c)}
-        out_terms = {}
-        for e, c in res.items():
-            out_terms[e - d] = ring.mul(c, cd_inv)
-        raw = LaurentSeries.from_terms(ring, out_terms, work_hi)
+            res_lo, res = _accumulate(ring, res_lo, res, acc_lo, acc)
+        # shift by -d onto [lo, work_hi), lo the lowest nonzero term: cut
+        # at work_hi or padded with zeros up to it (EmptyWindow when the
+        # padded window ends below lo)
+        res_lo, res = _strip(ring, res_lo, res)
+        lo = res_lo - d
+        n = work_hi - lo
+        out = _convolve(ring, [cd_inv], res, len(res))
+        raw = LaurentSeries(ring, lo, work_hi, (out + [ring.zero] * n)[:n])
         hi = min(self.hi, self.hi + 2 * raw.lo)
         return raw.truncate(hi)
 
@@ -276,34 +283,148 @@ class LaurentSeries:
 
 
 def _as_coords(ring, c):
+    """Canonical coordinates of an int, a CoeffElem or a coordinate tuple."""
     if isinstance(c, int):
         return ring.from_int(c)
     if hasattr(c, "coords"):
-        return c.coords
+        c = c.coords
     return tuple(v % ring.q for v in c)
 
 
-def _dict_mul(ring, x, y, hi):
-    """Sparse product of exponent->coefficient dicts, dropping exps >= hi."""
-    out = {}
-    for ex, cx in x.items():
-        for ey, cy in y.items():
-            e = ex + ey
-            if e >= hi:
-                continue
-            v = ring.mul(cx, cy)
-            if ring.is_zero(v):
-                continue
-            prev = out.get(e)
-            if prev is None:
-                out[e] = v
-            else:
-                s = ring.add(prev, v)
-                if ring.is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-    return out
+def _add(x, y, sub):
+    """x + y, or x - y when sub, built from the aligned coefficient slices."""
+    ring = x.ring
+    hi = min(x.hi, y.hi)
+    lo = min(x.lo, y.lo, hi)
+    start = min(max(x.lo, y.lo), hi)
+    # below start only the series with the lower order contributes
+    if x.lo <= y.lo:
+        head = x.coeffs[:start - lo]
+    else:
+        head = y.coeffs[:start - lo]
+        if sub:
+            head = [ring.neg(c) for c in head]
+    body = _coeff_sum(ring, x.coeffs[start - x.lo:hi - x.lo],
+                      y.coeffs[start - y.lo:hi - y.lo], sub)
+    return LaurentSeries(ring, lo, hi, head + body)
+
+
+def _coeff_sum(ring, xs, ys, sub=False):
+    """Coefficient-wise xs + ys (xs - ys when sub) of two aligned lists."""
+    q = ring.q
+    s = -1 if sub else 1
+    if ring.f == 1:
+        return [((x[0] + s * y[0]) % q,) for x, y in zip(xs, ys)]
+    return [tuple([(u + s * v) % q for u, v in zip(x, y)])
+            for x, y in zip(xs, ys)]
+
+
+def _convolve(ring, xs, ys, n):
+    """First n coefficients of the product of two dense coefficient lists.
+
+    Kronecker substitution: both lists are packed into one big int each,
+    with every coordinate in a byte-aligned slot, and a single int
+    product does the whole convolution.  A slot of the product sums at
+    most min(len(xs), len(ys)) * f products of canonical coordinates, so
+    it stays below min(len(xs), len(ys)) * f * (q-1)^2 and never carries
+    into its neighbour.  For f > 1 the coordinates of one coefficient are
+    laid out with stride 2f - 1, so the coordinate products x^k * x^l
+    with k + l <= 2f - 2 land in slots of their own; the slots for x^f
+    ... x^(2f-2) are then folded back through the modulus rows.
+    """
+    square = xs is ys
+    xs, ys = xs[:n], ys[:n]
+    if n <= 0 or not xs or not ys:
+        return [ring.zero] * max(n, 0)
+    f, q = ring.f, ring.q
+    stride = 2 * f - 1
+    nb = ((min(len(xs), len(ys)) * f * (q - 1) ** 2).bit_length() + 7) // 8
+    if nb <= 8:
+        # round up to a machine word of 1, 2, 4 or 8 bytes, so that array
+        # does the packing and unpacking in C
+        nb = 1 << (nb - 1).bit_length()
+    pad = (0,) * (f - 1)
+    X = _pack(xs, nb, pad, q)
+    Y = X if square else _pack(ys, nb, pad, q)
+    size = max(n, len(xs) + len(ys) - 1) * stride * nb
+    slots = _unpack((X * Y).to_bytes(size, "little")[:n * stride * nb], nb)
+    if f == 1:
+        return [(s % q,) for s in slots]
+    # column k holds coordinate x^k of every output coefficient
+    cols = [slots[k::stride] for k in range(stride)]
+    out = []
+    for k in range(f):
+        col = cols[k]
+        for row, high in zip(ring._red, cols[f:]):
+            r = row[k]
+            if r:
+                col = [s + r * t for s, t in zip(col, high)]
+        out.append([s % q for s in col])
+    return list(zip(*out))
+
+
+# array typecode for each machine-word slot width in bytes, narrowest first
+_WORD_CODES = {array(c).itemsize: c for c in "BHIQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack(cs, nb, pad, q):
+    """One int holding the coordinates of cs, nb bytes each, little-endian;
+    every coefficient is followed by the zero slots of pad.
+
+    A coordinate of q or more would overflow its slot into the next one,
+    so it raises; a negative one cannot be packed unsigned and raises
+    OverflowError.
+    """
+    flat = [v for c in cs for v in c + pad]
+    if max(flat) >= q:
+        raise PhigammaError(f"coordinate {max(flat)} is not reduced mod {q}")
+    code = _WORD_CODES.get(nb)
+    if code is None:
+        return int.from_bytes(b"".join([v.to_bytes(nb, "little")
+                                        for v in flat]), "little")
+    words = array(code, flat)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _unpack(buf, nb):
+    """The little-endian nb-byte slots of buf, as ints."""
+    code = _WORD_CODES.get(nb)
+    if code is None:
+        return [int.from_bytes(buf[i:i + nb], "little")
+                for i in range(0, len(buf), nb)]
+    words = array(code, buf)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
+
+
+def _strip(ring, lo, cs):
+    """Drop the leading zero coefficients of the dense list cs at order lo."""
+    zero = ring.zero
+    i = 0
+    while i < len(cs) and cs[i] == zero:
+        i += 1
+    return lo + i, cs[i:]
+
+
+def _dense_mul(ring, x_lo, xs, y_lo, ys, hi):
+    """Product of two dense (lo, list) pairs, dropping exponents >= hi."""
+    lo = x_lo + y_lo
+    return _strip(ring, lo, _convolve(ring, xs, ys, hi - lo))
+
+
+def _accumulate(ring, res_lo, res, acc_lo, acc):
+    """Add the dense pair (acc_lo, acc) into (res_lo, res), which reaches at
+    least as high; res is extended downwards when acc starts lower."""
+    if acc_lo < res_lo:
+        res = [ring.zero] * (res_lo - acc_lo) + res
+        res_lo = acc_lo
+    i = acc_lo - res_lo
+    res[i:i + len(acc)] = _coeff_sum(ring, res[i:i + len(acc)], acc)
+    return res_lo, res
 
 
 def eth_root_one_unit(w, e):
@@ -324,20 +445,19 @@ def eth_root_one_unit(w, e):
         raise BadIndex(f"root index {e} is not prime to p = {p}")
     if w.coeff(0) != ring.one and not ring.is_nilpotent(ring.sub(w.coeff(0), ring.one)):
         raise NotPrincipalForm("constant term is not 1 + nilpotent")
-    h_terms = {}
+    hs = list(w.coeffs)
+    hs[-w.lo] = ring.sub(hs[-w.lo], ring.one)
     m = 0
-    for exp, c in w.terms():
-        if exp == 0:
-            c = ring.sub(c, ring.one)
-            if ring.is_zero(c):
-                continue
-        if exp <= 0 and not ring.is_nilpotent(c):
+    for exp in range(w.lo, 1):
+        c = hs[exp - w.lo]
+        if ring.is_zero(c):
+            continue
+        if not ring.is_nilpotent(c):
             raise NotPrincipalForm(
                 f"term at exponent {exp} has a unit coefficient")
-        if exp <= 0:
-            m = max(m, -exp)
-        h_terms[exp] = c
-    if not h_terms:
+        m = max(m, -exp)
+    h_lo, hs = _strip(ring, w.lo, hs)
+    if not hs:
         return LaurentSeries.constant(ring, 1, w.hi)
     pad = (a + 1) * (m + 2) + 2
     work_hi = w.hi + pad
@@ -345,19 +465,18 @@ def eth_root_one_unit(w, e):
     # integer stand-in for 1/e, accurate enough for all binomials used
     vK = _legendre_val_factorial(kmax, p)
     c_int = pow(e, -1, p ** (a + vK))
-    res = {0: ring.one}
-    acc = {0: ring.one}
+    acc_lo, acc = 0, [ring.one]
+    res_lo, res = 0, [ring.one] + [ring.zero] * (work_hi - 1)
     for k in range(1, kmax + 1):
-        acc = _dict_mul(ring, acc, h_terms, work_hi)
+        acc_lo, acc = _dense_mul(ring, acc_lo, acc, h_lo, hs, work_hi)
         if not acc:
             break
         b = math.comb(c_int, k) % q
         if b == 0:
             continue
-        for exp, c in acc.items():
-            v = ring.smul(b, c)
-            res[exp] = ring.add(res.get(exp, ring.zero), v)
-    raw = LaurentSeries.from_terms(ring, res, work_hi)
+        res_lo, res = _accumulate(ring, res_lo, res, acc_lo, _convolve(
+            ring, [ring.from_int(b)], acc, len(acc)))
+    raw = LaurentSeries(ring, res_lo, work_hi, res)
     winv = w.inv()
     hi = min(w.hi, w.hi + raw.lo + winv.lo)
     return raw.truncate(hi)

@@ -13,16 +13,33 @@ each back-substitution step divides by p^v exactly; free variables are
 set to zero.
 The valuation profile also gives the length (number of Z/p composition
 factors) of the row space: sum over pivots of (a - v).
+
+Entries are held in numpy int64 only when every intermediate provably
+fits; otherwise they are Python ints (dtype=object), so nothing
+overflows, however large q is.
 """
 
 import numpy as np
 
+from .errors import PhigammaError
+
+
+def _dtype(q, cols):
+    """np.int64 when every intermediate provably fits, else object.
+
+    Entries lie in [0, q).  Scaling a row and clearing a column form
+    products of two entries; back-substitution and the final check form
+    a row times the solution, at most cols * (q-1)^2, and subtract it
+    from an entry below q.
+    """
+    return np.int64 if max(cols, 1) * (q - 1) ** 2 + q < 2 ** 63 else object
+
 
 def _as_matrix(A, q):
-    M = np.array(A, dtype=np.int64)
+    M = np.array(A, dtype=object)
     if M.ndim == 1:
         M = M.reshape(1, -1) if M.size else M.reshape(0, 0)
-    return M % q
+    return (M % q).astype(_dtype(q, M.shape[1]))
 
 
 def _reduce(R, p, a, ncols):
@@ -84,7 +101,8 @@ def solve_mod_prime_power(A, b, p, a):
     rows = M.shape[0]
     cols = M.shape[1] if M.ndim == 2 and M.size else (
         len(A[0]) if rows and hasattr(A[0], "__len__") else 0)
-    bb = np.array(b, dtype=np.int64) % q
+    dtype = _dtype(q, cols)
+    bb = (np.array(b, dtype=object) % q).astype(dtype)
     if rows == 0:
         return [0] * cols
     if cols == 0:
@@ -96,7 +114,7 @@ def solve_mod_prime_power(A, b, p, a):
     for i in range(rows):
         if i not in pivot_rows and aug[i, cols] % q:
             return None
-    x = np.zeros(cols, dtype=np.int64)
+    x = np.zeros(cols, dtype=dtype)
     # pivot rows are echelon-shaped; back-substitute newest pivot first
     for pi, pj, v in reversed(pivots):
         rhs = int(aug[pi, cols] - aug[pi, :cols] @ x) % q
@@ -104,7 +122,8 @@ def solve_mod_prime_power(A, b, p, a):
         if rhs % pv:
             return None
         x[pj] = (rhs // pv) % q
-    assert not ((M @ x - bb) % q).any(), "elimination invariant violated"
+    if ((M @ x - bb) % q).any():
+        raise PhigammaError("elimination invariant violated")
     return [int(t) for t in x]
 
 
@@ -116,7 +135,7 @@ def length_of_row_space(A, p, a):
 
 def kernel_length(A, p, a):
     """Length of the kernel of A acting on (Z/p^a)^cols."""
-    M = np.array(A, dtype=np.int64)
+    M = np.array(A, dtype=object)
     if M.ndim != 2 or M.size == 0:
         cols = M.shape[1] if M.ndim == 2 else 0
         return a * cols

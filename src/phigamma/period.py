@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import (CommutationFails, InsufficientWindow, NoRootOfUnity,
                      NotAUnit, NotGaloisCompatible, NotPrincipalForm)
-from .galois_ring import make_ring
+from .galois_ring import _eval_poly, _eval_poly_deriv, make_ring
 from .laurent import LaurentSeries, _power, compose, eth_root_one_unit
 from .verdicts import HOLDS, Verdict, fails, holds, inconclusive
 
@@ -318,20 +318,6 @@ def _embedding(base_ring, ext_ring):
                 out = ext_ring.add(out, ext_ring.smul(ci, pw))
         return out
     return embed
-
-
-def _eval_poly(ring, poly, x):
-    acc = ring.zero
-    for c in reversed(poly):
-        acc = ring.add(ring.mul(acc, x), ring.from_int(c))
-    return acc
-
-
-def _eval_poly_deriv(ring, poly, x):
-    acc = ring.zero
-    for i in range(len(poly) - 1, 0, -1):
-        acc = ring.add(ring.mul(acc, x), ring.smul(i, ring.from_int(poly[i])))
-    return acc
 
 
 def tame_extension(base_ring, e, f_ext=1):

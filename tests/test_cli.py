@@ -163,3 +163,52 @@ class TestMainEntry:
             capture_output=True, text=True) for _ in range(2)]
         assert runs[0].returncode == EXIT_HOLDS
         assert runs[0].stdout == runs[1].stdout
+
+
+BASE_P3 = {"kind": "cyclotomic", "p": 3, "a": 2, "window": 16}
+BAD_RINGS = [
+    ({"kind": "tame", "e": 4, "f_ext": 2, "base": BASE_P3},
+     "NotGaloisCompatible"),
+    ({"kind": "tame", "e": 3, "base": BASE_P3}, "NoRootOfUnity"),
+    ({"kind": "cyclotomic", "p": 4, "a": 2, "window": 16}, "NotPrime"),
+    ({"kind": "cyclotomic", "p": "3", "a": 2, "window": 16},
+     "'p' must be an integer >= 2, got '3'"),
+    ({"kind": "custom", "p": 3, "a": 2, "window": 16,
+      "phi_terms": {"0": 1}}, "Divergent"),
+    ({"kind": "cyclotomic", "p": 3, "a": True, "window": 16},
+     "'a' must be an integer >= 1, got True"),
+    ({"kind": "cyclotomic", "p": 3, "a": 2, "window": 0},
+     "'window' must be an integer >= 1"),
+    ({"kind": "custom", "p": 3, "a": 2, "window": 16,
+      "phi_terms": [[3, 1]]}, "'phi_terms' must be an object"),
+    ({"kind": "custom", "p": 3, "a": 2, "window": 16,
+      "phi_terms": {"x": 1}}, "exponent 'x' is not an integer"),
+    ({"kind": "custom", "p": 3, "a": 2, "f": 2, "window": 16,
+      "phi_terms": {"3": [1]}}, "must be an integer or a list of 2"),
+]
+
+
+class TestRingConstructionErrors:
+    """A ring that cannot be built is a config error: exit 3, no traceback."""
+
+    @pytest.mark.parametrize("desc,name", BAD_RINGS)
+    def test_exit_usage_names_the_error(self, desc, name, tmp_path, capsys):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps({"task": "ring-info", "ring": desc}))
+        assert main([str(cfgfile), "--json"]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and name in out.err
+
+    def test_console_script_exits_3(self, tmp_path):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps(
+            {"task": "ring-info", "ring": BAD_RINGS[1][0]}))
+        run = subprocess.run(
+            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
+            capture_output=True, text=True)
+        assert run.returncode == EXIT_USAGE
+        assert "Traceback" not in run.stderr and run.stdout == ""
+
+    def test_config_error_passes_through_unwrapped(self):
+        with pytest.raises(ConfigError, match="^ring descriptor needs"):
+            build_ring({"kind": "tame", "base": {"p": 3}})

@@ -1,15 +1,18 @@
 """Tests for precision-tracked Laurent series arithmetic."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.errors import (BadIndex, Divergent, InsufficientWindow, NotAUnit,
-                             NotPrincipalForm)
+from phigamma.errors import (BadIndex, Divergent, EmptyWindow,
+                             InsufficientWindow, NotAUnit, NotPrincipalForm,
+                             PhigammaError)
 from phigamma.galois_ring import make_ring
-from phigamma.laurent import LaurentSeries, compose, eth_root_one_unit
+from phigamma.laurent import (LaurentSeries, _convolve, compose,
+                              eth_root_one_unit)
 
 seeds = st.integers(0, 10**9)
 
@@ -271,3 +274,296 @@ def test_json_round_trip():
     x = S({-2: 3, 0: 1, 5: 7})
     y = LaurentSeries.from_json(R9, x.to_json())
     assert y.lo == x.lo and y.hi == x.hi and y.agrees(x)
+
+
+# -- the series kernel against a plain-int schoolbook reference -------------
+#
+# The reference below uses the ring only for its data (p, a, f, q and the
+# modulus coefficients) and does all arithmetic on plain ints, so it
+# shares no code with the Kronecker-substitution kernel it checks.
+
+KERNEL_RINGS = [make_ring(p, a, f) for p, a, f in [
+    (2, 1, 1), (3, 1, 3), (5, 1, 2), (3, 2, 1), (3, 2, 2), (5, 2, 3),
+    (2, 2, 3), (3, 21, 1), (3, 21, 2), (2, 64, 1), (5, 21, 3), (2, 64, 2)]]
+# inv and eth_root pad their window by about (a + 1) times the pole depth,
+# so at a = 64 and f = 2 one example costs half a second; leave it to the
+# product tests
+ROOT_RINGS = KERNEL_RINGS[:-1]
+
+
+def ref_elem_mul(ring, x, y):
+    f, q, m = ring.f, ring.q, ring.modulus
+    raw = [0] * (2 * f - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            raw[i + j] += u * v
+    # x^k = -x^(k-f) * (m_0 + ... + m_{f-1} x^{f-1}), top degree first
+    for k in range(2 * f - 2, f - 1, -1):
+        c, raw[k] = raw[k], 0
+        for i in range(f):
+            raw[k - f + i] -= c * m[i]
+    return tuple(v % q for v in raw[:f])
+
+
+def ref_elem_inv(ring, c):
+    """c^-1 as c^(order-1): the unit group of GR(p^a, f) has order
+    p^((a-1)f) * (p^f - 1)."""
+    order = ring.p ** ((ring.a - 1) * ring.f) * (ring.p ** ring.f - 1)
+    acc, base, n = (1,) + (0,) * (ring.f - 1), c, order - 1
+    while n:
+        if n & 1:
+            acc = ref_elem_mul(ring, acc, base)
+        base = ref_elem_mul(ring, base, base)
+        n >>= 1
+    return acc
+
+
+def ref_nonzero(c):
+    return any(c)
+
+
+def ref_unit(ring, c):
+    return any(v % ring.p for v in c)
+
+
+def ref_window(ring, lo, hi, terms):
+    """(lo, hi, coeffs) of {exp: coords} on [lo, hi), normalized."""
+    zero = (0,) * ring.f
+    exps = [e for e, c in terms.items() if lo <= e < hi and ref_nonzero(c)]
+    if not exps:
+        return (hi, hi, [])
+    lo = min(exps)
+    return (lo, hi, [tuple(terms.get(e, zero)) for e in range(lo, hi)])
+
+
+def got(s):
+    return (s.lo, s.hi, [tuple(c) for c in s.coeffs])
+
+
+def terms_of(s):
+    return {s.lo + i: c for i, c in enumerate(s.coeffs)}
+
+
+def ref_sparse_mul(ring, x, y, hi):
+    """Product of {exp: coords} dicts, dropping exponents >= hi."""
+    out = {}
+    for ex, cx in x.items():
+        for ey, cy in y.items():
+            if ex + ey < hi:
+                v = ref_elem_mul(ring, cx, cy)
+                prev = out.get(ex + ey, (0,) * ring.f)
+                out[ex + ey] = tuple((s + t) % ring.q for s, t in zip(prev, v))
+    return {e: c for e, c in out.items() if ref_nonzero(c)}
+
+
+def ref_mul(x, y):
+    ring = x.ring
+    hi = min(x.hi + y.lo, y.hi + x.lo)
+    if x.is_zero() or y.is_zero():
+        return (hi, hi, [])
+    lo = x.lo + y.lo
+    if hi <= lo:
+        return "EmptyWindow"
+    return ref_window(ring, lo, hi, ref_sparse_mul(ring, terms_of(x),
+                                                   terms_of(y), hi))
+
+
+def ref_add(x, y, sign=1):
+    ring = x.ring
+    hi = min(x.hi, y.hi)
+    lo = min(x.lo, y.lo, hi)
+    zero = (0,) * ring.f
+    tx, ty = terms_of(x), terms_of(y)
+    return ref_window(ring, lo, hi, {
+        e: tuple((s + sign * t) % ring.q for s, t in
+                 zip(tx.get(e, zero), ty.get(e, zero)))
+        for e in range(lo, hi)})
+
+
+def ref_series_sum(ring, h, coeff, target):
+    """sum_k coeff(k) h^k below u^target, for h whose terms of exponent
+    <= 0 are nilpotent.  A nonzero product of k factors of h has at most
+    a-1 nilpotent ones, so its exponent is at least k - (a-1)(m+1); and a
+    term dropped at the working bound H is lowered by at most (a-1)m
+    afterwards.  Truncating at H = target + (a-1)m is therefore exact
+    below target, and the powers of h vanish eventually."""
+    a = ring.a
+    m = max([0] + [-e for e in h if e <= 0])
+    H = target + (a - 1) * m
+    one = (1,) + (0,) * (ring.f - 1)
+    acc, res, k = {0: one}, {0: one}, 0
+    while acc:
+        k += 1
+        acc = ref_sparse_mul(ring, acc, h, H)
+        b = coeff(k) % ring.q
+        for e, c in acc.items():
+            prev = res.get(e, (0,) * ring.f)
+            res[e] = tuple((s + b * t) % ring.q for s, t in zip(prev, c))
+    return {e: c for e, c in res.items() if e < target and ref_nonzero(c)}
+
+
+def ref_inv_terms(x):
+    """The exact inverse of x (zero above its window) below u^x.hi, and at
+    least down to its order -d, where its coefficient is a unit."""
+    ring = x.ring
+    tx = {e: c for e, c in terms_of(x).items() if ref_nonzero(c)}
+    d = min(e for e, c in tx.items() if ref_unit(ring, c))
+    cinv = ref_elem_inv(ring, tx[d])
+    w = {e - d: ref_elem_mul(ring, cinv, c) for e, c in tx.items() if e != d}
+    s = ref_series_sum(ring, w, lambda k: (-1) ** k, max(x.hi + d, 1))
+    return {e - d: ref_elem_mul(ring, cinv, c) for e, c in s.items()}
+
+
+def ref_inv(x):
+    ring = x.ring
+    if not any(ref_unit(ring, c) for c in x.coeffs):
+        return "NotAUnit"
+    terms = ref_inv_terms(x)
+    lo = min(terms)
+    return ref_window(ring, lo, min(x.hi, x.hi + 2 * lo), terms)
+
+
+def ref_binomials(e, q):
+    """k -> C(1/e, k) mod q, a p-integral rational since p does not divide
+    e; each value is built from the one before it."""
+    bs = [Fraction(1)]
+
+    def binomial(k):
+        while len(bs) <= k:
+            j = len(bs)
+            bs.append(bs[-1] * (Fraction(1, e) - (j - 1)) / j)
+        return bs[k].numerator * pow(bs[k].denominator, -1, q)
+    return binomial
+
+
+def ref_root(w, e):
+    ring = w.ring
+    h = {k: c for k, c in terms_of(w).items() if ref_nonzero(c)}
+    h[0] = tuple((v - (i == 0)) % ring.q for i, v in
+                 enumerate(h.get(0, (0,) * ring.f)))
+    h = {k: c for k, c in h.items() if ref_nonzero(c)}
+    terms = ref_series_sum(ring, h, ref_binomials(e, ring.q), w.hi)
+    lo = min(terms)
+    winv_lo = ref_inv(w)[0]  # the order of the windowed inverse
+    return ref_window(ring, lo, min(w.hi, w.hi + lo + winv_lo), terms)
+
+
+def kernel_series(rng, ring, hi, kind, lo_min=-4):
+    """A random series of the given kind on the window [lo, hi)."""
+    lo = rng.randrange(lo_min, min(hi, 3))
+    terms = {}
+    if kind == "zero":
+        pass
+    elif kind == "sparse":
+        for _ in range(rng.randrange(1, 5)):
+            terms[rng.randrange(lo, hi)] = ring.random(rng)
+    elif kind == "units":
+        for e in range(lo, hi):
+            terms[e] = ring.random_unit(rng)
+    elif kind == "dense":
+        for e in range(lo, hi):
+            terms[e] = ring.random(rng)
+    elif kind == "nilpotent-pole":
+        d = rng.randrange(max(lo, 0), min(hi, 3))
+        terms[d] = ring.random_unit(rng)
+        for e in range(lo, d):
+            terms[e] = ring.smul(ring.p, ring.random(rng))
+        for e in range(d + 1, hi):
+            if rng.random() < 0.5:
+                terms[e] = ring.random(rng)
+    return LaurentSeries.from_terms(ring, terms, hi)
+
+
+KINDS = ("zero", "sparse", "units", "dense", "nilpotent-pole")
+
+
+def outcome(fn):
+    try:
+        return got(fn())
+    except (EmptyWindow, NotAUnit) as exc:
+        return type(exc).__name__
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_add_sub_mul(self, seed):
+        rng = random.Random(seed)
+        for ring in KERNEL_RINGS:
+            x = kernel_series(rng, ring, rng.randrange(1, 40),
+                              rng.choice(KINDS))
+            y = kernel_series(rng, ring, rng.randrange(1, 40),
+                              rng.choice(KINDS))
+            assert got(x + y) == ref_add(x, y)
+            assert got(x - y) == ref_add(x, y, -1)
+            assert outcome(lambda: x * y) == ref_mul(x, y)
+            assert outcome(lambda: x * x) == ref_mul(x, x)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seeds)
+    def test_wide_windows(self, seed):
+        rng = random.Random(seed)
+        for (p, a, f), hi in [((3, 2, 1), 600), ((3, 2, 2), 200),
+                              ((2, 64, 1), 300)]:
+            ring = make_ring(p, a, f)
+            x = kernel_series(rng, ring, hi, rng.choice(("units", "dense")))
+            y = kernel_series(rng, ring, hi - rng.randrange(50),
+                              rng.choice(("units", "dense", "sparse")))
+            assert got(x * y) == ref_mul(x, y)
+            assert got(x + y) == ref_add(x, y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds)
+    def test_convolve_shorter_than_inputs(self, seed):
+        rng = random.Random(seed)
+        for ring in KERNEL_RINGS:
+            xs = [ring.random(rng) for _ in range(rng.randrange(1, 30))]
+            ys = [ring.random(rng) for _ in range(rng.randrange(1, 30))]
+            n = rng.randrange(0, min(len(xs), len(ys)))
+            full = ref_sparse_mul(ring, dict(enumerate(xs)),
+                                  dict(enumerate(ys)), n)
+            assert _convolve(ring, xs, ys, n) == [
+                full.get(k, ring.zero) for k in range(n)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds)
+    def test_inv(self, seed):
+        rng = random.Random(seed)
+        for ring in ROOT_RINGS:
+            hi = rng.randrange(1, 24 if ring.a < 21 else 10)
+            x = kernel_series(rng, ring, hi,
+                              rng.choice(("units", "nilpotent-pole",
+                                          "sparse", "zero")),
+                              lo_min=-2 if ring.a < 21 else -1)
+            assert outcome(x.inv) == ref_inv(x)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds)
+    def test_eth_root(self, seed):
+        rng = random.Random(seed)
+        for ring in ROOT_RINGS:
+            hi = rng.randrange(1, 20 if ring.a < 21 else 8)
+            # constant term 1 + nilpotent
+            terms = {0: ring.add(ring.one,
+                                 ring.smul(ring.p, ring.random(rng)))}
+            for _ in range(rng.randrange(5)):
+                terms[rng.randrange(1, hi + 1)] = ring.random(rng)
+            if rng.random() < 0.5:
+                # a pole with a nilpotent coefficient
+                terms[-rng.randrange(1, 3)] = ring.smul(ring.p,
+                                                        ring.random(rng))
+            w = LaurentSeries.from_terms(ring, terms, hi)
+            e = rng.choice([k for k in (1, 2, 3, 4, 5) if k % ring.p])
+            assert got(eth_root_one_unit(w, e)) == ref_root(w, e)
+
+    @pytest.mark.parametrize("a", [2, 21])
+    def test_non_canonical_coordinate_raises(self, a):
+        ring = make_ring(3, a, 1)
+        one = LaurentSeries.constant(ring, 1, 4)
+        # q - 1 + q would carry into the next slot; it must not pass silently
+        big = LaurentSeries(ring, 0, 4, [(1,), (2 * ring.q - 1,), (0,), (1,)])
+        with pytest.raises(PhigammaError, match="not reduced"):
+            big * one
+        neg = LaurentSeries(ring, 0, 4, [(1,), (-1,), (0,), (1,)])
+        with pytest.raises(OverflowError):
+            neg * one

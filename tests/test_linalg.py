@@ -2,12 +2,19 @@
 
 import itertools
 import random
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.linalg import (kernel_length, length_of_row_space,
+from phigamma import linalg
+from phigamma.framed import make_framed
+from phigamma.herr import Cochain, HerrComplex
+from phigamma.linalg import (_dtype, kernel_length, length_of_row_space,
                              reduce_mod_prime_power, solve_mod_prime_power)
+from phigamma.matrices import SeriesMatrix
+from phigamma.period import standard_cyclotomic
 
 seeds = st.integers(0, 10**9)
 
@@ -125,3 +132,89 @@ def test_kernel_matches_brute_force(seed):
         if all(sum(A[i][j] * x[j] for j in range(cols)) % q == 0
                for i in range(rows)))
     assert p ** kernel_length(A, p, a) == count
+
+
+# -- moduli past int64: q = 3^21 > 2^33 and q = 2^64 ------------------------
+
+LARGE = [(3, 21), (2, 64)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_large_q_solve_round_trip(seed):
+    rng = random.Random(seed)
+    p, a = rng.choice(LARGE)
+    q = p ** a
+    rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+    # entries of mixed valuation, so pivots of every size appear
+    A = [[rng.randrange(q) * p ** rng.randrange(4) % q for _ in range(cols)]
+         for _ in range(rows)]
+    xs = [rng.randrange(q) for _ in range(cols)]
+    b = [sum(A[i][j] * xs[j] for j in range(cols)) % q for i in range(rows)]
+    sol = solve_mod_prime_power(A, b, p, a)
+    assert sol is not None
+    assert all(sum(A[i][j] * sol[j] for j in range(cols)) % q == b[i]
+               for i in range(rows))
+
+
+def test_large_q_unsolvable_and_lengths():
+    for p, a in LARGE:
+        q = p ** a
+        assert solve_mod_prime_power([[p]], [1], p, a) is None
+        x = solve_mod_prime_power([[p, 0], [0, q - 1]], [p, 1], p, a)
+        assert (p * x[0] % q, (q - 1) * x[1] % q) == (p, 1)
+        assert length_of_row_space([[p ** 5, 0], [0, 1]], p, a) == 2 * a - 5
+        assert kernel_length([[p ** 5, 0], [0, 1]], p, a) == 5
+        assert kernel_length([[q - 1, q - 1], [1, 1]], p, a) == a
+
+
+def test_int64_kept_only_where_it_fits():
+    assert _dtype(9, 1000) is np.int64
+    assert _dtype(25, 1000) is np.int64
+    assert _dtype(3 ** 19, 4) is np.int64
+    assert _dtype(3 ** 20, 4) is object
+    assert _dtype(3 ** 21, 1) is object
+
+
+def test_int64_path_agrees_with_python_ints():
+    # the int64 path is kept for speed only: forcing Python ints on the
+    # same systems must give the same answers
+    rng = random.Random(5)
+    cases = []
+    for p, a in [(3, 2), (5, 2), (3, 19)]:
+        q = p ** a
+        for _ in range(30):
+            rows, cols = rng.randrange(1, 6), rng.randrange(1, 5)
+            A = [[rng.randrange(q) * p ** rng.randrange(3) % q
+                  for _ in range(cols)] for _ in range(rows)]
+            b = [rng.randrange(q) * p ** rng.randrange(3) % q
+                 for _ in range(rows)]
+            cases.append((A, b, p, a))
+
+    def answers():
+        return [(solve_mod_prime_power(A, b, p, a),
+                 length_of_row_space(A, p, a), kernel_length(A, p, a))
+                for A, b, p, a in cases]
+
+    fast = answers()
+    assert all(_dtype(p ** a, len(A[0])) is np.int64
+               for A, b, p, a in cases)
+    with mock.patch.object(linalg, "_dtype", lambda q, cols: object):
+        assert answers() == fast
+
+
+def test_large_q_coboundary_round_trip():
+    for p, a, window in [(3, 21, 24), (2, 64, 96)]:
+        R = standard_cyclotomic(p, a, window=window)
+        I = SeriesMatrix.identity(R, 1)
+        C = HerrComplex(make_framed(R, I, I), "plain")
+        rng = random.Random(1)
+        q = R.base.q
+        z = SeriesMatrix(R, [[R.series({rng.randrange(0, 4): rng.randrange(q)
+                                        for _ in range(3)})]])
+        c = C.d0(Cochain(0, (z,)))
+        res = C.try_coboundary(c)
+        assert res.found
+        for dp, cp in zip(C.d(res.witness).parts, c.parts):
+            r = dp - cp
+            assert r.truncate(min(r.hi, res.sub_window)).is_zero()
