@@ -21,7 +21,8 @@ from fractions import Fraction
 from . import __version__
 from .cup import check_mu_well_defined, lambda_map, lift_step, mu, \
     parabolic_data
-from .errors import ConfigError, NoRootOfUnity, PhigammaError
+from .errors import ConfigError, InsufficientWindow, NoRootOfUnity, \
+    PhigammaError, PreconditionViolated
 from .framed import DescentDatum, change_basis, check_descent, \
     commutation_residual, descent_datum_after_change_basis, make_framed
 from .herr import Cochain, HerrComplex, check_invariance, descend_cochain, \
@@ -116,6 +117,54 @@ def build_ring(desc, window=None):
     raise ConfigError(f"unknown ring kind {kind!r}")
 
 
+# -- task parameters ---------------------------------------------------------------
+
+
+def _param(cfg, name, default, kind=int):
+    """Task parameter `name` as an int or a Fraction, else a ConfigError."""
+    v = cfg.get(name, default)
+    try:
+        return Fraction(str(v)) if kind is Fraction else int(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        what = "a rational number" if kind is Fraction else "an integer"
+        raise ConfigError(f"task parameter {name!r} must be {what}, "
+                          f"got {v!r}") from None
+
+
+def _lam(cfg):
+    lam = _param(cfg, "lam", 2, Fraction)
+    if lam <= 1:
+        raise ConfigError(f"task parameter 'lam' must exceed 1, got {lam}")
+    return lam
+
+
+def _contraction_params(cfg):
+    """(lam, N, n_max) of analyze-phi: lam > 1 and N < n_max."""
+    lam, N, n_max = _lam(cfg), _param(cfg, "N", 1), _param(cfg, "n_max", 50)
+    if N >= n_max:
+        raise ConfigError(f"task parameters need N < n_max, got N = {N}, "
+                          f"n_max = {n_max}")
+    return lam, N, n_max
+
+
+def _filtration_params(cfg):
+    """FiltrationParams of solve-twisted, meeting the solvers' preconditions."""
+    params = FiltrationParams(m=_param(cfg, "m", 1),
+                              n_cong=_param(cfg, "n_cong", 5),
+                              lam=_lam(cfg), N=_param(cfg, "N", 4))
+    try:
+        params.check()
+    except PreconditionViolated as exc:
+        raise ConfigError(f"solve-twisted parameters: {exc}") from None
+    return params
+
+
+# task parameters the library would refuse, checked before the task runs
+PARAM_CHECKS = {"analyze-phi": _contraction_params,
+                "suite": _contraction_params,
+                "solve-twisted": _filtration_params}
+
+
 # -- shared random generators ---------------------------------------------------
 
 
@@ -151,9 +200,7 @@ def task_ring_info(ring, cfg, rng):
 
 
 def task_analyze_phi(ring, cfg, rng):
-    lam = Fraction(str(cfg.get("lam", 2)))
-    N = int(cfg.get("N", 1))
-    n_max = int(cfg.get("n_max", 50))
+    lam, N, n_max = _contraction_params(cfg)
     out = []
     rep = check_local_contraction(ring, lam, N, n_max)
     if rep.holds:
@@ -204,11 +251,7 @@ def task_height_check(ring, cfg, rng):
 def task_solve_twisted(ring, cfg, rng, max_iter=64):
     count = int(cfg.get("count", 20))
     n = int(cfg.get("rank", 2))
-    params = FiltrationParams(m=int(cfg.get("m", 1)),
-                              n_cong=int(cfg.get("n_cong", 5)),
-                              lam=Fraction(str(cfg.get("lam", 2))),
-                              N=int(cfg.get("N", 4)))
-    params.check()
+    params = _filtration_params(cfg)
     ok = uniq_ok = 0
     failures = []
     for idx in range(count):
@@ -371,6 +414,7 @@ def task_cup(ring, cfg, rng):
     found = 0
     mu_failed = 0
     lift_ok = lift_total = 0
+    lift_short = []  # certified windows of lifts that ran out of precision
     check_hi = ring.window - 10
     for idx in range(count):
         # lambda identity 1: factorization with commuting Levi parts
@@ -408,8 +452,10 @@ def task_cup(ring, cfg, rng):
             if res.found:
                 lift_total += 1
                 try:
-                    lift_step(cls, res.witness)
+                    lift_step(cls, res.witness, res.sub_window)
                     lift_ok += 1
+                except InsufficientWindow:
+                    lift_short.append(res.sub_window)
                 except PhigammaError:
                     pass
     mu_total = 2 * count
@@ -439,6 +485,11 @@ def task_cup(ring, cfg, rng):
         out.append(holds("lift-step",
                          f"{lift_ok}/{lift_total} corrected lifts revalidate",
                          window=ring.window))
+    elif lift_ok + len(lift_short) == lift_total:
+        out.append(inconclusive(
+            "lift-step", f"{len(lift_short)} corrected lifts revalidate "
+            "only below the certified sub-window", window=ring.window,
+            sub_window=min(lift_short)))
     else:
         out.append(fails("lift-step",
                          f"{lift_total - lift_ok} corrected lifts invalid",
@@ -534,6 +585,8 @@ def run_config(cfg, window=None, seed=None, max_iter=None):
         raise ConfigError(f"task must be one of {', '.join(TASKS)}")
     if "ring" not in cfg:
         raise ConfigError("config needs a ring descriptor")
+    if task in PARAM_CHECKS:
+        PARAM_CHECKS[task](cfg)
     ring = build_ring(cfg["ring"], window)
     used_seed = seed if seed is not None else cfg.get("seed", 0)
     rng = random.Random(used_seed)

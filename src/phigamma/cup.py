@@ -38,8 +38,9 @@ defined up to coboundaries.
 
 from dataclasses import dataclass, field
 
-from .errors import (BadComposition, BadWitness, LeviNotCommuting,
-                     NotALift, NotCentralValued, NotGaloisCompatible)
+from .errors import (BadComposition, BadWitness, InsufficientWindow,
+                     LeviNotCommuting, NotALift, NotCentralValued,
+                     NotGaloisCompatible)
 from .framed import FramedModule, commutation_residual, pattern_ok
 from .herr import Cochain, HerrComplex, check_invariance, descend_cochain
 from .matrices import SeriesMatrix
@@ -279,22 +280,37 @@ def check_mu_well_defined(data, i, M_i, lifts_a, lifts_b, depth=4):
                         window=cls_a.complex.ring.window, depth=depth)
 
 
-def lift_step(cls, witness):
+def _check_vanishes(mat, certified, message):
+    """BadWitness if mat is nonzero below `certified`; InsufficientWindow
+    if its nonzero coefficients all lie at or above it."""
+    if mat.is_zero():
+        return
+    if not mat.truncate(certified).is_zero():
+        raise BadWitness(message)
+    raise InsufficientWindow(
+        f"{message} at or above the certified window {certified}")
+
+
+def lift_step(cls, witness, sub_window=None):
     """Correct the lifts by a central witness with d1(witness) = rep.
 
     Returns the corrected framed pair on the P/U_{i-1} pattern; the
     commutation identity is revalidated in the quotient and the
     reduction to level i is checked to recover the original pair.
+    A witness certified only below `sub_window` (as reported by the
+    coboundary search) that fails only at or above it raises
+    InsufficientWindow; a failure below it raises BadWitness.
     """
     data, i = cls.data, cls.level
     j = i - 1
     C = cls.complex
     ring = C.ring
+    certified = ring.window if sub_window is None else sub_window
     d_w = C.d1(witness).parts[0]
     target = cls.rep.parts[0]
     diff = d_w - target
-    if not diff.truncate(min(diff.hi, ring.window)).is_zero():
-        raise BadWitness("d1(witness) does not match the class")
+    _check_vanishes(diff.truncate(min(diff.hi, ring.window)), certified,
+                    "d1(witness) does not match the class")
     x, y = witness.parts
     I = SeriesMatrix.identity(ring, data.n)
     Zx = I + data.unvectorize_central(i, x)
@@ -302,8 +318,8 @@ def lift_step(cls, witness):
     Phi2 = data.qmul(j, cls.Phi_lift, Zx)
     Gam2 = data.qmul(j, cls.Gam_lift, Zy)
     resid = data.qreduce(commutation_residual(ring, Phi2, Gam2), j)
-    if not resid.is_zero():
-        raise BadWitness("corrected pair fails commutation mod U_{i-1}")
+    _check_vanishes(resid, certified,
+                    "corrected pair fails commutation mod U_{i-1}")
     if not (data.qreduce(Phi2, i) - data.qreduce(cls.Phi_lift, i)).is_zero():
         raise BadWitness("correction moved the level-i reduction")
     validate = j == 0  # the quotient identity is the full one at the top

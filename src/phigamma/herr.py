@@ -204,18 +204,28 @@ class HerrComplex:
                         vec.extend(e.coeff(k) if k < e.hi else base.zero)
         return vec
 
-    def _attempt_coboundary(self, c, z_lo, z_hi):
-        basis = self._basis(c.degree - 1, z_lo, z_hi)
+    def _windowed_system(self, target, z_lo, z_hi):
+        """The linear system d(z) = target for z a combination of the
+        monomial cochains supported on exponents [z_lo, z_hi).
+
+        Returns (basis, hi_map, A, rhs): column k of A is the image of
+        basis[k], and the equations are the coefficients of each target
+        entry from a common floor up to its cutoff in hi_map."""
+        basis = self._basis(target.degree - 1, z_lo, z_hi)
         images = [self.d(b) for b in basis]
-        hi_map = self._entry_windows(c, images)
+        hi_map = self._entry_windows(target, images)
         # the equation floor must cover every exact image coefficient,
         # or a spurious solution can hide uncancelled terms below it
         eq_lo = min([z_lo] +
                     [e.lo for im in images for part in im.parts
                      for row in part.rows for e in row if not e.is_zero()])
         cols = [self._vectorize(im, eq_lo, hi_map) for im in images]
-        rhs = self._vectorize(c, eq_lo, hi_map)
+        rhs = self._vectorize(target, eq_lo, hi_map)
         A = [[col[r] for col in cols] for r in range(len(rhs))]
+        return basis, hi_map, A, rhs
+
+    def _attempt_coboundary(self, c, z_lo, z_hi):
+        basis, hi_map, A, rhs = self._windowed_system(c, z_lo, z_hi)
         base = self.ring.base
         sol = solve_mod_prime_power(A, rhs, base.p, base.a)
         if sol is None:
@@ -479,29 +489,16 @@ def estimate_h_ranks(complex_, span=6, depth=2):
                                  complex_.ring.window, span)
     lo_u, hi_u = -depth, span
 
-    def system(degree):
-        basis = complex_._basis(degree, lo_u, hi_u)
-        images = [complex_.d(b) for b in basis]
-        target = complex_.zero_cochain(degree + 1)
-        hi_map = complex_._entry_windows(target, images)
-        eq_lo = min([lo_u] +
-                    [e.lo for im in images for part in im.parts
-                     for row in part.rows for e in row if not e.is_zero()])
-        cols = [complex_._vectorize(im, eq_lo, hi_map) for im in images]
-        return basis, cols
-
-    basis0, cols0 = system(0)
-    basis1, cols1 = system(1)
+    basis0, _, A0, _ = complex_._windowed_system(
+        complex_.zero_cochain(1), lo_u, hi_u)
+    basis1, _, A1, rhs1 = complex_._windowed_system(
+        complex_.zero_cochain(2), lo_u, hi_u)
     p, a = base.p, base.a
     dim0 = a * len(basis0)
-    ker0 = dim0 - length_of_row_space(
-        [list(c) for c in zip(*cols0)] if cols0 and cols0[0] else
-        [[0] * len(basis0)], p, a)
+    ker0 = dim0 - length_of_row_space(A0, p, a)
     im0 = dim0 - ker0
     dim1 = a * len(basis1)
-    ker1 = dim1 - length_of_row_space(
-        [list(c) for c in zip(*cols1)] if cols1 and cols1[0] else
-        [[0] * len(basis1)], p, a)
+    ker1 = dim1 - length_of_row_space(A1, p, a)
     im1 = dim1 - ker1
     # exact lower bound in degree 0: constant vectors killed exactly
     consts = complex_._basis(0, 0, 1)
@@ -512,7 +509,7 @@ def estimate_h_ranks(complex_, span=6, depth=2):
     h1_up = max(0, ker1 - im0)
     # top degree has no outgoing differential: cokernel of d1 on the
     # windowed target coordinates
-    target_len = a * (len(cols1[0]) if cols1 and cols1[0] else 0)
+    target_len = a * (len(rhs1) if basis1 else 0)
     h2_up = max(0, target_len - im1)
     bounds = {0: (min(lower0, h0_up), h0_up),
               1: (0, h1_up),

@@ -22,6 +22,7 @@ from .errors import (CommutationFails, InsufficientWindow, NoRootOfUnity,
                      NotAUnit, NotGaloisCompatible, NotPrincipalForm)
 from .galois_ring import _eval_poly, _eval_poly_deriv, make_ring
 from .laurent import LaurentSeries, _power, compose, eth_root_one_unit
+from .linalg import solve_mod_prime_power
 from .verdicts import HOLDS, Verdict, fails, holds, inconclusive
 
 
@@ -445,7 +446,6 @@ def _inverse_embedding(base, ext, embed):
                 raise NotGaloisCompatible("coefficient is not in the base ring")
             return (c[0],)
         return inv
-    from .linalg import solve_mod_prime_power
     cols = []
     x = base.one
     gen = base.gen()

@@ -212,3 +212,54 @@ class TestRingConstructionErrors:
     def test_config_error_passes_through_unwrapped(self):
         with pytest.raises(ConfigError, match="^ring descriptor needs"):
             build_ring({"kind": "tame", "base": {"p": 3}})
+
+
+CYC_P3 = {"kind": "cyclotomic", "p": 3, "a": 2, "window": 16}
+BAD_PARAMS = [
+    ({"task": "analyze-phi", "lam": 1}, "'lam' must exceed 1"),
+    ({"task": "solve-twisted", "n_cong": 1},
+     "need n > max(2m/(lam-1), N) = 4, got 1"),
+    ({"task": "solve-twisted", "lam": "1/2"}, "'lam' must exceed 1"),
+    ({"task": "solve-twisted", "m": -1}, "need m >= 0"),
+    ({"task": "analyze-phi", "N": 60}, "need N < n_max"),
+    ({"task": "analyze-phi", "lam": "two"}, "must be a rational number"),
+    ({"task": "suite", "lam": 1}, "'lam' must exceed 1"),
+]
+
+
+class TestTaskParameterErrors:
+    """Task parameters the library would refuse: exit 3, no traceback."""
+
+    @pytest.mark.parametrize("params,msg", BAD_PARAMS)
+    def test_exit_usage_names_the_error(self, params, msg, tmp_path, capsys):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps(dict(params, ring=CYC_P3)))
+        assert main([str(cfgfile), "--json"]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and msg in out.err
+
+    def test_console_script_exits_3(self, tmp_path):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps(dict(BAD_PARAMS[0][0], ring=CYC_P3)))
+        run = subprocess.run(
+            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
+            capture_output=True, text=True)
+        assert run.returncode == EXIT_USAGE
+        assert "Traceback" not in run.stderr and run.stdout == ""
+
+
+class TestLiftStepPrecision:
+    """On tame e=2 over p=3 a=2 window 16 the cup witnesses are certified
+    below a sub-window of 7 or 19 only; a corrected lift that fails above
+    it ran out of precision, which is inconclusive, not a failure."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shortfall_is_inconclusive(self, seed):
+        code, rep = run_config({"task": "cup", "count": 1, "seed": seed,
+                                "ring": {"kind": "tame", "e": 2,
+                                         "base": CYC_P3}})
+        assert code == EXIT_INCONCLUSIVE
+        v = {x["name"]: x for x in rep["verdicts"]}
+        assert v["lift-step"]["status"] == "inconclusive"
+        assert v["lift-step"]["data"]["sub_window"] < rep["window"]
+        assert v["mu-well-defined"]["status"] == "holds"

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from phigamma.cup import (Cup2Class, ParabolicData, check_mu_well_defined,
                           descend_cup, lambda_map, lift_step, mu,
                           parabolic_data)
-from phigamma.errors import (BadComposition, BadWitness, LeviNotCommuting,
-                             NotALift, NotCentralValued, NotGaloisCompatible)
+from phigamma.errors import (BadComposition, BadWitness, InsufficientWindow,
+                             LeviNotCommuting, NotALift, NotCentralValued,
+                             NotGaloisCompatible)
 from phigamma.framed import FramedModule, commutation_residual, make_framed
 from phigamma.herr import Cochain, HerrComplex, ext_residual
 from phigamma.matrices import SeriesMatrix
@@ -320,6 +321,24 @@ class TestWellDefinedAndLift:
         if not cls.is_zero():
             with pytest.raises(BadWitness):
                 lift_step(cls, bad)
+
+    def test_mismatch_above_sub_window_is_a_shortfall(self):
+        # a true witness bumped by u^30: d1 then misses the class at u^36
+        # and above, so a witness certified below 36 ran out of window
+        # and one certified below 37 is wrong
+        rng = random.Random(8)
+        M = borel2_module()
+        cls = mu(D2, 1, M, *borel2_lift(rng, M))
+        res = cls.complex.try_coboundary(cls.rep)
+        assert res.found
+        x, y = res.witness.parts
+        bumped = Cochain(1, (x + SeriesMatrix(R, [[R.series({30: 1})]]), y))
+        with pytest.raises(InsufficientWindow):
+            lift_step(cls, bumped, 36)
+        with pytest.raises(BadWitness):
+            lift_step(cls, bumped, 37)
+        with pytest.raises(BadWitness):
+            lift_step(cls, bumped)
 
 
 BASE = standard_cyclotomic(3, 1, window=16)

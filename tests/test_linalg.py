@@ -1,17 +1,17 @@
 """Tests for exact linear algebra over Z/p^a."""
 
 import itertools
+import os
 import random
-from unittest import mock
+import subprocess
+import sys
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma import linalg
 from phigamma.framed import make_framed
 from phigamma.herr import Cochain, HerrComplex
-from phigamma.linalg import (_dtype, kernel_length, length_of_row_space,
+from phigamma.linalg import (kernel_length, length_of_row_space,
                              reduce_mod_prime_power, solve_mod_prime_power)
 from phigamma.matrices import SeriesMatrix
 from phigamma.period import standard_cyclotomic
@@ -168,39 +168,93 @@ def test_large_q_unsolvable_and_lengths():
         assert kernel_length([[q - 1, q - 1], [1, 1]], p, a) == a
 
 
-def test_int64_kept_only_where_it_fits():
-    assert _dtype(9, 1000) is np.int64
-    assert _dtype(25, 1000) is np.int64
-    assert _dtype(3 ** 19, 4) is np.int64
-    assert _dtype(3 ** 20, 4) is object
-    assert _dtype(3 ** 21, 1) is object
-
-
-def test_int64_path_agrees_with_python_ints():
-    # the int64 path is kept for speed only: forcing Python ints on the
-    # same systems must give the same answers
-    rng = random.Random(5)
-    cases = []
-    for p, a in [(3, 2), (5, 2), (3, 19)]:
+def pinned_systems():
+    """40 fixed systems, 10 each at q = 9, 25, 3^21 and 2^64; every
+    fourth one has a random right-hand side, so some are unsolvable."""
+    rng = random.Random(20261018)
+    out = []
+    for p, a in [(3, 2), (5, 2), (3, 21), (2, 64)]:
         q = p ** a
-        for _ in range(30):
-            rows, cols = rng.randrange(1, 6), rng.randrange(1, 5)
+        for k in range(10):
+            rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
             A = [[rng.randrange(q) * p ** rng.randrange(3) % q
                   for _ in range(cols)] for _ in range(rows)]
-            b = [rng.randrange(q) * p ** rng.randrange(3) % q
-                 for _ in range(rows)]
-            cases.append((A, b, p, a))
+            if k % 4 == 3:
+                b = [rng.randrange(q) * p ** rng.randrange(3) % q
+                     for _ in range(rows)]
+            else:
+                xs = [rng.randrange(q) for _ in range(cols)]
+                b = [sum(r[j] * xs[j] for j in range(cols)) % q for r in A]
+            out.append((A, b, p, a))
+    return out
 
-    def answers():
-        return [(solve_mod_prime_power(A, b, p, a),
-                 length_of_row_space(A, p, a), kernel_length(A, p, a))
-                for A, b, p, a in cases]
 
-    fast = answers()
-    assert all(_dtype(p ** a, len(A[0])) is np.int64
-               for A, b, p, a in cases)
-    with mock.patch.object(linalg, "_dtype", lambda q, cols: object):
-        assert answers() == fast
+# The solutions the solver returned for pinned_systems() when it ran on
+# numpy arrays.  The pivot rule (least valuation, first in row-major
+# order), the rows it clears and the back-substitution order decide which
+# solution comes out; herr witnesses, and so the CLI's JSON bytes, depend
+# on them.
+PINNED_SOLUTIONS = [
+    [2, 1, 1, 0],
+    [6, 0],
+    [0, 3],
+    [0, 0, 0],
+    [0, 1, 0],
+    [0, 0],
+    [5, 6, 0, 0, 0],
+    [0, 1, 0, 0],
+    [4, 0, 1],
+    [1, 2],
+    [24, 14, 0, 3],
+    [13, 9],
+    [7, 1, 0, 13, 12],
+    None,
+    [1, 2],
+    [11, 20, 1, 16],
+    [18, 4, 0, 0],
+    [0, 0, 0, 0],
+    [14, 1],
+    [2, 12, 9, 19, 0],
+    [8520934414, 16472475, 0],
+    [6745652406, 6154626540],
+    [4598867243, 8048630999, 6352619255],
+    None,
+    [7326572301, 7787579930],
+    [3198650242, 198140925, 3255526178, 0, 0],
+    [208608641, 0, 0, 3283327246, 0],
+    [3084020973, 0, 2068446938, 8331903291],
+    [821989025, 460926264, 4839947453],
+    [195817008, 150568953],
+    [3131759524182188863, 12535208281547390986, 4738215721999907471],
+    [4191442421298146912, 7786999512306528651, 5038594949352648936,
+     3784791201231334658],
+    [3363512604980841172, 6130696052278826531, 6416065843676893121],
+    None,
+    [375140890374749701, 13444736006731140608],
+    [13170077053675434, 4153726984819890188],
+    [4192472715698072663, 1938554774784751851, 18439881856386752731,
+     1465046789113889489],
+    None,
+    [15190666659783467428, 4068504706099435464],
+    [5779005617445476618, 3839523958042156738, 7524256958079303901],
+]
+
+
+def test_pinned_solutions():
+    got = [solve_mod_prime_power(A, b, p, a)
+           for A, b, p, a in pinned_systems()]
+    assert got == PINNED_SOLUTIONS
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    subprocess.run(
+        [sys.executable, "-c",
+         "import phigamma.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True)
 
 
 def test_large_q_coboundary_round_trip():
