@@ -4,7 +4,7 @@ Laurent series rings with Galois ring coefficients."""
 __version__ = "0.1.0"
 
 from .errors import PhigammaError
-from .galois_ring import CoeffElem, CoeffRing, make_ring
+from .galois_ring import CoeffRing, make_ring
 from .laurent import LaurentSeries, UnitDegree, compose, eth_root_one_unit
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE, Verdict
 from .period import (PeriodRing, check_frobenius_contraction,

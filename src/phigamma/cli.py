@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .cup import check_mu_well_defined, lambda_map, lift_step, mu, \
     parabolic_data
-from .errors import ConfigError, InsufficientWindow, NoRootOfUnity, \
+from .errors import ConfigError, InsufficientWindow, NotInvertible, \
     PhigammaError, PreconditionViolated
 from .framed import DescentDatum, change_basis, check_descent, \
     commutation_residual, descent_datum_after_change_basis, make_framed
@@ -120,15 +120,20 @@ def build_ring(desc, window=None):
 # -- task parameters ---------------------------------------------------------------
 
 
-def _param(cfg, name, default, kind=int):
-    """Task parameter `name` as an int or a Fraction, else a ConfigError."""
+def _param(cfg, name, default, kind=int, least=None):
+    """Task parameter `name` as an int or a Fraction, not below `least`
+    when that is given, else a ConfigError."""
     v = cfg.get(name, default)
     try:
-        return Fraction(str(v)) if kind is Fraction else int(v)
+        x = Fraction(str(v)) if kind is Fraction else int(v)
     except (TypeError, ValueError, ZeroDivisionError):
         what = "a rational number" if kind is Fraction else "an integer"
         raise ConfigError(f"task parameter {name!r} must be {what}, "
                           f"got {v!r}") from None
+    if least is not None and x < least:
+        raise ConfigError(f"task parameter {name!r} must be at least "
+                          f"{least}, got {v!r}")
+    return x
 
 
 def _lam(cfg):
@@ -249,8 +254,8 @@ def task_height_check(ring, cfg, rng):
 
 
 def task_solve_twisted(ring, cfg, rng, max_iter=64):
-    count = int(cfg.get("count", 20))
-    n = int(cfg.get("rank", 2))
+    count = _param(cfg, "count", 20, least=0)
+    n = _param(cfg, "rank", 2, least=1)
     params = _filtration_params(cfg)
     ok = uniq_ok = 0
     failures = []
@@ -294,13 +299,20 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
 
 
 def task_herr(ring, cfg, rng):
-    count = int(cfg.get("count", 10))
-    n = int(cfg.get("rank", 2))
+    count = _param(cfg, "count", 10, least=0)
+    n = _param(cfg, "rank", 2, least=1)
     exact_bad = 0
     misses = 0
+    unvalidated = 0
     witness_blob = None
     for idx in range(count):
-        M = _rand_module(rng, ring, n)
+        try:
+            M = _rand_module(rng, ring, n)
+        except NotInvertible:
+            # the module is exactly invertible (a unipotent change of
+            # basis), so this is a precision shortfall: skip the instance
+            unvalidated += 1
+            continue
         for kind in ("plain", "framed", "adjoint"):
             C = HerrComplex(M, kind)
             if kind == "adjoint":
@@ -328,14 +340,21 @@ def task_herr(ring, cfg, rng):
                 }
     data = {"instances": count, "kinds": 3, "exact_failures": exact_bad,
             "coboundary_misses": misses}
+    if unvalidated:
+        data["unvalidated_modules"] = unvalidated
     if witness_blob is not None:
         data["witness_sample"] = witness_blob
     if exact_bad:
         return [fails("herr-suite", f"{exact_bad} exact identities failed",
                       window=ring.window, **data)]
-    if misses:
-        return [inconclusive("herr-suite",
-                             f"{misses} coboundary searches missed",
+    if misses or unvalidated:
+        why = []
+        if misses:
+            why.append(f"{misses} coboundary searches missed")
+        if unvalidated:
+            why.append(f"{unvalidated} random modules not invertible "
+                       "within the window")
+        return [inconclusive("herr-suite", "; ".join(why),
                              window=ring.window, **data)]
     return [holds("herr-suite", "differentials and round trips verified",
                   window=ring.window, **data)]
@@ -369,8 +388,8 @@ def _diag_const(ring, vals):
 
 
 def task_cup(ring, cfg, rng):
-    count = int(cfg.get("count", 10))
-    depth = int(cfg.get("depth", 4))
+    count = _param(cfg, "count", 10, least=0)
+    depth = _param(cfg, "depth", 4)
     d2 = parabolic_data(2, (1, 1))
     d3 = parabolic_data(3, (1, 1, 1))
     phi_l3 = _diag_const(ring, (2, 1, 2))
@@ -498,7 +517,7 @@ def task_cup(ring, cfg, rng):
 
 
 def task_descent_check(ring, cfg, rng):
-    e = int(cfg.get("e", 2))
+    e = _param(cfg, "e", 2, least=1)
     base = ring
     p, f = base.base.p, base.base.f
     if (p ** f - 1) % e:

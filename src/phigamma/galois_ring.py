@@ -7,8 +7,8 @@ monic lifts x^f + c_{f-1}x^{f-1} + ... + c_0 with 0 <= c_i < p, the first
 tuple (c_0, ..., c_{f-1}) in lexicographic order whose reduction is
 irreducible over F_p.  For f = 1 this gives the modulus x, i.e. Z/p^a.
 
-The ring-level API operates on raw coordinate tuples for speed; CoeffElem
-is a thin wrapper that provides operator syntax and JSON serialization.
+Elements are plain coordinate tuples, and the ring methods (add, mul,
+inv, frob, ...) operate on them directly.
 """
 
 import itertools
@@ -313,13 +313,6 @@ class CoeffRing:
             if self.is_unit(c):
                 return c
 
-    def elem(self, value):
-        if isinstance(value, CoeffElem):
-            return value
-        if isinstance(value, int):
-            return CoeffElem(self, self.from_int(value))
-        return CoeffElem(self, tuple(v % self.q for v in value))
-
     def to_json(self):
         return {"p": self.p, "a": self.a, "f": self.f, "modulus": list(self.modulus)}
 
@@ -337,73 +330,6 @@ class CoeffRing:
 
     def __repr__(self):
         return f"CoeffRing(p={self.p}, a={self.a}, f={self.f})"
-
-
-class CoeffElem:
-    """An element of a CoeffRing, wrapping a coordinate tuple."""
-
-    __slots__ = ("ring", "coords")
-
-    def __init__(self, ring, coords):
-        self.ring = ring
-        self.coords = tuple(coords)
-
-    def __add__(self, other):
-        return CoeffElem(self.ring, self.ring.add(self.coords, _coords(other, self.ring)))
-
-    def __sub__(self, other):
-        return CoeffElem(self.ring, self.ring.sub(self.coords, _coords(other, self.ring)))
-
-    def __mul__(self, other):
-        return CoeffElem(self.ring, self.ring.mul(self.coords, _coords(other, self.ring)))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return CoeffElem(self.ring, self.ring.neg(self.coords))
-
-    def __pow__(self, n):
-        return CoeffElem(self.ring, self.ring.pow(self.coords, n))
-
-    def inverse(self):
-        return CoeffElem(self.ring, self.ring.inv(self.coords))
-
-    def frobenius(self, power=1):
-        return CoeffElem(self.ring, self.ring.frob(self.coords, power))
-
-    def is_unit(self):
-        return self.ring.is_unit(self.coords)
-
-    def is_zero(self):
-        return self.ring.is_zero(self.coords)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.coords == self.ring.from_int(other)
-        return (isinstance(other, CoeffElem) and self.ring == other.ring
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.ring, self.coords))
-
-    def to_json(self):
-        return {"coords": list(self.coords)}
-
-    @classmethod
-    def from_json(cls, ring, data):
-        return cls(ring, tuple(x % ring.q for x in data["coords"]))
-
-    def __repr__(self):
-        return f"CoeffElem{self.coords}"
-
-
-def _coords(other, ring):
-    if isinstance(other, CoeffElem):
-        return other.coords
-    if isinstance(other, int):
-        return ring.from_int(other)
-    return tuple(other)
 
 
 def make_ring(p, a, f=1):

@@ -33,23 +33,32 @@ delta = O(u^hi) perturbs the inverse by x^{-1} delta x^{-1} + ..., whose
 order is at least hi + 2 lo(x^{-1}).  The eth_root rule is the same
 argument applied to r' = r (1 + delta/w)^{1/e}.
 
+A series stores its coefficients as one flat list of Python ints: the
+coefficient of u^(lo + i) is the coordinate block flat[i*f:(i+1)*f] in
+the power basis of the coefficient ring, so the list is (hi - lo) * f
+long, and at f = 1 it is just the list of coefficients.  Every operation
+here works on that list; `coeff`, `terms` and the read-only `coeffs`
+view hand out f-tuples, the ring's element format, and the constructor
+takes a list of them.  Unsigned packing needs every stored coordinate to
+be canonical, an int in [0, q): every constructor here keeps that
+invariant (`from_terms` and `from_json` reduce their input, arithmetic
+reduces its output), and a coordinate tuple handed to the constructor or
+returned by a `map_coeffs` function must keep it too.
+
 Series products go through one kernel, `_convolve`, by Kronecker
-substitution: each coefficient list is packed into one Python int with
-every coordinate in its own byte-aligned slot, and a single big-int
-product does the whole convolution.  A slot is wide enough for
+substitution: a flat list is packed into one Python int with every
+coordinate in its own byte-aligned slot, and a single big-int product
+does the whole convolution.  A slot is wide enough for
 min(len(x), len(y)) * f * (q-1)^2, the largest sum a product slot can
-hold, so slots never carry into each other; for f > 1 the coordinates of
-a coefficient sit at stride 2f - 1 and the slots of x^f ... x^(2f-2) are
-folded back through the modulus rows once per output coefficient.
-`__mul__` and the power loops of `inv` and `eth_root_one_unit` all use
-it.  Unsigned packing needs every stored coordinate to be canonical, an
-int in [0, q): every constructor here keeps that invariant (`from_terms`
-and `from_json` reduce their input, arithmetic reduces its output), and
-a coordinate tuple handed to the constructor or returned by a
-`map_coeffs` function must keep it too.  The kernel checks it: a
-product with a coordinate of q or more raises PhigammaError rather than
-let that coordinate carry into its neighbour's slot.  The kernel changes
-how a product is computed, not what it is: the window rules above are
+hold, so slots never carry into each other.  At f = 1 the flat list is
+packed as it is; for f > 1 the coordinates of a coefficient are spread
+to stride 2f - 1 and the slots of x^f ... x^(2f-2) are folded back
+through the modulus rows, one column of coordinates at a time.
+`__mul__`, `scale` and the power loops of `inv` and `eth_root_one_unit`
+all use it.  The kernel checks the invariant above: a product with a
+coordinate of q or more raises PhigammaError rather than let that
+coordinate carry into its neighbour's slot.  The kernel changes how a
+product is computed, not what it is: the window rules above are
 unchanged.
 """
 
@@ -67,32 +76,34 @@ UnitDegree = namedtuple("UnitDegree", ["d", "pole"])
 class LaurentSeries:
     """A truncated Laurent series over a CoeffRing."""
 
-    __slots__ = ("ring", "lo", "hi", "coeffs")
+    __slots__ = ("ring", "lo", "hi", "_flat")
 
     def __init__(self, ring, lo, hi, coeffs):
+        """The series with coordinate tuples coeffs on the window [lo, hi)."""
+        if hi >= lo and len(coeffs) != hi - lo:
+            raise ValueError("coefficient list does not match window")
+        self._init(ring, lo, hi, [v for c in coeffs for v in c])
+
+    def _init(self, ring, lo, hi, flat):
+        """Take ownership of the flat coordinate list of [lo, hi) and strip
+        its exact leading zeros."""
         if hi < lo:
             raise EmptyWindow(f"window [{lo}, {hi}) is empty")
-        if len(coeffs) != hi - lo:
+        if len(flat) != (hi - lo) * ring.f:
             raise ValueError("coefficient list does not match window")
-        # normalize: strip exact leading zeros
-        i = 0
-        n = len(coeffs)
-        while i < n and ring.is_zero(coeffs[i]):
-            i += 1
-        if i == n:
-            lo, coeffs = hi, []
-        elif i:
-            lo, coeffs = lo + i, coeffs[i:]
+        if flat and not flat[0]:
+            # the zero series comes out with lo == hi
+            lo, flat = _strip(ring.f, lo, flat)
         self.ring = ring
         self.lo = lo
         self.hi = hi
-        self.coeffs = list(coeffs)
+        self._flat = flat
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, ring, hi):
-        return cls(ring, hi, hi, [])
+        return _series(ring, hi, hi, [])
 
     @classmethod
     def from_terms(cls, ring, terms, hi):
@@ -100,12 +111,13 @@ class LaurentSeries:
         if not terms:
             return cls.zero(ring, hi)
         lo = min(terms)
-        coeffs = [ring.zero] * (hi - lo)
+        f = ring.f
+        flat = [0] * ((hi - lo) * f)
         for e, c in terms.items():
-            if e >= hi:
-                continue
-            coeffs[e - lo] = _as_coords(ring, c)
-        return cls(ring, lo, hi, coeffs)
+            if e < hi:
+                i = (e - lo) * f
+                flat[i:i + f] = _as_coords(ring, c)
+        return _series(ring, lo, hi, flat)
 
     @classmethod
     def constant(cls, ring, c, hi):
@@ -117,6 +129,11 @@ class LaurentSeries:
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """The coefficients on [lo, hi) as coordinate tuples (a new list)."""
+        return list(zip(*[iter(self._flat)] * self.ring.f))
+
     def is_zero(self):
         """True when every tracked coefficient vanishes (window-relative)."""
         return self.lo == self.hi
@@ -126,12 +143,15 @@ class LaurentSeries:
             return self.ring.zero
         if e >= self.hi:
             raise InsufficientWindow(f"exponent {e} is outside window [<{self.hi})")
-        return self.coeffs[e - self.lo]
+        f = self.ring.f
+        i = (e - self.lo) * f
+        return tuple(self._flat[i:i + f])
 
     def terms(self):
-        for i, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
-                yield self.lo + i, c
+        lo = self.lo
+        for i, c in enumerate(zip(*[iter(self._flat)] * self.ring.f)):
+            if any(c):
+                yield lo + i, c
 
     def unit_degree(self):
         """First exponent whose coefficient is a unit, with the exact pole.
@@ -140,9 +160,10 @@ class LaurentSeries:
         series may acquire a unit coefficient beyond hi, so neither a
         positive nor a negative answer is safe.
         """
-        for i, c in enumerate(self.coeffs):
-            if self.ring.is_unit(c):
-                return UnitDegree(d=self.lo + i, pole=self.lo)
+        p, f = self.ring.p, self.ring.f
+        for i, v in enumerate(self._flat):
+            if v % p:
+                return UnitDegree(d=self.lo + i // f, pole=self.lo)
         raise InsufficientWindow("no unit coefficient within the window")
 
     def in_lattice(self, m):
@@ -160,15 +181,7 @@ class LaurentSeries:
         """Coefficient-wise equality on the common window."""
         hi = min(self.hi, other.hi)
         lo = min(self.lo, other.lo)
-        for e in range(lo, hi):
-            if self._at(e) != other._at(e):
-                return False
-        return True
-
-    def _at(self, e):
-        if e < self.lo or e >= self.lo + len(self.coeffs):
-            return self.ring.zero
-        return self.coeffs[e - self.lo]
+        return hi <= lo or _span(self, lo, hi) == _span(other, lo, hi)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -179,9 +192,9 @@ class LaurentSeries:
         return _add(self, other, True)
 
     def __neg__(self):
-        ring = self.ring
-        return LaurentSeries(ring, self.lo, self.hi,
-                             [ring.neg(c) for c in self.coeffs])
+        q = self.ring.q
+        return _series(self.ring, self.lo, self.hi,
+                       [-v % q for v in self._flat])
 
     def __mul__(self, other):
         ring = self.ring
@@ -191,19 +204,18 @@ class LaurentSeries:
         lo = self.lo + other.lo
         if hi <= lo:
             raise EmptyWindow("product window retains no exponent")
-        out = _convolve(ring, self.coeffs, other.coeffs, hi - lo)
-        return LaurentSeries(ring, lo, hi, out)
+        return _series(ring, lo, hi,
+                       _convolve(ring, self._flat, other._flat, hi - lo))
 
     def scale(self, c):
         """Multiply by an exactly known ring constant; window unchanged."""
         ring = self.ring
-        c = _as_coords(ring, c)
-        return LaurentSeries(ring, self.lo, self.hi,
-                             [ring.mul(c, x) for x in self.coeffs])
+        return _series(ring, self.lo, self.hi,
+                       _scale(ring, _as_coords(ring, c), self._flat))
 
     def shift(self, k):
         """Multiply by u^k."""
-        return LaurentSeries(self.ring, self.lo + k, self.hi + k, list(self.coeffs))
+        return _series(self.ring, self.lo + k, self.hi + k, self._flat)
 
     def truncate(self, hi):
         """Forget coefficients at and above hi (hi must not exceed self.hi)."""
@@ -211,7 +223,8 @@ class LaurentSeries:
             raise InsufficientWindow("cannot extend a window by truncation")
         if hi <= self.lo:
             return LaurentSeries.zero(self.ring, hi)
-        return LaurentSeries(self.ring, self.lo, hi, self.coeffs[:hi - self.lo])
+        return _series(self.ring, self.lo, hi,
+                       self._flat[:(hi - self.lo) * self.ring.f])
 
     def map_coeffs(self, fn):
         return LaurentSeries(self.ring, self.lo, self.hi,
@@ -231,6 +244,7 @@ class LaurentSeries:
         clamped to hi = min(x.hi, x.hi + 2 * lo(result)).
         """
         ring = self.ring
+        f = ring.f
         try:
             ud = self.unit_degree()
         except InsufficientWindow:
@@ -243,13 +257,13 @@ class LaurentSeries:
         # m = c_d^{-1} u^{-d}; w = m*x - 1 has positive or nilpotent terms.
         # The loop multiplies by -w, so acc runs through (-w)^k.
         cd_inv = ring.inv(self.coeff(d))
-        neg_w = _convolve(ring, [ring.neg(cd_inv)], self.coeffs,
-                          len(self.coeffs))
-        neg_w[d - self.lo] = ring.zero
-        w_lo, neg_w = _strip(ring, self.lo - d, neg_w)
+        neg_w = _scale(ring, ring.neg(cd_inv), self._flat)
+        i = (d - self.lo) * f
+        neg_w[i:i + f] = ring.zero
+        w_lo, neg_w = _strip(f, self.lo - d, neg_w)
         # truncated geometric series sum (-w)^k, exact on the padded window
-        acc_lo, acc = 0, [ring.one]
-        res_lo, res = 0, [ring.one] + [ring.zero] * (work_hi - 1)
+        acc_lo, acc = 0, list(ring.one)
+        res_lo, res = 0, list(ring.one) + [0] * ((work_hi - 1) * f)
         kmax = work_hi + (a - 1) * (spread + 1) + 1
         for _ in range(kmax):
             acc_lo, acc = _dense_mul(ring, acc_lo, acc, w_lo, neg_w, work_hi)
@@ -259,22 +273,24 @@ class LaurentSeries:
         # shift by -d onto [lo, work_hi), lo the lowest nonzero term: cut
         # at work_hi or padded with zeros up to it (EmptyWindow when the
         # padded window ends below lo)
-        res_lo, res = _strip(ring, res_lo, res)
+        res_lo, res = _strip(f, res_lo, res)
         lo = res_lo - d
-        n = work_hi - lo
-        out = _convolve(ring, [cd_inv], res, len(res))
-        raw = LaurentSeries(ring, lo, work_hi, (out + [ring.zero] * n)[:n])
+        n = (work_hi - lo) * f
+        out = _scale(ring, cd_inv, res)
+        raw = _series(ring, lo, work_hi, (out + [0] * n)[:n])
         hi = min(self.hi, self.hi + 2 * raw.lo)
         return raw.truncate(hi)
 
     def to_json(self):
+        f, flat = self.ring.f, self._flat
         return {"lo": self.lo, "hi": self.hi,
-                "coeffs": [list(c) for c in self.coeffs]}
+                "coeffs": [flat[i:i + f] for i in range(0, len(flat), f)]}
 
     @classmethod
     def from_json(cls, ring, data):
-        coeffs = [tuple(v % ring.q for v in c) for c in data["coeffs"]]
-        return cls(ring, data["lo"], data["hi"], coeffs)
+        q = ring.q
+        return _series(ring, data["lo"], data["hi"],
+                       [v % q for c in data["coeffs"] for v in c])
 
     def __repr__(self):
         parts = [f"{c}*u^{e}" for e, c in self.terms()]
@@ -282,85 +298,121 @@ class LaurentSeries:
         return f"<{body} mod u^{self.hi}>"
 
 
+def _series(ring, lo, hi, flat):
+    """The series with the flat coordinate list flat on [lo, hi); it takes
+    flat over, so the caller must not change that list afterwards."""
+    s = LaurentSeries.__new__(LaurentSeries)
+    s._init(ring, lo, hi, flat)
+    return s
+
+
 def _as_coords(ring, c):
-    """Canonical coordinates of an int, a CoeffElem or a coordinate tuple."""
+    """Canonical coordinates of an int or a coordinate tuple."""
     if isinstance(c, int):
         return ring.from_int(c)
-    if hasattr(c, "coords"):
-        c = c.coords
     return tuple(v % ring.q for v in c)
 
 
+def _span(x, lo, hi):
+    """The flat coordinates of x on the exponents [lo, hi), for
+    lo <= x.lo and lo < hi <= x.hi; zeros below x.lo."""
+    f = x.ring.f
+    return ([0] * ((min(x.lo, hi) - lo) * f)
+            + x._flat[:max(0, hi - x.lo) * f])
+
+
 def _add(x, y, sub):
-    """x + y, or x - y when sub, built from the aligned coefficient slices."""
+    """x + y, or x - y when sub, built from the aligned coordinate slices."""
     ring = x.ring
+    f, q = ring.f, ring.q
     hi = min(x.hi, y.hi)
     lo = min(x.lo, y.lo, hi)
     start = min(max(x.lo, y.lo), hi)
     # below start only the series with the lower order contributes
     if x.lo <= y.lo:
-        head = x.coeffs[:start - lo]
+        head = x._flat[:(start - lo) * f]
     else:
-        head = y.coeffs[:start - lo]
+        head = y._flat[:(start - lo) * f]
         if sub:
-            head = [ring.neg(c) for c in head]
-    body = _coeff_sum(ring, x.coeffs[start - x.lo:hi - x.lo],
-                      y.coeffs[start - y.lo:hi - y.lo], sub)
-    return LaurentSeries(ring, lo, hi, head + body)
+            head = [-v % q for v in head]
+    body = _coeff_sum(q, x._flat[(start - x.lo) * f:(hi - x.lo) * f],
+                      y._flat[(start - y.lo) * f:(hi - y.lo) * f], sub)
+    return _series(ring, lo, hi, head + body)
 
 
-def _coeff_sum(ring, xs, ys, sub=False):
-    """Coefficient-wise xs + ys (xs - ys when sub) of two aligned lists."""
-    q = ring.q
-    s = -1 if sub else 1
-    if ring.f == 1:
-        return [((x[0] + s * y[0]) % q,) for x, y in zip(xs, ys)]
-    return [tuple([(u + s * v) % q for u, v in zip(x, y)])
-            for x, y in zip(xs, ys)]
+def _coeff_sum(q, xs, ys, sub=False):
+    """Coordinate-wise xs + ys (xs - ys when sub) mod q of two aligned
+    flat lists."""
+    if sub:
+        return [(u - v) % q for u, v in zip(xs, ys)]
+    return [(u + v) % q for u, v in zip(xs, ys)]
+
+
+def _scale(ring, c, flat):
+    """The flat list times the ring constant c, given by canonical
+    coordinates: one pass over the ints when c is an integer (always at
+    f = 1), else a product with the length-1 series c."""
+    if not any(c[1:]):
+        c0, q = c[0], ring.q
+        return [c0 * v % q for v in flat]
+    return _convolve(ring, list(c), flat, len(flat) // ring.f)
 
 
 def _convolve(ring, xs, ys, n):
-    """First n coefficients of the product of two dense coefficient lists.
+    """First n coefficients of the product of two flat coordinate lists,
+    as a flat list of n * f coordinates.
 
     Kronecker substitution: both lists are packed into one big int each,
     with every coordinate in a byte-aligned slot, and a single int
     product does the whole convolution.  A slot of the product sums at
-    most min(len(xs), len(ys)) * f products of canonical coordinates, so
-    it stays below min(len(xs), len(ys)) * f * (q-1)^2 and never carries
-    into its neighbour.  For f > 1 the coordinates of one coefficient are
-    laid out with stride 2f - 1, so the coordinate products x^k * x^l
-    with k + l <= 2f - 2 land in slots of their own; the slots for x^f
-    ... x^(2f-2) are then folded back through the modulus rows.
+    most min(len(xs), len(ys)) products of canonical coordinates (the
+    lengths count coordinates, f per coefficient), so it stays below
+    min(len(xs), len(ys)) * (q-1)^2 and never carries into its
+    neighbour.  For f > 1 the coordinates of one coefficient are spread
+    to stride 2f - 1, so the coordinate products x^k * x^l with
+    k + l <= 2f - 2 land in slots of their own; the columns for x^f ...
+    x^(2f-2) are then folded back through the modulus rows.
     """
     square = xs is ys
-    xs, ys = xs[:n], ys[:n]
-    if n <= 0 or not xs or not ys:
-        return [ring.zero] * max(n, 0)
     f, q = ring.f, ring.q
+    xs, ys = xs[:n * f], ys[:n * f]
+    if n <= 0 or not xs or not ys:
+        return [0] * (max(n, 0) * f)
     stride = 2 * f - 1
-    nb = ((min(len(xs), len(ys)) * f * (q - 1) ** 2).bit_length() + 7) // 8
+    nb = ((min(len(xs), len(ys)) * (q - 1) ** 2).bit_length() + 7) // 8
     if nb <= 8:
         # round up to a machine word of 1, 2, 4 or 8 bytes, so that array
         # does the packing and unpacking in C
         nb = 1 << (nb - 1).bit_length()
-    pad = (0,) * (f - 1)
-    X = _pack(xs, nb, pad, q)
-    Y = X if square else _pack(ys, nb, pad, q)
-    size = max(n, len(xs) + len(ys) - 1) * stride * nb
+    size = max(n, (len(xs) + len(ys)) // f - 1) * stride * nb
+    if f > 1:
+        xs = _spread(xs, f, stride)
+        ys = xs if square else _spread(ys, f, stride)
+    X = _pack(xs, nb, q)
+    Y = X if square else _pack(ys, nb, q)
     slots = _unpack((X * Y).to_bytes(size, "little")[:n * stride * nb], nb)
     if f == 1:
-        return [(s % q,) for s in slots]
+        return [s % q for s in slots]
     # column k holds coordinate x^k of every output coefficient
     cols = [slots[k::stride] for k in range(stride)]
-    out = []
+    out = [0] * (n * f)
     for k in range(f):
         col = cols[k]
         for row, high in zip(ring._red, cols[f:]):
             r = row[k]
             if r:
                 col = [s + r * t for s, t in zip(col, high)]
-        out.append([s % q for s in col])
-    return list(zip(*out))
+        out[k::f] = [s % q for s in col]
+    return out
+
+
+def _spread(flat, f, stride):
+    """flat with the f coordinates of each coefficient followed by
+    stride - f zero slots."""
+    buf = [0] * (len(flat) // f * stride)
+    for k in range(f):
+        buf[k::stride] = flat[k::f]
+    return buf
 
 
 # array typecode for each machine-word slot width in bytes, narrowest first
@@ -368,17 +420,16 @@ _WORD_CODES = {array(c).itemsize: c for c in "BHIQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _pack(cs, nb, pad, q):
-    """One int holding the coordinates of cs, nb bytes each, little-endian;
-    every coefficient is followed by the zero slots of pad.
+def _pack(flat, nb, q):
+    """One int holding the ints of flat, nb bytes each, little-endian.
 
     A coordinate of q or more would overflow its slot into the next one,
     so it raises; a negative one cannot be packed unsigned and raises
     OverflowError.
     """
-    flat = [v for c in cs for v in c + pad]
-    if max(flat) >= q:
-        raise PhigammaError(f"coordinate {max(flat)} is not reduced mod {q}")
+    top = max(flat)
+    if top >= q:
+        raise PhigammaError(f"coordinate {top} is not reduced mod {q}")
     code = _WORD_CODES.get(nb)
     if code is None:
         return int.from_bytes(b"".join([v.to_bytes(nb, "little")
@@ -401,29 +452,30 @@ def _unpack(buf, nb):
     return words.tolist()
 
 
-def _strip(ring, lo, cs):
-    """Drop the leading zero coefficients of the dense list cs at order lo."""
-    zero = ring.zero
-    i = 0
-    while i < len(cs) and cs[i] == zero:
-        i += 1
-    return lo + i, cs[i:]
+def _strip(f, lo, flat):
+    """Drop the leading zero coefficients of the flat list at order lo."""
+    for i, v in enumerate(flat):
+        if v:
+            k = i // f
+            return lo + k, flat[k * f:] if k else flat
+    return lo + len(flat) // f, []
 
 
 def _dense_mul(ring, x_lo, xs, y_lo, ys, hi):
-    """Product of two dense (lo, list) pairs, dropping exponents >= hi."""
+    """Product of two dense (lo, flat list) pairs, dropping exponents >= hi."""
     lo = x_lo + y_lo
-    return _strip(ring, lo, _convolve(ring, xs, ys, hi - lo))
+    return _strip(ring.f, lo, _convolve(ring, xs, ys, hi - lo))
 
 
 def _accumulate(ring, res_lo, res, acc_lo, acc):
     """Add the dense pair (acc_lo, acc) into (res_lo, res), which reaches at
     least as high; res is extended downwards when acc starts lower."""
+    f = ring.f
     if acc_lo < res_lo:
-        res = [ring.zero] * (res_lo - acc_lo) + res
+        res = [0] * ((res_lo - acc_lo) * f) + res
         res_lo = acc_lo
-    i = acc_lo - res_lo
-    res[i:i + len(acc)] = _coeff_sum(ring, res[i:i + len(acc)], acc)
+    i = (acc_lo - res_lo) * f
+    res[i:i + len(acc)] = _coeff_sum(ring.q, res[i:i + len(acc)], acc)
     return res_lo, res
 
 
@@ -440,23 +492,24 @@ def eth_root_one_unit(w, e):
     of w (NotPrincipalForm otherwise).
     """
     ring = w.ring
-    p, a, q = ring.p, ring.a, ring.q
+    p, a, q, f = ring.p, ring.a, ring.q, ring.f
     if e < 1 or math.gcd(e, p) != 1:
         raise BadIndex(f"root index {e} is not prime to p = {p}")
     if w.coeff(0) != ring.one and not ring.is_nilpotent(ring.sub(w.coeff(0), ring.one)):
         raise NotPrincipalForm("constant term is not 1 + nilpotent")
-    hs = list(w.coeffs)
-    hs[-w.lo] = ring.sub(hs[-w.lo], ring.one)
+    hs = list(w._flat)
+    hs[-w.lo * f] = (hs[-w.lo * f] - 1) % q
     m = 0
     for exp in range(w.lo, 1):
-        c = hs[exp - w.lo]
-        if ring.is_zero(c):
+        i = (exp - w.lo) * f
+        c = hs[i:i + f]
+        if not any(c):
             continue
-        if not ring.is_nilpotent(c):
+        if any(v % p for v in c):
             raise NotPrincipalForm(
                 f"term at exponent {exp} has a unit coefficient")
         m = max(m, -exp)
-    h_lo, hs = _strip(ring, w.lo, hs)
+    h_lo, hs = _strip(f, w.lo, hs)
     if not hs:
         return LaurentSeries.constant(ring, 1, w.hi)
     pad = (a + 1) * (m + 2) + 2
@@ -465,8 +518,8 @@ def eth_root_one_unit(w, e):
     # integer stand-in for 1/e, accurate enough for all binomials used
     vK = _legendre_val_factorial(kmax, p)
     c_int = pow(e, -1, p ** (a + vK))
-    acc_lo, acc = 0, [ring.one]
-    res_lo, res = 0, [ring.one] + [ring.zero] * (work_hi - 1)
+    acc_lo, acc = 0, list(ring.one)
+    res_lo, res = 0, list(ring.one) + [0] * ((work_hi - 1) * f)
     for k in range(1, kmax + 1):
         acc_lo, acc = _dense_mul(ring, acc_lo, acc, h_lo, hs, work_hi)
         if not acc:
@@ -474,9 +527,9 @@ def eth_root_one_unit(w, e):
         b = math.comb(c_int, k) % q
         if b == 0:
             continue
-        res_lo, res = _accumulate(ring, res_lo, res, acc_lo, _convolve(
-            ring, [ring.from_int(b)], acc, len(acc)))
-    raw = LaurentSeries(ring, res_lo, work_hi, res)
+        res_lo, res = _accumulate(ring, res_lo, res, acc_lo,
+                                  _scale(ring, ring.from_int(b), acc))
+    raw = _series(ring, res_lo, work_hi, res)
     winv = w.inv()
     hi = min(w.hi, w.hi + raw.lo + winv.lo)
     return raw.truncate(hi)
@@ -512,10 +565,7 @@ def compose(f, g, powers_cache=None):
         powers_cache = {}
     tail_guard = d * f.hi - (ring.a - 1) * max(0, d - g.lo)
     out = LaurentSeries.zero(ring, tail_guard)
-    for n in range(f.lo, f.hi):
-        c = f._at(n)
-        if ring.is_zero(c):
-            continue
+    for n, c in f.terms():
         if n < 0 and "inv" not in powers_cache:
             powers_cache["inv"] = g.inv()
         base = g if n >= 0 else powers_cache["inv"]

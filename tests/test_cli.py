@@ -224,6 +224,11 @@ BAD_PARAMS = [
     ({"task": "analyze-phi", "N": 60}, "need N < n_max"),
     ({"task": "analyze-phi", "lam": "two"}, "must be a rational number"),
     ({"task": "suite", "lam": 1}, "'lam' must exceed 1"),
+    ({"task": "herr", "count": "x"}, "'count' must be an integer"),
+    ({"task": "descent-check", "e": "x"}, "'e' must be an integer"),
+    ({"task": "descent-check", "e": 0}, "'e' must be at least 1"),
+    ({"task": "solve-twisted", "rank": 0}, "'rank' must be at least 1"),
+    ({"task": "cup", "count": -1}, "'count' must be at least 0"),
 ]
 
 
@@ -246,6 +251,34 @@ class TestTaskParameterErrors:
             capture_output=True, text=True)
         assert run.returncode == EXIT_USAGE
         assert "Traceback" not in run.stderr and run.stdout == ""
+
+
+class TestUnvalidatedModule:
+    """On tame e=4 over p=5 a=2 window 24 one random herr module has no
+    invertible matrix within the window (it is exactly invertible, and
+    exits 2 at window 32 and 0 at 48): a precision shortfall, so the
+    instance is skipped and counted, and herr-suite is inconclusive."""
+
+    CFG = {"task": "herr", "count": 2, "seed": 1,
+           "ring": {"kind": "tame", "e": 4,
+                    "base": {"kind": "cyclotomic", "p": 5, "a": 2, "f": 1,
+                             "window": 24}}}
+
+    def test_exits_2_without_traceback(self, tmp_path):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps(self.CFG))
+        run = subprocess.run(
+            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
+            capture_output=True, text=True)
+        assert run.returncode == EXIT_INCONCLUSIVE
+        assert "Traceback" not in run.stderr
+        (v,) = json.loads(run.stdout)["verdicts"]
+        assert v["status"] == "inconclusive"
+        assert v["data"]["unvalidated_modules"] == 1
+
+    def test_count_key_only_when_nonzero(self):
+        _, rep = run_config({"task": "herr", "ring": CYC, "count": 1})
+        assert "unvalidated_modules" not in rep["verdicts"][0]["data"]
 
 
 class TestLiftStepPrecision:

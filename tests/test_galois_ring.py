@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phigamma.errors import NotAUnit, NotPrime
-from phigamma.galois_ring import CoeffElem, CoeffRing, make_ring, _poly_irreducible_p
+from phigamma.galois_ring import CoeffRing, make_ring, _poly_irreducible_p
+from phigamma.laurent import LaurentSeries
 
 
 def all_monic_irreducible(p, f):
@@ -167,14 +168,14 @@ def test_val():
     assert R.val((7,)) == 0
 
 
-def test_coeff_elem_wrapper():
+def test_coordinate_tuple_arithmetic():
     R = make_ring(2, 2, 2)
-    x = CoeffElem(R, R.gen())
-    assert (x * x) == CoeffElem(R, (3, 3))
-    assert (x + (-x)).is_zero()
-    assert x.frobenius() == CoeffElem(R, (3, 3))
-    y = x + 1
-    assert (y * y.inverse()) == 1
+    x = R.gen()
+    assert R.mul(x, x) == (3, 3)
+    assert R.is_zero(R.add(x, R.neg(x)))
+    assert R.frob(x) == (3, 3)
+    y = R.add(x, R.from_int(1))
+    assert R.mul(y, R.inv(y)) == R.one
 
 
 def test_json_round_trip():
@@ -182,9 +183,10 @@ def test_json_round_trip():
     data = R.to_json()
     R2 = CoeffRing.from_json(data)
     assert R2 == R
-    e = R.elem((3, 17))
-    e2 = CoeffElem.from_json(R2, e.to_json())
-    assert e == e2
+    # an element travels in JSON as its coordinate list
+    e = (3, 17)
+    s = LaurentSeries.constant(R, e, 1)
+    assert LaurentSeries.from_json(R2, s.to_json()).coeff(0) == e
 
 
 def test_irreducibility_helper_matches_oracle():

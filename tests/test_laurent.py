@@ -336,6 +336,10 @@ def ref_window(ring, lo, hi, terms):
     return (lo, hi, [tuple(terms.get(e, zero)) for e in range(lo, hi)])
 
 
+def flat(cs):
+    return [v for c in cs for v in c]
+
+
 def got(s):
     return (s.lo, s.hi, [tuple(c) for c in s.coeffs])
 
@@ -522,8 +526,9 @@ class TestKernel:
             n = rng.randrange(0, min(len(xs), len(ys)))
             full = ref_sparse_mul(ring, dict(enumerate(xs)),
                                   dict(enumerate(ys)), n)
-            assert _convolve(ring, xs, ys, n) == [
-                full.get(k, ring.zero) for k in range(n)]
+            # the kernel works on flat coordinate lists, f ints a coefficient
+            assert _convolve(ring, flat(xs), flat(ys), n) == flat(
+                full.get(k, ring.zero) for k in range(n))
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
@@ -567,3 +572,89 @@ class TestKernel:
         neg = LaurentSeries(ring, 0, 4, [(1,), (-1,), (0,), (1,)])
         with pytest.raises(OverflowError):
             neg * one
+
+
+# -- window soundness against adversarial unknown tails --------------------
+#
+# A result is exact on its window whatever the unknown coefficients of its
+# inputs at and above hi are.  Extending the inputs by random coefficients
+# (units included), not by zeros, and recomputing must therefore agree
+# with the original result wherever both windows reach.
+
+TAIL_RINGS = [make_ring(p, a, f) for p, a, f in [
+    (3, 2, 1), (3, 2, 2), (2, 3, 1), (5, 2, 3)]]
+
+
+def with_tail(rng, x):
+    """x on a window reaching up to 12 exponents further, with random
+    coefficients where x leaves them unknown."""
+    ring = x.ring
+    hi = x.hi + rng.randrange(1, 13)
+    terms = dict(x.terms())
+    for e in range(x.hi, hi):
+        terms[e] = ring.random(rng)
+    return LaurentSeries.from_terms(ring, terms, hi)
+
+
+def sound(small, large):
+    return large.hi >= small.hi and large.agrees(small)
+
+
+class TestAdversarialTails:
+    @settings(max_examples=25, deadline=None)
+    @given(seeds)
+    def test_add_sub_mul_scale(self, seed):
+        rng = random.Random(seed)
+        for ring in TAIL_RINGS:
+            x = kernel_series(rng, ring, rng.randrange(1, 20),
+                              rng.choice(KINDS))
+            y = kernel_series(rng, ring, rng.randrange(1, 20),
+                              rng.choice(KINDS))
+            xt, yt = with_tail(rng, x), with_tail(rng, y)
+            c = ring.random(rng)
+            assert sound(x + y, xt + yt)
+            assert sound(x - y, xt - yt)
+            assert sound(x * y, xt * yt)
+            assert sound(x.scale(c), xt.scale(c))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds)
+    def test_inv_eth_root(self, seed):
+        rng = random.Random(seed)
+        for ring in TAIL_RINGS:
+            x = kernel_series(rng, ring, rng.randrange(1, 16),
+                              rng.choice(("units", "nilpotent-pole")),
+                              lo_min=-2)
+            assert sound(x.inv(), with_tail(rng, x).inv())
+            hi = rng.randrange(1, 16)
+            terms = {0: ring.add(ring.one,
+                                 ring.smul(ring.p, ring.random(rng)))}
+            for _ in range(rng.randrange(5)):
+                terms[rng.randrange(1, hi + 1)] = ring.random(rng)
+            if rng.random() < 0.5:
+                terms[-rng.randrange(1, 3)] = ring.smul(ring.p,
+                                                        ring.random(rng))
+            w = LaurentSeries.from_terms(ring, terms, hi)
+            e = rng.choice([k for k in (1, 2, 3, 4, 5) if k % ring.p])
+            assert sound(eth_root_one_unit(w, e),
+                         eth_root_one_unit(with_tail(rng, w), e))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seeds)
+    def test_compose(self, seed):
+        rng = random.Random(seed)
+        for ring in TAIL_RINGS:
+            f = kernel_series(rng, ring, rng.randrange(1, 10),
+                              rng.choice(KINDS), lo_min=-2)
+            d = rng.randrange(1, 3)
+            hi = rng.randrange(d + 1, 12)
+            terms = {d: ring.random_unit(rng)}
+            for _ in range(rng.randrange(4)):
+                terms[rng.randrange(d + 1, hi + 1)] = ring.random(rng)
+            if rng.random() < 0.5:
+                # a nilpotent term below the unit degree
+                terms[rng.randrange(-1, d)] = ring.smul(ring.p,
+                                                        ring.random(rng))
+            g = LaurentSeries.from_terms(ring, terms, hi)
+            assert sound(compose(f, g),
+                         compose(with_tail(rng, f), with_tail(rng, g)))
