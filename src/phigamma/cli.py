@@ -254,7 +254,7 @@ def task_height_check(ring, cfg, rng):
 
 
 def task_solve_twisted(ring, cfg, rng, max_iter=64):
-    count = _param(cfg, "count", 20, least=0)
+    count = _param(cfg, "count", 20, least=1)
     n = _param(cfg, "rank", 2, least=1)
     params = _filtration_params(cfg)
     ok = uniq_ok = 0
@@ -299,7 +299,7 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
 
 
 def task_herr(ring, cfg, rng):
-    count = _param(cfg, "count", 10, least=0)
+    count = _param(cfg, "count", 10, least=1)
     n = _param(cfg, "rank", 2, least=1)
     exact_bad = 0
     misses = 0
@@ -322,11 +322,10 @@ def task_herr(ring, cfg, rng):
                      for _ in range(n)] for _ in range(n)])
             else:
                 z = _rand_vec(rng, ring, n)
-            zc = Cochain(0, (z,))
-            if not C.d1(C.d0(zc)).parts[0].is_zero():
+            cob = C.d0(Cochain(0, (z,)))
+            if not C.d1(cob).parts[0].is_zero():
                 exact_bad += 1
                 continue
-            cob = C.d0(zc)
             res = C.try_coboundary(cob)
             if not res.found:
                 misses += 1
@@ -388,7 +387,7 @@ def _diag_const(ring, vals):
 
 
 def task_cup(ring, cfg, rng):
-    count = _param(cfg, "count", 10, least=0)
+    count = _param(cfg, "count", 10, least=1)
     depth = _param(cfg, "depth", 4)
     d2 = parabolic_data(2, (1, 1))
     d3 = parabolic_data(3, (1, 1, 1))
@@ -604,6 +603,8 @@ def run_config(cfg, window=None, seed=None, max_iter=None):
         raise ConfigError(f"task must be one of {', '.join(TASKS)}")
     if "ring" not in cfg:
         raise ConfigError("config needs a ring descriptor")
+    if max_iter is not None and max_iter < 1:
+        raise ConfigError(f"--max-iter must be at least 1, got {max_iter}")
     if task in PARAM_CHECKS:
         PARAM_CHECKS[task](cfg)
     ring = build_ring(cfg["ring"], window)

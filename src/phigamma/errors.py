@@ -73,10 +73,6 @@ class WrongGalComponent(PhigammaError):
     pass
 
 
-class DegreeMismatch(PhigammaError):
-    pass
-
-
 class NotACocycle(PhigammaError):
     pass
 

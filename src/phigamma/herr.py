@@ -26,12 +26,13 @@ The lift ((1+eps*X)Phi, (1+eps*Y)Gam) is valid iff (X,Y) is an adjoint
 -d1_adjoint(X,Y)*Phi*phi(Gam), an independent oracle.
 """
 
+import math
 from dataclasses import dataclass
 
-from .errors import (AveragingUnavailable, NotACocycle, NotALift,
-                     NotGaloisCompatible)
+from .errors import (AveragingUnavailable, EmptyWindow, NotACocycle,
+                     NotALift, NotGaloisCompatible)
 from .framed import FramedModule, pattern_ok
-from .laurent import LaurentSeries
+from .laurent import LaurentSeries, mul_each
 from .linalg import length_of_row_space, solve_mod_prime_power
 from .matrices import SeriesMatrix
 from .period import project_to_base
@@ -158,86 +159,122 @@ class HerrComplex:
 
     # -- windowed coboundary search -------------------------------------------
 
-    def _basis(self, degree, lo, hi):
-        """All monomial cochains supported on exponents [lo, hi)."""
-        r, c = self.part_shape()
-        base = self.ring.base
-        out = []
-        for part in range(self.n_parts(degree)):
-            for i in range(r):
-                for j in range(c):
-                    for k in range(lo, hi):
-                        for s in range(base.f):
-                            coeff = tuple(1 if t == s else 0
-                                          for t in range(base.f))
-                            parts = [SeriesMatrix.zero(self.ring, r, c)
-                                     for _ in range(self.n_parts(degree))]
-                            rows = [[e for e in row]
-                                    for row in parts[part].rows]
-                            rows[i][j] = LaurentSeries.from_terms(
-                                base, {k: coeff}, self.ring.window)
-                            parts[part] = SeriesMatrix(self.ring, rows)
-                            out.append(Cochain(degree, tuple(parts)))
-        return out
+    def _blocks(self, degree, ks):
+        """The phi and gamma blocks of the differential out of `degree`,
+        d0(z) = (B_phi(z), B_gamma(z)) and d1(x, y) = B_gamma(x) - B_phi(y),
+        for the monomials e_s * u^k with (k, s) in ks."""
+        M, ring = self.module, self.ring
+        R_phi = R_gam = None
+        if self.kind == "framed":
+            if degree == 0:
+                L_phi, L_gam = self._inverses()
+            else:
+                L_gam, L_phi = self._framed_ops()
+        else:
+            L_phi, L_gam = M.Phi, M.Gam
+            if self.kind == "adjoint":
+                R_phi, R_gam = self._inverses()
+        return (_Block(self, ring.phi, L_phi, R_phi, ks),
+                _Block(self, ring.gamma, L_gam, R_gam, ks))
 
-    def _entry_windows(self, c, images):
-        """Per-entry equation cutoff: the exponent below which every
-        involved series (target and all basis images) is exact."""
-        hi = {}
-        for p_idx, part in enumerate(c.parts):
-            for i in range(part.nrows):
-                for j in range(part.ncols):
-                    h = part.entry(i, j).hi
-                    for im in images:
-                        h = min(h, im.parts[p_idx].entry(i, j).hi)
-                    hi[(p_idx, i, j)] = h
-        return hi
+    def _column_images(self, degree, z_lo, z_hi):
+        """The images under d of the monomial cochains of `degree` on the
+        exponents [z_lo, z_hi).
 
-    def _vectorize(self, c, lo, hi_map):
-        base = self.ring.base
-        vec = []
-        for p_idx, part in enumerate(c.parts):
-            for i in range(part.nrows):
-                for j in range(part.ncols):
-                    e = part.entry(i, j)
-                    for k in range(lo, hi_map[(p_idx, i, j)]):
-                        vec.extend(e.coeff(k) if k < e.hi else base.zero)
-        return vec
+        Returns (keys, images): keys[t] = (part, i, j, k, s) names the
+        cochain whose only nonzero entry is e_s * u^k at (i, j) of that
+        part (e_s the s-th power-basis coordinate), and images[t] lists
+        the entries of its image in cochain order (part, row, column)."""
+        ring, base = self.ring, self.ring.base
+        W, f = ring.window, base.f
+        nr, nc = self.part_shape()
+        keys = [(part, i, j, k, s) for part in range(self.n_parts(degree))
+                for i in range(nr) for j in range(nc)
+                for k in range(z_lo, z_hi) for s in range(f)]
+        if not keys:
+            return keys, []
+        phi_b, gam_b = self._blocks(degree, [
+            (k, s) for k in range(z_lo, min(z_hi, W)) for s in range(f)])
+        if degree == 0:
+            zero_his = phi_b.zero + gam_b.zero
+        else:
+            zero_his = [min(a, b) for a, b in zip(gam_b.zero, phi_b.zero)]
+        zero_image = [LaurentSeries.zero(base, h) for h in zero_his]
+        units = _unit_vectors(f)
+        monomials = {}
+        images = []
+        for part, i, j, k, s in keys:
+            m = monomials.get((k, s))
+            if m is None:
+                m = monomials[(k, s)] = LaurentSeries.from_terms(
+                    base, {k: units[s]}, W)
+            if m.is_zero():
+                # e_s * u^W lies at the window edge: the zero cochain
+                images.append(zero_image)
+            elif degree == 0:
+                images.append(phi_b.image(i, j, k, s, m) +
+                              gam_b.image(i, j, k, s, m))
+            elif part == 0:
+                images.append([_clip(e, h) for e, h in
+                               zip(gam_b.image(i, j, k, s, m), phi_b.zero)])
+            else:
+                images.append([_clip(-e, h) for e, h in
+                               zip(phi_b.image(i, j, k, s, m), gam_b.zero)])
+        return keys, images
 
     def _windowed_system(self, target, z_lo, z_hi):
         """The linear system d(z) = target for z a combination of the
         monomial cochains supported on exponents [z_lo, z_hi).
 
-        Returns (basis, hi_map, A, rhs): column k of A is the image of
-        basis[k], and the equations are the coefficients of each target
-        entry from a common floor up to its cutoff in hi_map."""
-        basis = self._basis(target.degree - 1, z_lo, z_hi)
-        images = [self.d(b) for b in basis]
-        hi_map = self._entry_windows(target, images)
+        Returns (keys, hi_map, A, rhs): column t of A is the image of the
+        monomial cochain keys[t] (see `_column_images`), and the
+        equations are the coefficients of each target entry from a common
+        floor up to its cutoff in hi_map.
+
+        The images are built by semilinearity, without forming the
+        cochains or applying d to them.  phi(e_s u^k) is frob(e_s) *
+        phi(u)^k, with the power from the operator's cache, and likewise
+        for gamma; it is formed once per (k, s) for the whole system, and
+        its products with one matrix entry are formed together, in one
+        kernel call (`mul_each`).  Each image entry is then the sum of its
+        nonzero terms, cut at the smallest window of all the terms d forms
+        there, zero terms included.  A zero term's window follows from the
+        product rule alone: X * 0 with the zero known below h is known
+        below h + lo(X), and op(0) is known below op's tail guard.  A
+        product with the basis monomial is a shift and a scale, under the
+        same product window rule (EmptyWindow included).  A product of two
+        other series has the factors d multiplies, associated as d does,
+        e.g. (Phi[r][i] * phi(m)) * Phi^-1[j][c] in the adjoint kind; the
+        product and its window rule are symmetric, so the order of the two
+        factors in one product does not matter.  So every
+        entry, window and coefficient equals that of d on the monomial
+        cochain."""
+        keys, images = self._column_images(target.degree - 1, z_lo, z_hi)
+        positions = [(p_idx, i, j) for p_idx, part in enumerate(target.parts)
+                     for i in range(part.nrows) for j in range(part.ncols)]
+        entries = [e for part in target.parts for row in part.rows
+                   for e in row]
+        cuts = [e.hi for e in entries]
+        for im in images:
+            cuts = [min(h, e.hi) for h, e in zip(cuts, im)]
+        hi_map = dict(zip(positions, cuts))
         # the equation floor must cover every exact image coefficient,
         # or a spurious solution can hide uncancelled terms below it
-        eq_lo = min([z_lo] +
-                    [e.lo for im in images for part in im.parts
-                     for row in part.rows for e in row if not e.is_zero()])
-        cols = [self._vectorize(im, eq_lo, hi_map) for im in images]
-        rhs = self._vectorize(target, eq_lo, hi_map)
-        A = [[col[r] for col in cols] for r in range(len(rhs))]
-        return basis, hi_map, A, rhs
+        eq_lo = min([z_lo] + [e.lo for im in images for e in im
+                              if not e.is_zero()])
+        f = self.ring.base.f
+        rhs = _window_coords(entries, eq_lo, cuts, f)
+        cols = [_window_coords(im, eq_lo, cuts, f) for im in images]
+        A = [list(row) for row in zip(*cols)] if cols else [[] for _ in rhs]
+        return keys, hi_map, A, rhs
 
     def _attempt_coboundary(self, c, z_lo, z_hi):
-        basis, hi_map, A, rhs = self._windowed_system(c, z_lo, z_hi)
+        keys, hi_map, A, rhs = self._windowed_system(c, z_lo, z_hi)
         base = self.ring.base
         sol = solve_mod_prime_power(A, rhs, base.p, base.a)
         if sol is None:
             return CoboundaryResult(False, detail="no windowed solution")
-        z = self.zero_cochain(c.degree - 1)
-        parts = list(z.parts)
-        for coeff, b in zip(sol, basis):
-            if coeff % base.q == 0:
-                continue
-            scaled = tuple(p.scale(base.from_int(coeff)) for p in b.parts)
-            parts = [pa + pb for pa, pb in zip(parts, scaled)]
-        z = Cochain(c.degree - 1, tuple(parts))
+        z = self._combination(c.degree - 1, keys, sol)
         diff = self.d(z)
         for p_idx, part in enumerate(diff.parts):
             for i in range(part.nrows):
@@ -251,28 +288,196 @@ class HerrComplex:
         return CoboundaryResult(True, witness=z,
                                 sub_window=min(hi_map.values()))
 
+    def _combination(self, degree, keys, sol):
+        """The cochain sum of sol[t] times the monomial cochain keys[t]."""
+        ring, base = self.ring, self.ring.base
+        W, q, f = ring.window, base.q, base.f
+        terms = {}
+        for coeff, (part, i, j, k, s) in zip(sol, keys):
+            coeff %= q
+            if coeff and k < W:
+                terms.setdefault((part, i, j), {}).setdefault(
+                    k, [0] * f)[s] = coeff
+        nr, nc = self.part_shape()
+        return Cochain(degree, tuple(
+            SeriesMatrix(ring, [[LaurentSeries.from_terms(
+                base, terms.get((part, i, j), {}), W) for j in range(nc)]
+                for i in range(nr)])
+            for part in range(self.n_parts(degree))))
+
     def try_coboundary(self, c, depth=4):
         """Search for z with d(z) = c, the unknown pole widened step by
         step down to `depth` below the lowest exponent of c.
 
         Shallower unknowns keep the per-entry equation windows high, so
         the search starts there and only deepens when no witness is
-        found.  A Found witness certifies d(z) = c on the reported
-        sub-window (the smallest per-entry exact range of the linear
-        system); a miss is inconclusive, never a vanishing disproof."""
+        found.  The unknown z first stops below the smallest window of
+        any entry of c.  A witness can have terms above that, up to the
+        equation cutoffs of the other entries, so when every depth misses
+        the depths are tried once more with z reaching up to the largest
+        entry window (at most the ring window).  A Found witness
+        certifies d(z) = c on the reported sub-window (the smallest
+        per-entry exact range of the linear system); a miss is
+        inconclusive, never a vanishing disproof."""
         if c.degree not in (1, 2):
             raise ValueError("coboundary search applies in degree 1 or 2")
-        exps = [e.lo for part in c.parts for row in part.rows
-                for e in row if not e.is_zero()]
+        entries = [e for part in c.parts for row in part.rows for e in row]
+        exps = [e.lo for e in entries if not e.is_zero()]
         lo_c = min(exps) if exps else 0
-        hi_c = min(e.hi for part in c.parts for row in part.rows for e in row)
+        hi_c = min(e.hi for e in entries)
+        hi_top = min(max(e.hi for e in entries), self.ring.window)
         last = CoboundaryResult(False, detail="no windowed solution")
-        for d_try in range(depth + 1):
-            res = self._attempt_coboundary(c, min(lo_c, 0) - d_try, hi_c)
-            if res.found:
-                return res
-            last = res
+        for z_hi in (hi_c, hi_top) if hi_top > hi_c else (hi_c,):
+            for d_try in range(depth + 1):
+                res = self._attempt_coboundary(c, min(lo_c, 0) - d_try, z_hi)
+                if res.found:
+                    return res
+                last = res
         return last
+
+
+def _clip(x, hi):
+    """x with its window cut at hi (x itself when it ends below hi)."""
+    return x if x.hi <= hi else x.truncate(hi)
+
+
+def _window_coords(entries, lo, cuts, f):
+    """The flat coordinates of each series on the exponents [lo, cut),
+    concatenated; zeros below a series' lowest term."""
+    out = []
+    for e, h in zip(entries, cuts):
+        if h <= lo:
+            continue
+        if e.lo >= h:
+            out += [0] * ((h - lo) * f)
+        elif e.lo >= lo:
+            out += [0] * ((e.lo - lo) * f)
+            out += e._flat[:(h - e.lo) * f]
+        else:
+            out += e._flat[(lo - e.lo) * f:(h - e.lo) * f]
+    return out
+
+
+class _Block:
+    """One semilinear block B of a Herr differential, evaluated on the
+    cochains with a single monomial entry.
+
+    B(z) = L * op(z) - z (plain), (L * op(z)) * R - z (adjoint) or
+    op(z) - L * z (framed), with op = phi or gamma and L, R fixed
+    matrices.  `zero` lists the window of each entry of B(0), the zero
+    cochain with window the ring's; `image` gives the entries of B at a
+    monomial cochain.  Both follow the series window rules term by term,
+    as the matrix expression does (see HerrComplex._windowed_system).
+
+    The op images of the monomials e_s * u^k, (k, s) in `ks`, and their
+    products with the entries of L and R are formed up front, one kernel
+    call (`mul_each`) per matrix entry."""
+
+    def __init__(self, complex_, op, L, R, ks):
+        ring = complex_.ring
+        self.kind = complex_.kind
+        self.base = base = ring.base
+        self.W = W = ring.window
+        self.L = L.rows
+        self.n = n = complex_.n
+        self.at = {key: t for t, key in enumerate(ks)}
+        # op(0) is known below the tail guard of the substitution, and
+        # op(e_s * u^k) = frob(e_s) * op(u)^k below it and the power's hi
+        self.tg = tg = op.apply(ring.zero()).hi
+        f, power = base.f, op.coeff_frob_power
+        units = [base.frob(e, power) if power % f else e
+                 for e in _unit_vectors(f)]
+        self.op_images = [_clip(_times_unit(op.image_power(k), units[s]), tg)
+                          for k, s in ks]
+        Llo = [[e.lo for e in row] for row in self.L]
+        if self.kind == "framed":
+            # L * z with the zero entry of window W: known below W + lo(L)
+            self.cut = [[_min_except([W + x for x in Llo[r]], i)
+                         for i in range(n)] for r in range(n)]
+            self.zero = [min([tg] + [W + x for x in Llo[r]])
+                         for r in range(n)]
+            self.scaled = [[[_times_unit(x, e) for e in _unit_vectors(f)]
+                            for x in row] for row in self.L]
+            return
+        # L * op(z) with the zero entry op(0): known below tg + lo(L)
+        act = [[tg + x for x in Llo[r]] for r in range(n)]
+        if self.kind == "plain":
+            cut = [[min(W, _min_except(act[r], i)) for i in range(n)]
+                   for r in range(n)]
+            self.zero = [min([W] + act[r]) for r in range(n)]
+        else:
+            cut = [[_min_except(act[r], i) for i in range(n)]
+                   for r in range(n)]
+        # left[i][r][t] = L[r][i] * op(monomial t), cut at row r's zeros
+        self.left = [[[_clip(x, cut[r][i])
+                       for x in mul_each(self.L[r][i], self.op_images)]
+                      for r in range(n)] for i in range(n)]
+        if self.kind == "plain":
+            return
+        # adjoint: column l of L * op(z) is zero unless l = j, known
+        # below h1[r] in row r; times R adds lo(R[l][c])
+        h1 = [min(act[r]) for r in range(n)]
+        Rlo = [[e.lo for e in row] for row in R.rows]
+        h2 = [[[h1[r] + Rlo[l][c] for l in range(n)] for c in range(n)]
+              for r in range(n)]
+        self.zero = [min([W] + h2[r][c]) for r in range(n) for c in range(n)]
+        # right[j][c][i][r][t] = left[i][r][t] * R[j][c], cut at the
+        # windows of the zero terms of entry (r, c)
+        self.right = [[None] * n for _ in range(n)]
+        for j in range(n):
+            for c in range(n):
+                cuts = [min(W, _min_except(h2[r][c], j)) for r in range(n)]
+                prods = iter(mul_each(R.rows[j][c], [
+                    x for col in self.left for row in col for x in row]))
+                self.right[j][c] = [[[_clip(next(prods), cuts[r]) for _ in ks]
+                                     for r in range(n)] for _ in range(n)]
+
+    def _times_monomial(self, r, i, k, s):
+        """L[r][i] * (e_s * u^k) by a shift, under the product rule."""
+        x = self.L[r][i]
+        hi = min(x.hi + k, self.W + x.lo)
+        if x.is_zero():
+            return LaurentSeries.zero(self.base, hi)
+        if hi <= x.lo + k:
+            raise EmptyWindow("product window retains no exponent")
+        return self.scaled[r][i][s].shift(k).truncate(hi)
+
+    def image(self, i, j, k, s, m):
+        """The entries of B at the cochain whose only nonzero entry is the
+        monomial m = e_s * u^k at (i, j), in row-major order."""
+        n, t = self.n, self.at[(k, s)]
+        if self.kind == "framed":
+            out = []
+            for r in range(n):
+                x = self._times_monomial(r, i, k, s)
+                if r == i:
+                    out.append(_clip(self.op_images[t], self.cut[r][i]) - x)
+                else:
+                    out.append(LaurentSeries.zero(
+                        self.base, min(self.tg, self.cut[r][i])) - x)
+            return out
+        if self.kind == "plain":
+            out = [row[t] for row in self.left[i]]
+            out[i] = out[i] - m
+            return out
+        out = [self.right[j][c][i][r][t] for r in range(n) for c in range(n)]
+        out[i * n + j] = out[i * n + j] - m
+        return out
+
+
+def _min_except(values, i):
+    """The least of values other than values[i] (inf when there is none)."""
+    return min(values[:i] + values[i + 1:], default=math.inf)
+
+
+def _times_unit(x, c):
+    """x scaled by the unit c, skipping the copy when c is 1."""
+    return x if c == x.ring.one else x.scale(c)
+
+
+def _unit_vectors(f):
+    """The power-basis coordinate vectors e_0, ..., e_(f-1)."""
+    return [tuple(int(t == s) for t in range(f)) for s in range(f)]
 
 
 # -- extensions by the trivial rank-1 module ----------------------------------
@@ -489,27 +694,26 @@ def estimate_h_ranks(complex_, span=6, depth=2):
                                  complex_.ring.window, span)
     lo_u, hi_u = -depth, span
 
-    basis0, _, A0, _ = complex_._windowed_system(
+    keys0, _, A0, _ = complex_._windowed_system(
         complex_.zero_cochain(1), lo_u, hi_u)
-    basis1, _, A1, rhs1 = complex_._windowed_system(
+    keys1, _, A1, rhs1 = complex_._windowed_system(
         complex_.zero_cochain(2), lo_u, hi_u)
     p, a = base.p, base.a
-    dim0 = a * len(basis0)
+    dim0 = a * len(keys0)
     ker0 = dim0 - length_of_row_space(A0, p, a)
     im0 = dim0 - ker0
-    dim1 = a * len(basis1)
+    dim1 = a * len(keys1)
     ker1 = dim1 - length_of_row_space(A1, p, a)
     im1 = dim1 - ker1
     # exact lower bound in degree 0: constant vectors killed exactly
-    consts = complex_._basis(0, 0, 1)
-    exact = [b for b in consts
-             if all(part.is_zero() for part in complex_.d0(b).parts)]
+    _, consts = complex_._column_images(0, 0, 1)
+    exact = [im for im in consts if all(e.is_zero() for e in im)]
     lower0 = a * len(exact)
     h0_up = ker0
     h1_up = max(0, ker1 - im0)
     # top degree has no outgoing differential: cokernel of d1 on the
     # windowed target coordinates
-    target_len = a * (len(rhs1) if basis1 else 0)
+    target_len = a * (len(rhs1) if keys1 else 0)
     h2_up = max(0, target_len - im1)
     bounds = {0: (min(lower0, h0_up), h0_up),
               1: (0, h1_up),

@@ -54,12 +54,13 @@ hold, so slots never carry into each other.  At f = 1 the flat list is
 packed as it is; for f > 1 the coordinates of a coefficient are spread
 to stride 2f - 1 and the slots of x^f ... x^(2f-2) are folded back
 through the modulus rows, one column of coordinates at a time.
-`__mul__`, `scale` and the power loops of `inv` and `eth_root_one_unit`
-all use it.  The kernel checks the invariant above: a product with a
-coordinate of q or more raises PhigammaError rather than let that
-coordinate carry into its neighbour's slot.  The kernel changes how a
-product is computed, not what it is: the window rules above are
-unchanged.
+`__mul__`, `mul_each` (many products with one common factor, laid out
+in one list), `scale` and the power loops of `inv` and
+`eth_root_one_unit` all use it.  The kernel checks the invariant above:
+a product with a coordinate of q or more raises PhigammaError rather
+than let that coordinate carry into its neighbour's slot.  The kernel
+changes how a product is computed, not what it is: the window rules
+above are unchanged.
 """
 
 import math
@@ -296,6 +297,39 @@ class LaurentSeries:
         parts = [f"{c}*u^{e}" for e, c in self.terms()]
         body = " + ".join(parts) if parts else "0"
         return f"<{body} mod u^{self.hi}>"
+
+
+def mul_each(x, ys):
+    """The products x * y for y in ys, with the windows and errors of
+    `__mul__`, from one kernel call.
+
+    The nonzero factors ys are laid out in one flat list, each followed
+    by len(x) - 1 zero coefficients, so the products of x with two
+    neighbours never overlap; one `_convolve` then forms them all."""
+    ring = x.ring
+    f = ring.f
+    out = []
+    spans = []
+    flat = []
+    gap = [0] * (len(x._flat) - f)
+    for y in ys:
+        hi = min(x.hi + y.lo, y.hi + x.lo)
+        if x.is_zero() or y.is_zero():
+            out.append(LaurentSeries.zero(ring, hi))
+            continue
+        lo = x.lo + y.lo
+        if hi <= lo:
+            raise EmptyWindow("product window retains no exponent")
+        spans.append((len(out), lo, hi, len(flat)))
+        out.append(None)
+        flat += y._flat
+        flat += gap
+    if spans:
+        prod = _convolve(ring, x._flat, flat, len(flat) // f)
+        for t, lo, hi, start in spans:
+            out[t] = _series(ring, lo, hi,
+                             prod[start:start + (hi - lo) * f])
+    return out
 
 
 def _series(ring, lo, hi, flat):

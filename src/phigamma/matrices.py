@@ -49,15 +49,6 @@ class SeriesMatrix:
         z = ring.zero(hi)
         return cls(ring, [[z] * (ncols or nrows) for _ in range(nrows)])
 
-    @classmethod
-    def from_entries(cls, ring, entries, hi=None):
-        """Build from a dict {(i,j): series-or-terms} plus implicit zeros."""
-        n = 1 + max(max(i, j) for i, j in entries)
-        rows = [[ring.zero(hi) for _ in range(n)] for _ in range(n)]
-        for (i, j), v in entries.items():
-            rows[i][j] = v if isinstance(v, LaurentSeries) else ring.series(v, hi)
-        return cls(ring, rows)
-
     def entry(self, i, j):
         return self.rows[i][j]
 
@@ -100,11 +91,6 @@ class SeriesMatrix:
         if isinstance(c, int):
             c = self.ring.base.from_int(c)
         return self.map(lambda e: e.scale(c))
-
-    def transpose(self):
-        return SeriesMatrix(self.ring, [
-            [self.rows[i][j] for i in range(self.nrows)]
-            for j in range(self.ncols)])
 
     def truncate(self, hi):
         return self.map(lambda e: e.truncate(min(e.hi, hi)))

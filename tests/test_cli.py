@@ -228,7 +228,11 @@ BAD_PARAMS = [
     ({"task": "descent-check", "e": "x"}, "'e' must be an integer"),
     ({"task": "descent-check", "e": 0}, "'e' must be at least 1"),
     ({"task": "solve-twisted", "rank": 0}, "'rank' must be at least 1"),
-    ({"task": "cup", "count": -1}, "'count' must be at least 0"),
+    ({"task": "cup", "count": -1}, "'count' must be at least 1"),
+    ({"task": "solve-twisted", "count": 0}, "'count' must be at least 1"),
+    ({"task": "herr", "count": 0}, "'count' must be at least 1"),
+    ({"task": "cup", "count": 0}, "'count' must be at least 1"),
+    ({"task": "suite", "count": 0}, "'count' must be at least 1"),
 ]
 
 
@@ -242,6 +246,16 @@ class TestTaskParameterErrors:
         assert main([str(cfgfile), "--json"]) == EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == "" and msg in out.err
+
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_max_iter_below_one(self, max_iter, tmp_path, capsys):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps({"task": "solve-twisted",
+                                       "ring": CYC_P3}))
+        assert main([str(cfgfile), "--json", "--max-iter", max_iter]) == \
+            EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and "--max-iter must be at least 1" in out.err
 
     def test_console_script_exits_3(self, tmp_path):
         cfgfile = tmp_path / "job.json"
@@ -279,6 +293,26 @@ class TestUnvalidatedModule:
     def test_count_key_only_when_nonzero(self):
         _, rep = run_config({"task": "herr", "ring": CYC, "count": 1})
         assert "unvalidated_modules" not in rep["verdicts"][0]["data"]
+
+
+class TestCoboundaryWitnesses:
+    """Every cochain the herr task builds as d0(z0) is a coboundary, so
+    the search must find a witness for each.  On these rings the search
+    needs its second pass, with the unknown reaching the largest entry
+    window: with the smallest one alone, 7, 4 and 19 searches over seeds
+    0-19 miss."""
+
+    @pytest.mark.parametrize("ring", [
+        {"kind": "cyclotomic", "p": 5, "a": 2, "window": 16},
+        {"kind": "cyclotomic", "p": 3, "a": 2, "f": 2, "window": 16},
+        {"kind": "tame", "e": 2, "base": CYC_P3},
+    ], ids=["p5", "p3-f2", "tame-e2"])
+    def test_no_misses(self, ring):
+        for seed in range(20):
+            code, rep = run_config({"task": "herr", "count": 1, "rank": 2,
+                                    "seed": seed, "ring": ring})
+            assert rep["verdicts"][0]["data"]["coboundary_misses"] == 0
+            assert code == EXIT_HOLDS
 
 
 class TestLiftStepPrecision:

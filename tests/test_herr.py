@@ -15,7 +15,8 @@ from phigamma.herr import (Cochain, DualMatrix, HerrComplex,
                            ext_from_cocycle, ext_is_split, ext_residual,
                            lift_dual_numbers, obstruction, restrict_to_E)
 from phigamma.matrices import SeriesMatrix
-from phigamma.period import standard_cyclotomic, tame_extension
+from phigamma.period import (make_custom_ring, standard_cyclotomic,
+                             tame_extension)
 from phigamma.verdicts import FAILS, HOLDS
 
 seeds = st.integers(0, 10**9)
@@ -146,6 +147,125 @@ class TestCoboundarySearch:
         C = HerrComplex(make_framed(R, I, I), "plain")
         res = C.try_coboundary(C.zero_cochain(1))
         assert res.found
+
+
+def reference_system(C, target, z_lo, z_hi):
+    """(images, A, rhs, hi_map) of the coboundary system, built from the
+    public differentials applied to every monomial cochain e_s * u^k;
+    images[t] lists the entries of the image of column t."""
+    ring, base = C.ring, C.ring.base
+    W, f = ring.window, base.f
+    nr, nc = C.part_shape()
+    degree = target.degree - 1
+    d = C.d0 if degree == 0 else C.d1
+    images = []
+    for part in range(C.n_parts(degree)):
+        for i in range(nr):
+            for j in range(nc):
+                for k in range(z_lo, z_hi):
+                    for s in range(f):
+                        parts = [[[ring.zero()] * nc for _ in range(nr)]
+                                 for _ in range(C.n_parts(degree))]
+                        unit = tuple(int(t == s) for t in range(f))
+                        parts[part][i][j] = ring.series({k: unit})
+                        im = d(Cochain(degree, tuple(
+                            SeriesMatrix(ring, rows) for rows in parts)))
+                        images.append([e for p in im.parts for row in p.rows
+                                       for e in row])
+    keys = [(p, i, j) for p, part in enumerate(target.parts)
+            for i in range(part.nrows) for j in range(part.ncols)]
+    entries = [e for part in target.parts for row in part.rows for e in row]
+    cuts = [min([e.hi] + [im[t].hi for im in images])
+            for t, e in enumerate(entries)]
+    eq_lo = min([z_lo] + [e.lo for im in images for e in im
+                          if not e.is_zero()])
+
+    def coords(series):
+        return [c for e, h in zip(series, cuts)
+                for k in range(eq_lo, h) for c in e.coeff(k)]
+
+    rhs = coords(entries)
+    cols = [coords(im) for im in images]
+    A = [[col[r] for col in cols] for r in range(len(rhs))]
+    return images, A, rhs, dict(zip(keys, cuts))
+
+
+def pole_module(rng, ring):
+    """A random module whose Phi has poles: the change of basis
+    diag(u, 1) * (unipotent), so phi of it brings in phi(u)^-1."""
+    one, zero = ring.one(), ring.zero()
+    h = SeriesMatrix(ring, [[ring.variable(), zero], [zero, one]])
+    I = SeriesMatrix.identity(ring, 2)
+    return change_basis(make_framed(ring, I, I), h * rand_uni(rng, ring, 2))
+
+
+def gamma_pole_module(rng, ring):
+    """A module whose Gam has a pole too: the change of basis
+    [[1, c u^-1], [0, 1]]."""
+    one, zero = ring.one(), ring.zero()
+    h = SeriesMatrix(ring, [
+        [one, ring.series({-1: 1 + rng.randrange(ring.base.q - 1)})],
+        [zero, one]])
+    I = SeriesMatrix.identity(ring, 2)
+    return change_basis(make_framed(ring, I, I), h)
+
+
+BUILDER_CASES = {
+    "cyclotomic p=3": (lambda: standard_cyclotomic(3, 2, window=10),
+                       rand_module),
+    "cyclotomic p=3 f=2": (lambda: standard_cyclotomic(3, 2, f=2, window=8),
+                           rand_module),
+    "cyclotomic p=5": (lambda: standard_cyclotomic(5, 2, window=10),
+                       rand_module),
+    "intro u^3+3u^-1": (lambda: make_custom_ring(3, 2, 1, 10, {3: 1, -1: 3}),
+                        rand_module),
+    "tame e=2 over p=3": (lambda: tame_extension(
+        standard_cyclotomic(3, 2, window=8), 2), rand_module),
+    # entries with poles make the windows of the zero terms bind
+    "cyclotomic p=3 poles": (lambda: standard_cyclotomic(3, 2, window=12),
+                             pole_module),
+    "cyclotomic p=3 gamma poles": (
+        lambda: standard_cyclotomic(3, 2, window=12), gamma_pole_module),
+    # unit degree 1 with a nilpotent pole: phi(0) is known only below
+    # the tail guard W - 2
+    "custom u+3u^-1": (lambda: make_custom_ring(3, 2, 1, 10, {1: 1, -1: 3}),
+                       gamma_pole_module),
+}
+
+
+class TestSystemBuilder:
+    """The semilinear system builder against d applied column by column."""
+
+    @pytest.mark.parametrize("degree", (1, 2))
+    @pytest.mark.parametrize("kind", ("plain", "framed", "adjoint"))
+    @pytest.mark.parametrize("case", sorted(BUILDER_CASES))
+    def test_matches_differentials(self, case, kind, degree):
+        make_ring, make_module = BUILDER_CASES[case]
+        ring = make_ring()
+        rng = random.Random(7)
+        C = HerrComplex(make_module(rng, ring), kind)
+        target = rand_cochain(rng, C, degree)
+        # uneven entry windows, so the per-entry cutoffs differ
+        target = Cochain(degree, tuple(
+            part.map(lambda e: e.truncate(e.hi - rng.randrange(4)))
+            for part in target.parts))
+        entries = [e for part in target.parts for row in part.rows
+                   for e in row]
+        z_lo = min([e.lo for e in entries] + [0]) - 2
+        for z_hi in (min(e.hi for e in entries), ring.window):
+            keys, hi_map, A, rhs = C._windowed_system(target, z_lo, z_hi)
+            ref_images, ref_A, ref_rhs, ref_hi = reference_system(
+                C, target, z_lo, z_hi)
+            # every image entry, window included, not just the part of it
+            # the equations read
+            _, images = C._column_images(degree - 1, z_lo, z_hi)
+            assert len(keys) == len(images) == len(ref_images)
+            for im, ref in zip(images, ref_images):
+                assert [e.to_json() for e in im] == \
+                    [e.to_json() for e in ref]
+            assert hi_map == ref_hi
+            assert rhs == ref_rhs
+            assert A == ref_A
 
 
 class TestExtensions:

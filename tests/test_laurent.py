@@ -12,7 +12,7 @@ from phigamma.errors import (BadIndex, Divergent, EmptyWindow,
                              PhigammaError)
 from phigamma.galois_ring import make_ring
 from phigamma.laurent import (LaurentSeries, _convolve, compose,
-                              eth_root_one_unit)
+                              eth_root_one_unit, mul_each)
 
 seeds = st.integers(0, 10**9)
 
@@ -502,6 +502,24 @@ class TestKernel:
             assert got(x - y) == ref_add(x, y, -1)
             assert outcome(lambda: x * y) == ref_mul(x, y)
             assert outcome(lambda: x * x) == ref_mul(x, x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds)
+    def test_mul_each(self, seed):
+        # one kernel call for many products: each as __mul__ gives it
+        rng = random.Random(seed)
+        for ring in KERNEL_RINGS:
+            x = kernel_series(rng, ring, rng.randrange(1, 30),
+                              rng.choice(KINDS))
+            ys = [kernel_series(rng, ring, rng.randrange(1, 30),
+                                rng.choice(KINDS))
+                  for _ in range(rng.randrange(6))]
+            want = [ref_mul(x, y) for y in ys]
+            if any(isinstance(w, str) for w in want):
+                with pytest.raises(EmptyWindow):
+                    mul_each(x, ys)
+            else:
+                assert [got(s) for s in mul_each(x, ys)] == want
 
     @settings(max_examples=4, deadline=None)
     @given(seeds)
