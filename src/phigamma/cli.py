@@ -19,22 +19,19 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .cup import check_mu_well_defined, lambda_map, lift_step, mu, \
-    parabolic_data
-from .errors import ConfigError, InsufficientWindow, NotInvertible, \
-    PhigammaError, PreconditionViolated
-from .framed import DescentDatum, change_basis, check_descent, \
-    commutation_residual, descent_datum_after_change_basis, make_framed
-from .herr import Cochain, HerrComplex, check_invariance, descend_cochain, \
-    restrict_to_E
+from .errors import ConfigError, EmptyWindow, InsufficientWindow, \
+    NotInvertible, PhigammaError, PreconditionViolated
 from .laurent import LaurentSeries
 from .matrices import FiltrationParams, SeriesMatrix, solve_g, solve_h, \
     twisted_conj
 from .period import check_frobenius_contraction, check_height_theory, \
     check_local_contraction, contraction_constants, make_custom_ring, \
     standard_cyclotomic, tame_extension
-from .verdicts import FAILS, HOLDS, INCONCLUSIVE, Verdict, fails, holds, \
-    inconclusive
+from .samplers import diag_const, rand_module, rand_uni, rand_vec
+from .verdicts import FAILS, HOLDS, INCONCLUSIVE, fails, holds, inconclusive
+
+# herr, cup and framed are imported inside the tasks that use them, so a
+# process loads only what its task runs
 
 TASKS = ("ring-info", "analyze-phi", "height-check", "solve-twisted",
          "herr", "cup", "descent-check", "suite")
@@ -170,32 +167,6 @@ PARAM_CHECKS = {"analyze-phi": _contraction_params,
                 "solve-twisted": _filtration_params}
 
 
-# -- shared random generators ---------------------------------------------------
-
-
-def _rand_uni(rng, ring, n, depth, spread=4):
-    rows = [[e for e in r] for r in SeriesMatrix.identity(ring, n).rows]
-    q = ring.base.q
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < 0.7:
-                rows[i][j] = rows[i][j] + ring.series(
-                    {depth + rng.randrange(spread): rng.randrange(q)})
-    return SeriesMatrix(ring, rows)
-
-
-def _rand_module(rng, ring, n):
-    I = SeriesMatrix.identity(ring, n)
-    return change_basis(make_framed(ring, I, I), _rand_uni(rng, ring, n, 1))
-
-
-def _rand_vec(rng, ring, n, lo=-2, spread=8):
-    q = ring.base.q
-    return SeriesMatrix(ring, [
-        [ring.series({rng.randrange(lo, lo + spread): rng.randrange(q)
-                      for _ in range(3)})] for _ in range(n)])
-
-
 # -- tasks ------------------------------------------------------------------------
 
 
@@ -265,7 +236,7 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
              (ring.one() if i == j else
               ring.constant(rng.randrange(ring.base.q)))
              for j in range(n)] for i in range(n)])
-        g0 = _rand_uni(rng, ring, n, params.n_cong, spread=3)
+        g0 = rand_uni(rng, ring, n, params.n_cong, spread=3)
         try:
             h = solve_h(g0, x, params)
             g2 = solve_g(h, x, params, max_iter=max_iter)
@@ -299,6 +270,7 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
 
 
 def task_herr(ring, cfg, rng):
+    from .herr import Cochain, HerrComplex
     count = _param(cfg, "count", 10, least=1)
     n = _param(cfg, "rank", 2, least=1)
     exact_bad = 0
@@ -307,36 +279,38 @@ def task_herr(ring, cfg, rng):
     witness_blob = None
     for idx in range(count):
         try:
-            M = _rand_module(rng, ring, n)
-        except NotInvertible:
-            # the module is exactly invertible (a unipotent change of
-            # basis), so this is a precision shortfall: skip the instance
+            M = rand_module(rng, ring, n)
+            for kind in ("plain", "framed", "adjoint"):
+                C = HerrComplex(M, kind)
+                if kind == "adjoint":
+                    z = SeriesMatrix(ring, [
+                        [ring.series({rng.randrange(-1, 6):
+                                      rng.randrange(ring.base.q)})
+                         for _ in range(n)] for _ in range(n)])
+                else:
+                    z = rand_vec(rng, ring, n)
+                cob = C.d0(Cochain(0, (z,)))
+                if not C.d1(cob).parts[0].is_zero():
+                    exact_bad += 1
+                    continue
+                res = C.try_coboundary(cob)
+                if not res.found:
+                    misses += 1
+                elif witness_blob is None:
+                    witness_blob = {
+                        "kind": kind,
+                        "module": {"Phi": M.Phi.to_json(),
+                                   "Gam": M.Gam.to_json()},
+                        "cochain": cob.to_json(),
+                        "witness": res.witness.to_json(),
+                        "sub_window": res.sub_window,
+                    }
+        except (NotInvertible, EmptyWindow):
+            # the module and the matrices its complexes invert are exactly
+            # invertible (a unipotent change of basis), so an inverse that
+            # fails, or a matrix whose window has run out, is a precision
+            # shortfall: skip the rest of the instance
             unvalidated += 1
-            continue
-        for kind in ("plain", "framed", "adjoint"):
-            C = HerrComplex(M, kind)
-            if kind == "adjoint":
-                z = SeriesMatrix(ring, [
-                    [ring.series({rng.randrange(-1, 6):
-                                  rng.randrange(ring.base.q)})
-                     for _ in range(n)] for _ in range(n)])
-            else:
-                z = _rand_vec(rng, ring, n)
-            cob = C.d0(Cochain(0, (z,)))
-            if not C.d1(cob).parts[0].is_zero():
-                exact_bad += 1
-                continue
-            res = C.try_coboundary(cob)
-            if not res.found:
-                misses += 1
-            elif witness_blob is None:
-                witness_blob = {
-                    "kind": kind,
-                    "module": {"Phi": M.Phi.to_json(), "Gam": M.Gam.to_json()},
-                    "cochain": cob.to_json(),
-                    "witness": res.witness.to_json(),
-                    "sub_window": res.sub_window,
-                }
     data = {"instances": count, "kinds": 3, "exact_failures": exact_bad,
             "coboundary_misses": misses}
     if unvalidated:
@@ -362,6 +336,8 @@ def task_herr(ring, cfg, rng):
 def revalidate_witness(ring, blob):
     """Recheck an emitted coboundary witness: d(witness) must agree with
     the stored cochain on the recorded sub-window."""
+    from .framed import make_framed
+    from .herr import Cochain, HerrComplex
     M = make_framed(ring,
                     SeriesMatrix.from_json(ring, blob["module"]["Phi"]),
                     SeriesMatrix.from_json(ring, blob["module"]["Gam"]))
@@ -379,22 +355,18 @@ def revalidate_witness(ring, blob):
     return True
 
 
-def _diag_const(ring, vals):
-    n = len(vals)
-    return SeriesMatrix(ring, [
-        [ring.constant(vals[i]) if i == j else ring.zero()
-         for j in range(n)] for i in range(n)])
-
-
 def task_cup(ring, cfg, rng):
+    from .cup import check_mu_well_defined, lambda_map, lift_step, mu, \
+        parabolic_data
+    from .framed import commutation_residual, make_framed
     count = _param(cfg, "count", 10, least=1)
     depth = _param(cfg, "depth", 4)
     d2 = parabolic_data(2, (1, 1))
     d3 = parabolic_data(3, (1, 1, 1))
-    phi_l3 = _diag_const(ring, (2, 1, 2))
-    gam_l3 = _diag_const(ring, (1, 2, 1))
-    M2 = make_framed(ring, _diag_const(ring, (2, 1)),
-                     _diag_const(ring, (1, 1)),
+    phi_l3 = diag_const(ring, (2, 1, 2))
+    gam_l3 = diag_const(ring, (1, 2, 1))
+    M2 = make_framed(ring, diag_const(ring, (2, 1)),
+                     diag_const(ring, (1, 1)),
                      pattern=d2.quotient_pattern(1))
     M3 = make_framed(ring, phi_l3, gam_l3, pattern=d3.quotient_pattern(2))
     q = ring.base.q
@@ -516,6 +488,10 @@ def task_cup(ring, cfg, rng):
 
 
 def task_descent_check(ring, cfg, rng):
+    from .framed import DescentDatum, change_basis, check_descent, \
+        descent_datum_after_change_basis, make_framed
+    from .herr import Cochain, check_invariance, descend_cochain, \
+        restrict_to_E
     e = _param(cfg, "e", 2, least=1)
     base = ring
     p, f = base.base.p, base.base.f
@@ -523,7 +499,16 @@ def task_descent_check(ring, cfg, rng):
         return [inconclusive("descent-check",
                              f"no tame extension of degree {e} exists here",
                              window=ring.window)]
-    ext = tame_extension(base, e)
+    try:
+        ext = tame_extension(base, e)
+    except PhigammaError as exc:
+        # the extension exists (checked above), so the window of the
+        # ring, not the descent equations, is what fell short
+        name = type(exc).__name__
+        return [inconclusive("descent-check",
+                             f"cannot build the tame extension of degree "
+                             f"{e} within the window: {name}: {exc}",
+                             window=ring.window, e=e, error=name)]
     I = SeriesMatrix.identity(ext, 1)
     M = make_framed(ext, I, I)
     out = []

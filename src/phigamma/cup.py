@@ -36,8 +36,6 @@ in the adjoint framed complex, which is what makes the class well
 defined up to coboundaries.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import (BadComposition, BadWitness, InsufficientWindow,
                      LeviNotCommuting, NotALift, NotCentralValued,
                      NotGaloisCompatible)
@@ -190,18 +188,20 @@ def lambda_map(ring, alpha, beta, data=None, j=None):
     return data.qmul(j, out, data.qreduce(beta.apply_phi(), j))
 
 
-@dataclass
 class Cup2Class:
     """The generalized cup product: a degree-2 cochain of the framed
     complex for the Levi adjoint action at one central level, plus the
     context needed to correct the lifts."""
-    rep: Cochain
-    complex: HerrComplex
-    data: ParabolicData
-    level: int
-    Phi_lift: SeriesMatrix = None
-    Gam_lift: SeriesMatrix = None
-    cohomology_type_asserted: bool = False
+
+    def __init__(self, rep, complex, data, level, Phi_lift=None,
+                 Gam_lift=None, cohomology_type_asserted=False):
+        self.rep = rep
+        self.complex = complex
+        self.data = data
+        self.level = level
+        self.Phi_lift = Phi_lift
+        self.Gam_lift = Gam_lift
+        self.cohomology_type_asserted = cohomology_type_asserted
 
     def is_zero(self):
         return all(p.is_zero() for p in self.rep.parts)

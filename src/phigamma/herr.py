@@ -27,7 +27,6 @@ The lift ((1+eps*X)Phi, (1+eps*Y)Gam) is valid iff (X,Y) is an adjoint
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import (AveragingUnavailable, EmptyWindow, NotACocycle,
                      NotALift, NotGaloisCompatible)
@@ -41,10 +40,10 @@ from .verdicts import fails, holds, inconclusive
 KINDS = ("plain", "framed", "adjoint")
 
 
-@dataclass
 class Cochain:
-    degree: int
-    parts: tuple
+    def __init__(self, degree, parts):
+        self.degree = degree
+        self.parts = parts
 
     def __iter__(self):
         return iter(self.parts)
@@ -54,12 +53,12 @@ class Cochain:
                 "parts": [p.to_json() for p in self.parts]}
 
 
-@dataclass
 class CoboundaryResult:
-    found: bool
-    witness: object = None
-    detail: str = ""
-    sub_window: int | None = None
+    def __init__(self, found, witness=None, detail="", sub_window=None):
+        self.found = found
+        self.witness = witness
+        self.detail = detail
+        self.sub_window = sub_window
 
 
 class HerrComplex:
@@ -667,11 +666,12 @@ def descend_cochain(ext_ring, cochain):
 # -- windowed rank estimates ----------------------------------------------------
 
 
-@dataclass
 class CohomologyProfile:
-    bounds: dict  # degree -> (lower, upper), lengths of Z/p-factors
-    window: int
-    span: int
+    def __init__(self, bounds, window, span):
+        # degree -> (lower, upper), lengths of Z/p-factors
+        self.bounds = bounds
+        self.window = window
+        self.span = span
 
     def to_json(self):
         return {"h": [{"deg": d, "lower": lo, "upper": up}

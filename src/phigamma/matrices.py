@@ -7,7 +7,6 @@ is exact relative to the windows of the entries, and InsufficientWindow
 is raised when the window cannot decide.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InsufficientWindow, NoConvergence, NotAUnit,
@@ -200,17 +199,18 @@ class SeriesMatrix:
         return f"SeriesMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
 
 
-@dataclass
 class FiltrationParams:
     """Admissibility data for the twisted-conjugation solvers.
 
     lam and N come from a ContractionReport certificate; the solvers
     refuse to run unless n_cong > max(2m/(lam - 1), N).
     """
-    m: int
-    n_cong: int
-    lam: Fraction
-    N: int
+
+    def __init__(self, m, n_cong, lam, N):
+        self.m = m
+        self.n_cong = n_cong
+        self.lam = lam
+        self.N = N
 
     def check(self):
         if self.m < 0 or self.n_cong < 1:

@@ -15,7 +15,6 @@ commutation relations on the variable within the window and reject
 inconsistent data.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (CommutationFails, InsufficientWindow, NoRootOfUnity,
@@ -466,14 +465,15 @@ def _inverse_embedding(base, ext, embed):
 # -- analyzers ---------------------------------------------------------------
 
 
-@dataclass
 class ContractionReport:
-    lam: Fraction
-    N: int
-    d_lambda: Fraction
-    verified_range: tuple
-    holds: bool
-    first_failure: int | None = None
+    def __init__(self, lam, N, d_lambda, verified_range, holds,
+                 first_failure=None):
+        self.lam = lam
+        self.N = N
+        self.d_lambda = d_lambda
+        self.verified_range = verified_range
+        self.holds = holds
+        self.first_failure = first_failure
 
     def to_json(self):
         return {"lambda": str(self.lam), "N": self.N,
@@ -525,11 +525,11 @@ def contraction_constants(ring):
     return {"c_phi": c}
 
 
-@dataclass
 class FrobeniusContractionReport:
-    found: bool
-    N: int | None = None
-    q: int | None = None
+    def __init__(self, found, N=None, q=None):
+        self.found = found
+        self.N = N
+        self.q = q
 
     def to_json(self):
         return {"found": self.found, "N": self.N, "q": self.q}
@@ -572,12 +572,13 @@ _STRUCTURAL_AXIOMS = {
 }
 
 
-@dataclass
 class HeightReport:
-    verdicts: dict
-    k: int | None = None
-    expansion: dict | None = None
-    expected_mismatch: dict | None = None
+    def __init__(self, verdicts, k=None, expansion=None,
+                 expected_mismatch=None):
+        self.verdicts = verdicts
+        self.k = k
+        self.expansion = expansion
+        self.expected_mismatch = expected_mismatch
 
     def all_checkable_hold(self):
         return all(v.status == HOLDS for n, v in self.verdicts.items()

@@ -5,20 +5,18 @@ tracked precision window was too small to decide; it is never conflated
 with Fails.
 """
 
-from dataclasses import dataclass, field
-
 HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class Verdict:
-    name: str
-    status: str
-    detail: str = ""
-    window: int | None = None
-    data: dict = field(default_factory=dict)
+    def __init__(self, name, status, detail="", window=None, data=None):
+        self.name = name
+        self.status = status
+        self.detail = detail
+        self.window = window
+        self.data = {} if data is None else data
 
     def to_json(self):
         out = {"name": self.name, "status": self.status, "detail": self.detail}

@@ -28,6 +28,7 @@ from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
 from phigamma.period import (check_height_theory, check_local_contraction,
                              gamma_power, make_custom_ring,
                              standard_cyclotomic, tame_extension)
+from phigamma.samplers import diag_const, rand_module, rand_uni, rand_vec
 from phigamma.verdicts import FAILS, HOLDS
 
 HOLD, FAIL, INC = "holds", "fails", "inconclusive"
@@ -47,29 +48,6 @@ def report(num, ok, elapsed, budget, extra=""):
     print(f"criterion {num}: {verdict} ({elapsed:.2f}s, budget {budget}s){tail}")
 
 
-def rand_uni(rng, ring, n, depth=1, spread=4):
-    rows = [[e for e in r] for r in SeriesMatrix.identity(ring, n).rows]
-    q = ring.base.q
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < 0.7:
-                rows[i][j] = rows[i][j] + ring.series(
-                    {depth + rng.randrange(spread): rng.randrange(q)})
-    return SeriesMatrix(ring, rows)
-
-
-def rand_module(rng, ring, n=2):
-    I = SeriesMatrix.identity(ring, n)
-    return change_basis(make_framed(ring, I, I), rand_uni(rng, ring, n))
-
-
-def rand_vec(rng, ring, n=2, lo=-2, spread=8):
-    q = ring.base.q
-    return SeriesMatrix(ring, [
-        [ring.series({rng.randrange(lo, lo + spread): rng.randrange(q)
-                      for _ in range(3)})] for _ in range(n)])
-
-
 def rand_mat(rng, ring, n=2, lo=-1, spread=6):
     q = ring.base.q
     return SeriesMatrix(ring, [
@@ -87,13 +65,6 @@ def rand_cochain(rng, C, degree):
 def trunc_zero(mat, h):
     return all(e.truncate(min(e.hi, h)).is_zero()
                for row in mat.rows for e in row)
-
-
-def diag_const(ring, vals):
-    n = len(vals)
-    return SeriesMatrix(ring, [
-        [ring.constant(vals[i]) if i == j else ring.zero()
-         for j in range(n)] for i in range(n)])
 
 
 # -- criterion 1: height-theory worked family ----------------------------------

@@ -330,3 +330,104 @@ class TestLiftStepPrecision:
         assert v["lift-step"]["status"] == "inconclusive"
         assert v["lift-step"]["data"]["sub_window"] < rep["window"]
         assert v["mu-well-defined"]["status"] == "holds"
+
+
+TAME_E4_P5 = {"kind": "tame", "e": 4,
+              "base": {"kind": "cyclotomic", "p": 5, "a": 2, "window": 16}}
+
+
+class TestTameWindowShortfall:
+    """On tame e=4 over p=5 a=2 window 16 the random herr modules, and
+    the matrices their complexes invert, run out of window (one has a
+    window ending at or below 0), and the degree-2 tame extension that
+    descent-check builds has no visible unit in phi(v).  Each is a
+    precision shortfall: a verdict and an exit code, never a traceback."""
+
+    @pytest.mark.parametrize("task,seed,code", [
+        ("herr", 0, EXIT_INCONCLUSIVE), ("herr", 1, EXIT_INCONCLUSIVE),
+        ("suite", 0, EXIT_FAILS), ("suite", 1, EXIT_FAILS),
+        ("descent-check", 0, EXIT_INCONCLUSIVE),
+        ("descent-check", 1, EXIT_INCONCLUSIVE)])
+    def test_verdict_without_traceback(self, task, seed, code, tmp_path):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps({"task": task, "count": 1,
+                                       "seed": seed, "ring": TAME_E4_P5}))
+        run = subprocess.run(
+            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
+            capture_output=True, text=True)
+        assert run.returncode == code
+        assert run.stderr == ""
+        v = {x["name"]: x for x in json.loads(run.stdout)["verdicts"]}
+        if task in ("herr", "suite"):
+            assert v["herr-suite"]["status"] == "inconclusive"
+            assert v["herr-suite"]["data"]["unvalidated_modules"] == 1
+        if task in ("descent-check", "suite"):
+            assert v["descent-check"]["status"] == "inconclusive"
+            assert v["descent-check"]["data"]["error"] == "NotAUnit"
+            assert "NotAUnit" in v["descent-check"]["detail"]
+
+
+# Run in a fresh interpreter: import phigamma.cli, run the given tasks,
+# and print the names of the loaded modules.
+LOADED_MODULES = """
+import json, sys
+import phigamma.cli as cli
+ring = {"kind": "cyclotomic", "p": 3, "a": 2, "window": 16}
+for cfg in json.loads(sys.argv[1]):
+    cli.run_config(dict(cfg, ring=ring))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_modules(cfgs):
+    run = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, json.dumps(cfgs)],
+        capture_output=True, text=True, check=True)
+    return set(json.loads(run.stdout))
+
+
+class TestImports:
+    """A CLI process loads only the modules its task runs.  This counts
+    modules, not time, so it is deterministic."""
+
+    def test_light_tasks_load_no_herr_cup_framed(self):
+        loaded = loaded_modules([
+            {"task": "ring-info"},
+            {"task": "analyze-phi", "n_max": 8},
+            {"task": "height-check", "v_terms": {"1": 1}},
+            {"task": "solve-twisted", "count": 1}])
+        assert "phigamma.samplers" in loaded
+        for name in ("phigamma.herr", "phigamma.cup", "phigamma.framed",
+                     "dataclasses"):
+            assert name not in loaded
+
+    def test_descent_check_loads_no_cup(self):
+        loaded = loaded_modules([{"task": "descent-check"}])
+        assert "phigamma.herr" in loaded
+        assert "phigamma.cup" not in loaded
+        assert "dataclasses" not in loaded
+
+
+class TestSuite:
+    """suite chains every task, so one process covers every deferred
+    import; its stdout must be the bytes of the in-process report."""
+
+    CFG = {"task": "suite", "count": 1, "seed": 0, "v_terms": {"1": 1},
+           "ring": CYC_P3}
+
+    def test_console_script_matches_run_config(self, tmp_path):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps(self.CFG))
+        run = subprocess.run(
+            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
+            capture_output=True, text=True)
+        code, rep = run_config(self.CFG)
+        assert run.returncode == code == EXIT_HOLDS
+        assert run.stderr == ""
+        assert run.stdout == json.dumps(
+            rep, sort_keys=True, separators=(",", ":")) + "\n"
+        assert [v["name"] for v in rep["verdicts"]] == [
+            "ring-info", "local-contraction", "contraction-constants",
+            "frobenius-contraction", "height-check", "solve-twisted",
+            "herr-suite", "cup-lambda-identities", "mu-well-defined",
+            "lift-step", "descent-check"]
