@@ -169,6 +169,14 @@ PARAM_CHECKS = {"analyze-phi": _contraction_params,
 
 # -- tasks ------------------------------------------------------------------------
 
+# errors that say a window ran out: a precision shortfall, never a failure
+SHORTFALLS = (InsufficientWindow, EmptyWindow)
+
+
+def _class_names(names):
+    """The distinct error class names, sorted and joined."""
+    return ", ".join(sorted(set(names)))
+
 
 def task_ring_info(ring, cfg, rng):
     return [holds("ring-info", repr(ring), window=ring.window,
@@ -230,6 +238,7 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
     params = _filtration_params(cfg)
     ok = uniq_ok = 0
     failures = []
+    shortfalls = []
     for idx in range(count):
         x = SeriesMatrix(ring, [
             [ring.series({-params.m: 1}) if i == j == 0 else
@@ -237,6 +246,7 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
               ring.constant(rng.randrange(ring.base.q)))
              for j in range(n)] for i in range(n)])
         g0 = rand_uni(rng, ring, n, params.n_cong, spread=3)
+        short = None
         try:
             h = solve_h(g0, x, params)
             g2 = solve_g(h, x, params, max_iter=max_iter)
@@ -244,10 +254,16 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
             good = resid.is_zero()
             t = min(g2.hi, g0.hi)
             good = good and g2.truncate(t).agrees(g0.truncate(t))
+        except SHORTFALLS as exc:
+            good = False
+            short = exc
         except PhigammaError as exc:
             good = False
             failures.append({"instance": idx, "error": str(exc)})
-        if good:
+        if short is not None:
+            shortfalls.append({"instance": idx, "error": str(short),
+                               "class": type(short).__name__})
+        elif good:
             ok += 1
             pert = SeriesMatrix.identity(ring, n)
             rows = [[e for e in r] for r in pert.rows]
@@ -264,6 +280,12 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
     if ok == count and uniq_ok == count:
         return [holds("solve-twisted", f"{ok}/{count} round trips",
                       window=ring.window, **data)]
+    if shortfalls and not failures and uniq_ok == ok:
+        name = _class_names(s["class"] for s in shortfalls)
+        return [inconclusive("solve-twisted",
+                             f"{len(shortfalls)} round trips ran out of "
+                             f"window: {name}", window=ring.window,
+                             error=name, shortfalls=shortfalls, **data)]
     return [fails("solve-twisted",
                   f"{count - ok} round trips failed", window=ring.window,
                   **data)]
@@ -403,6 +425,7 @@ def task_cup(ring, cfg, rng):
     lam_bad = 0
     found = 0
     mu_failed = 0
+    mu_short = []  # precision shortfalls of the well-definedness check
     lift_ok = lift_total = 0
     lift_short = []  # certified windows of lifts that ran out of precision
     check_hi = ring.window - 10
@@ -432,6 +455,9 @@ def task_cup(ring, cfg, rng):
         for data, i, M, mk in ((d2, 1, M2, lift2), (d3, 2, M3, lift3)):
             try:
                 v = check_mu_well_defined(data, i, M, mk(), mk(), depth)
+            except SHORTFALLS as exc:
+                mu_short.append(type(exc).__name__)
+                continue
             except PhigammaError:
                 mu_failed += 1
                 continue
@@ -452,6 +478,9 @@ def task_cup(ring, cfg, rng):
     data = {"instances": count, "lambda_failures": lam_bad,
             "mu_found": found, "mu_total": mu_total, "mu_errors": mu_failed,
             "lift_witnessed": lift_total, "lift_revalidated": lift_ok}
+    if mu_short:
+        data["mu_shortfalls"] = len(mu_short)
+        data["error"] = _class_names(mu_short)
     out = []
     if lam_bad:
         out.append(fails("cup-lambda-identities",
@@ -464,6 +493,11 @@ def task_cup(ring, cfg, rng):
     if mu_failed:
         out.append(fails("mu-well-defined", f"{mu_failed} errors",
                          window=ring.window, **data))
+    elif mu_short:
+        out.append(inconclusive(
+            "mu-well-defined", f"{found}/{mu_total} witnessed; "
+            f"{len(mu_short)} checks ran out of window: {data['error']}",
+            window=ring.window, **data))
     elif found == mu_total:
         out.append(holds("mu-well-defined", f"{found}/{mu_total} witnessed",
                          window=ring.window, **data))
@@ -471,7 +505,10 @@ def task_cup(ring, cfg, rng):
         out.append(inconclusive("mu-well-defined",
                                 f"{found}/{mu_total} witnessed",
                                 window=ring.window, **data))
-    if lift_ok == lift_total:
+    if lift_total == 0:
+        out.append(inconclusive("lift-step", "no witnessed lift to correct",
+                                window=ring.window))
+    elif lift_ok == lift_total:
         out.append(holds("lift-step",
                          f"{lift_ok}/{lift_total} corrected lifts revalidate",
                          window=ring.window))

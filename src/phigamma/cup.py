@@ -143,10 +143,10 @@ class ParabolicData:
             [mat.rows[r][c] if (r, c) in keep else ring.zero(mat.rows[r][c].hi)
              for c in range(mat.ncols)] for r in range(mat.nrows)])
 
-    def ad_rep(self, i, L, L_inv=None):
+    def ad_rep(self, i, L):
         """Matrix of z -> L*z*L^-1 on the level-i central coordinates:
         entry [(r,c),(r',c')] = L[r,r'] * L^-1[c',c]."""
-        L_inv = L.inv() if L_inv is None else L_inv
+        L_inv = L.inv()
         coords = self.central_coords(i)
         ring = L.ring
         return SeriesMatrix(ring, [

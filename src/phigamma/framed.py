@@ -13,9 +13,9 @@ exactly the commutation identity.
 """
 
 from .errors import (ActionMismatch, CocycleFails, CommutationFails,
-                     DescentEqFails, NotInvertible, WrongGalComponent)
+                     DescentEqFails, WrongGalComponent)
 from .matrices import SeriesMatrix
-from .verdicts import fails, holds, inconclusive
+from .verdicts import holds, inconclusive
 
 
 def commutation_residual(ring, Phi, Gam):
@@ -45,6 +45,7 @@ class FramedModule:
             self.validate()
 
     def validate(self):
+        # raises when one has no inverse; the inverses stay on Phi and Gam
         Phi_inv = self.Phi.inv()
         Gam_inv = self.Gam.inv()
         resid = commutation_residual(self.ring, self.Phi, self.Gam)
@@ -72,9 +73,9 @@ def make_framed(ring, Phi, Gam, pattern=None):
     return FramedModule(ring, Phi, Gam, pattern)
 
 
-def change_basis(M, h, h_inv=None):
+def change_basis(M, h):
     """New coordinates: (h*Phi*phi(h)^-1, h*Gam*gamma(h)^-1)."""
-    h_inv = h.inv() if h_inv is None else h_inv
+    h_inv = h.inv()
     Phi = h * M.Phi * h_inv.apply_phi()
     Gam = h * M.Gam * h_inv.apply_gamma()
     return FramedModule(M.ring, Phi, Gam, M.pattern)

@@ -28,14 +28,13 @@ The lift ((1+eps*X)Phi, (1+eps*Y)Gam) is valid iff (X,Y) is an adjoint
 
 import math
 
-from .errors import (AveragingUnavailable, EmptyWindow, NotACocycle,
-                     NotALift, NotGaloisCompatible)
-from .framed import FramedModule, pattern_ok
+from .errors import AveragingUnavailable, NotACocycle, NotALift
+from .framed import pattern_ok
 from .laurent import LaurentSeries, mul_each
 from .linalg import length_of_row_space, solve_mod_prime_power
 from .matrices import SeriesMatrix
 from .period import project_to_base
-from .verdicts import fails, holds, inconclusive
+from .verdicts import fails, holds
 
 KINDS = ("plain", "framed", "adjoint")
 
@@ -69,18 +68,13 @@ class HerrComplex:
         self.ring = module.ring
         self.kind = kind
         self.n = module.n
-        self._Phi_inv = None
-        self._Gam_inv = None
         self._phi_Gam_inv = None
         self._gam_Phi_inv = None
 
     # -- cached derived matrices -------------------------------------------
 
     def _inverses(self):
-        if self._Phi_inv is None:
-            self._Phi_inv = self.module.Phi.inv()
-            self._Gam_inv = self.module.Gam.inv()
-        return self._Phi_inv, self._Gam_inv
+        return self.module.Phi.inv(), self.module.Gam.inv()
 
     def _framed_ops(self):
         if self._phi_Gam_inv is None:
@@ -239,10 +233,8 @@ class HerrComplex:
         nonzero terms, cut at the smallest window of all the terms d forms
         there, zero terms included.  A zero term's window follows from the
         product rule alone: X * 0 with the zero known below h is known
-        below h + lo(X), and op(0) is known below op's tail guard.  A
-        product with the basis monomial is a shift and a scale, under the
-        same product window rule (EmptyWindow included).  A product of two
-        other series has the factors d multiplies, associated as d does,
+        below h + lo(X), and op(0) is known below op's tail guard.  Every
+        product has the factors d multiplies, associated as d does,
         e.g. (Phi[r][i] * phi(m)) * Phi^-1[j][c] in the adjoint kind; the
         product and its window rule are symmetric, so the order of the two
         factors in one product does not matter.  So every
@@ -376,7 +368,7 @@ class _Block:
         ring = complex_.ring
         self.kind = complex_.kind
         self.base = base = ring.base
-        self.W = W = ring.window
+        W = ring.window
         self.L = L.rows
         self.n = n = complex_.n
         self.at = {key: t for t, key in enumerate(ks)}
@@ -395,8 +387,6 @@ class _Block:
                          for i in range(n)] for r in range(n)]
             self.zero = [min([tg] + [W + x for x in Llo[r]])
                          for r in range(n)]
-            self.scaled = [[[_times_unit(x, e) for e in _unit_vectors(f)]
-                            for x in row] for row in self.L]
             return
         # L * op(z) with the zero entry op(0): known below tg + lo(L)
         act = [[tg + x for x in Llo[r]] for r in range(n)]
@@ -431,16 +421,6 @@ class _Block:
                 self.right[j][c] = [[[_clip(next(prods), cuts[r]) for _ in ks]
                                      for r in range(n)] for _ in range(n)]
 
-    def _times_monomial(self, r, i, k, s):
-        """L[r][i] * (e_s * u^k) by a shift, under the product rule."""
-        x = self.L[r][i]
-        hi = min(x.hi + k, self.W + x.lo)
-        if x.is_zero():
-            return LaurentSeries.zero(self.base, hi)
-        if hi <= x.lo + k:
-            raise EmptyWindow("product window retains no exponent")
-        return self.scaled[r][i][s].shift(k).truncate(hi)
-
     def image(self, i, j, k, s, m):
         """The entries of B at the cochain whose only nonzero entry is the
         monomial m = e_s * u^k at (i, j), in row-major order."""
@@ -448,7 +428,7 @@ class _Block:
         if self.kind == "framed":
             out = []
             for r in range(n):
-                x = self._times_monomial(r, i, k, s)
+                x = self.L[r][i] * m
                 if r == i:
                     out.append(_clip(self.op_images[t], self.cut[r][i]) - x)
                 else:

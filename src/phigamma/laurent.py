@@ -60,7 +60,16 @@ in one list), `scale` and the power loops of `inv` and
 a product with a coordinate of q or more raises PhigammaError rather
 than let that coordinate carry into its neighbour's slot.  The kernel
 changes how a product is computed, not what it is: the window rules
-above are unchanged.
+above are unchanged.  A product with a monomial, a factor with exactly
+one nonzero coefficient on its window, skips the kernel: it is the
+other factor's list cut to the product window and scaled by that
+coefficient, under the same window rule and the same coordinate check.
+
+Series are values.  Nothing writes into a series' flat list once the
+series owns it (`_series` takes the list over, and every operation
+builds a new one), so a list may be shared between series, as `shift`
+does, and an operation may return one of its operands: a sum with a
+zero known at least as far as the other addend is that addend.
 """
 
 import math
@@ -205,6 +214,15 @@ class LaurentSeries:
         lo = self.lo + other.lo
         if hi <= lo:
             raise EmptyWindow("product window retains no exponent")
+        f = ring.f
+        for x, y in ((self, other), (other, self)):
+            if not any(x._flat[f:]):
+                # x = c * u^lo(x): the product is y scaled by c
+                c, ys = x._flat[:f], y._flat[:(hi - lo) * f]
+                _check_reduced(c + ys, ring.q)
+                if c[0] != 1 or any(c[1:]):
+                    ys = _scale(ring, c, ys)
+                return _series(ring, lo, hi, ys)
         return _series(ring, lo, hi,
                        _convolve(ring, self._flat, other._flat, hi - lo))
 
@@ -356,7 +374,14 @@ def _span(x, lo, hi):
 
 
 def _add(x, y, sub):
-    """x + y, or x - y when sub, built from the aligned coordinate slices."""
+    """x + y, or x - y when sub, built from the aligned coordinate slices.
+
+    A zero addend known at least as far as the other one leaves it as it
+    is, so the other series itself is the sum (series are values)."""
+    if y.lo == y.hi >= x.hi:
+        return x
+    if x.lo == x.hi >= y.hi and not sub:
+        return y
     ring = x.ring
     f, q = ring.f, ring.q
     hi = min(x.hi, y.hi)
@@ -454,16 +479,26 @@ _WORD_CODES = {array(c).itemsize: c for c in "BHIQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
+def _check_reduced(flat, q):
+    """Raise unless every int of flat lies in [0, q): PhigammaError for
+    one of q or more, OverflowError for a negative one."""
+    if not flat:
+        return
+    top = max(flat)
+    if top >= q:
+        raise PhigammaError(f"coordinate {top} is not reduced mod {q}")
+    if min(flat) < 0:
+        raise OverflowError(f"coordinate {min(flat)} is negative")
+
+
 def _pack(flat, nb, q):
     """One int holding the ints of flat, nb bytes each, little-endian.
 
     A coordinate of q or more would overflow its slot into the next one,
-    so it raises; a negative one cannot be packed unsigned and raises
-    OverflowError.
+    and a negative one cannot be packed unsigned, so both raise
+    (`_check_reduced`).
     """
-    top = max(flat)
-    if top >= q:
-        raise PhigammaError(f"coordinate {top} is not reduced mod {q}")
+    _check_reduced(flat, q)
     code = _WORD_CODES.get(nb)
     if code is None:
         return int.from_bytes(b"".join([v.to_bytes(nb, "little")

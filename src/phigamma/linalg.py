@@ -16,7 +16,10 @@ The valuation profile also gives the length (number of Z/p composition
 factors) of the row space: sum over pivots of (a - v).
 
 Matrices are lists of rows of Python ints in [0, q), so nothing
-overflows, however large q is.
+overflows, however large q is.  The eliminator keeps each row as a dict
+{column: nonzero entry}, so it reads and updates only the nonzero
+entries, and a row left with no entry in the pivot columns drops out of
+the search.  The Herr systems it solves start at about 14% density.
 """
 
 from .errors import PhigammaError
@@ -24,6 +27,11 @@ from .errors import PhigammaError
 
 def _as_rows(A, q):
     return [[x % q for x in row] for row in A]
+
+
+def _sparse(row):
+    """The row as {column: entry} over its nonzero entries."""
+    return {j: x for j, x in enumerate(row) if x}
 
 
 def _valuation(x, p):
@@ -35,63 +43,79 @@ def _valuation(x, p):
 
 
 def _pivot(R, live, p, ncols):
-    """(row, col, valuation) of the pivot among the rows in `live`, or
-    None when they are zero.
+    """(row, col, valuation) of the pivot among the rows in `live`, each
+    with an entry below ncols.
 
     Columns already used as pivots are zero in those rows, so every
     nonzero entry below ncols is a candidate; the least valuation wins,
-    and the first such entry in row-major order breaks ties.
+    and the first such entry in row-major order breaks ties.  A row's
+    entries are not stored in column order, so each row is scanned
+    whole for its least (valuation, column).
     """
     best = None
     for i in live:
-        row = R[i]
-        for j in range(ncols):
-            x = row[j]
-            if not x:
+        rv = rj = None
+        for j, x in R[i].items():
+            if j >= ncols:
                 continue
-            if x % p:
-                return i, j, 0
-            v = _valuation(x, p)
-            if best is None or v < best[2]:
-                best = (i, j, v)
+            v = 0 if x % p else _valuation(x, p)
+            if rv is None or v < rv or v == rv and j < rj:
+                rv, rj = v, j
+        if rv == 0:
+            return i, rj, 0
+        if best is None or rv < best[2]:
+            best = (i, rj, rv)
     return best
 
 
 def _reduce(R, p, a, ncols):
-    """In-place reduction; pivots only in columns < ncols.
+    """In-place reduction of the sparse rows R; pivots only in columns
+    < ncols, and R may hold one more column, ncols itself.
 
     Returns the list of pivots (row, col, valuation).
     """
     q = p ** a
-    live = list(range(len(R)))
+    rest = {ncols}
+    # a row with no entry below ncols can neither pivot nor change
+    live = [i for i, row in enumerate(R) if not row.keys() <= rest]
     pivots = []
     while live:
-        found = _pivot(R, live, p, ncols)
-        if found is None:
-            break
-        pi, pj, v = found
+        pi, pj, v = _pivot(R, live, p, ncols)
         pv = p ** v
         u = pow(R[pi][pj] // pv, -1, q)
-        prow = R[pi] = [x * u % q for x in R[pi]]
+        prow = R[pi] = {j: x * u % q for j, x in R[pi].items()}
         live.remove(pi)
-        nonzero = [(j, y) for j, y in enumerate(prow) if y]
+        # prow[pj] is p^v, so the pivot column clears exactly
+        others = [(j, y) for j, y in prow.items() if j != pj]
         # clear only rows not yet used as pivots: entries there have
         # valuation >= v by pivot minimality, so the division is exact
+        dead = []
         for i in live:
             row = R[i]
-            if row[pj]:
-                f = row[pj] // pv
-                for j, y in nonzero:
-                    row[j] = (row[j] - f * y) % q
+            x = row.pop(pj, 0)
+            if x:
+                f = x // pv
+                for j, y in others:
+                    t = (row.get(j, 0) - f * y) % q
+                    if t:
+                        row[j] = t
+                    else:
+                        row.pop(j, None)
+                if row.keys() <= rest:
+                    dead.append(i)
+        if dead:
+            live = [i for i in live if i not in dead]
         pivots.append((pi, pj, v))
     return pivots
 
 
 def reduce_mod_prime_power(A, p, a):
-    """Row-reduce A over Z/p^a; returns (R, pivots)."""
-    R = _as_rows(A, p ** a)
-    ncols = len(R[0]) if R else 0
-    return R, _reduce(R, p, a, ncols)
+    """Row-reduce A over Z/p^a; returns (R, pivots), R as dense rows."""
+    rows = _as_rows(A, p ** a)
+    ncols = len(rows[0]) if rows else 0
+    R = [_sparse(row) for row in rows]
+    pivots = _reduce(R, p, a, ncols)
+    return [[row.get(j, 0) for j in range(ncols)] for row in R], pivots
 
 
 def solve_mod_prime_power(A, b, p, a):
@@ -104,21 +128,30 @@ def solve_mod_prime_power(A, b, p, a):
     cols = len(M[0])
     if cols == 0:
         return None if any(bb) else []
-    aug = [row + [t] for row, t in zip(M, bb)]
+    aug = []
+    for row, t in zip(M, bb):
+        sparse = _sparse(row)
+        if t:
+            sparse[cols] = t
+        aug.append(sparse)
     pivots = _reduce(aug, p, a, cols)
     pivot_rows = {pi for pi, _, _ in pivots}
-    if any(aug[i][cols] for i in range(len(aug)) if i not in pivot_rows):
+    if any(cols in aug[i] for i in range(len(aug)) if i not in pivot_rows):
         return None
-    x = [0] * cols
+    # x[cols] stays 0, so a row's sum over all its entries leaves out
+    # its rhs
+    x = [0] * (cols + 1)
     # pivot rows are echelon-shaped; back-substitute newest pivot first
     for pi, pj, v in reversed(pivots):
         row = aug[pi]
-        rhs = (row[cols] - sum(c * t for c, t in zip(row, x))) % q
+        rhs = (row.get(cols, 0) - sum(c * x[j] for j, c in row.items())) % q
         pv = p ** v
         if rhs % pv:
             return None
         x[pj] = rhs // pv
-    if any((sum(c * t for c, t in zip(row, x)) - t0) % q
+    x.pop()
+    nonzero = [(j, t) for j, t in enumerate(x) if t]
+    if any((sum(row[j] * t for j, t in nonzero) - t0) % q
            for row, t0 in zip(M, bb)):
         raise PhigammaError("elimination invariant violated")
     return x

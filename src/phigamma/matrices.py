@@ -5,6 +5,10 @@ and the contraction fixed-point solvers.
 Membership tests follow the series window semantics: a True/False answer
 is exact relative to the windows of the entries, and InsufficientWindow
 is raised when the window cannot decide.
+
+A matrix is a value: its rows are tuples of series, fixed at
+construction, so `inv` computes the inverse once and keeps it on the
+matrix.
 """
 
 from fractions import Fraction
@@ -19,7 +23,8 @@ class SeriesMatrix:
 
     def __init__(self, ring, rows):
         self.ring = ring
-        self.rows = [list(r) for r in rows]
+        self.rows = tuple(tuple(r) for r in rows)
+        self._inv = None
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for r in self.rows:
@@ -105,10 +110,20 @@ class SeriesMatrix:
         return (self - SeriesMatrix.identity(self.ring, self.n, self.hi)).is_zero()
 
     def inv(self):
-        """Gauss-Jordan inverse; pivots need a visible unit degree."""
+        """Gauss-Jordan inverse; pivots need a visible unit degree.
+
+        The inverse is computed on the first call and kept; an error
+        (NotInvertible, EmptyWindow) is raised again on every call."""
+        if self._inv is None:
+            self._inv = self._gauss_jordan()
+        return self._inv
+
+    def _gauss_jordan(self):
         n = self.n
-        aug = [row[:] + SeriesMatrix.identity(self.ring, n, self.hi).rows[i]
-               for i, row in enumerate(self.rows)]
+        if not n:
+            return SeriesMatrix(self.ring, [])
+        identity = SeriesMatrix.identity(self.ring, n, self.hi).rows
+        aug = [row + one for row, one in zip(self.rows, identity)]
         for col in range(n):
             best = None
             for r in range(col, n):
@@ -162,25 +177,23 @@ class SeriesMatrix:
         lo = min(e.lo for r in diff.rows for e in r if not e.is_zero())
         return lo
 
-    def in_Vm(self, m, inverse=None):
-        inverse = self.inv() if inverse is None else inverse
+    def in_Vm(self, m):
         return (all(e.in_lattice(m) for r in self.rows for e in r) and
-                all(e.in_lattice(m) for r in inverse.rows for e in r))
+                all(e.in_lattice(m) for r in self.inv().rows for e in r))
 
-    def in_Lm(self, m, inverse=None):
-        return self.in_Vm(m, inverse)
+    def in_Lm(self, m):
+        return self.in_Vm(m)
 
-    def in_Lm_phi(self, m, c_phi=None, inverse=None):
+    def in_Lm_phi(self, m, c_phi=None):
         """The Frobenius-stabilized filtration: p^(a-i)*X and p^(a-i)*X^-1
         lie in u^(-m - c_phi*i) * Mat(power series) for 0 <= i <= a."""
         if c_phi is None:
             c_phi = self.ring.c_phi()
         a = self.ring.base.a
         p = self.ring.base.p
-        inverse = self.inv() if inverse is None else inverse
         for i in range(a + 1):
             bound = m + c_phi * i
-            for mat in (self, inverse):
+            for mat in (self, self.inv()):
                 scaled = mat.scale(p ** (a - i))
                 if not all(e.in_lattice(bound) for r in scaled.rows for e in r):
                     return False
@@ -222,10 +235,9 @@ class FiltrationParams:
                 f"need n > max(2m/(lam-1), N) = {threshold}, got {self.n_cong}")
 
 
-def twisted_conj(x, g, g_inv=None):
+def twisted_conj(x, g):
     """g^-1 * x * phi(g)."""
-    g_inv = g.inv() if g_inv is None else g_inv
-    return g_inv * x * g.apply_phi()
+    return g.inv() * x * g.apply_phi()
 
 
 def solve_h(g, x, params):
@@ -236,10 +248,9 @@ def solve_h(g, x, params):
     params.check()
     if not g.in_Un(params.n_cong):
         raise PreconditionViolated("g is not in U_n")
-    x_inv = x.inv()
-    if not x.in_Vm(params.m, x_inv):
+    if not x.in_Vm(params.m):
         raise PreconditionViolated("x is not in V_m")
-    h_inv = twisted_conj(x, g) * x_inv
+    h_inv = twisted_conj(x, g) * x.inv()
     h = h_inv.inv()
     if not h.in_Un(params.n_cong):
         raise PreconditionViolated("solved h left U_n; certificate too weak")

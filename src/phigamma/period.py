@@ -22,7 +22,7 @@ from .errors import (CommutationFails, InsufficientWindow, NoRootOfUnity,
 from .galois_ring import _eval_poly, _eval_poly_deriv, make_ring
 from .laurent import LaurentSeries, _power, compose, eth_root_one_unit
 from .linalg import solve_mod_prime_power
-from .verdicts import HOLDS, Verdict, fails, holds, inconclusive
+from .verdicts import HOLDS, fails, holds, inconclusive
 
 
 class OperatorDesc:

@@ -1,6 +1,7 @@
 """Tests for the command line front end: config handling, exit codes,
 deterministic JSON reports, and witness revalidation."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -365,6 +366,95 @@ class TestTameWindowShortfall:
             assert v["descent-check"]["status"] == "inconclusive"
             assert v["descent-check"]["data"]["error"] == "NotAUnit"
             assert "NotAUnit" in v["descent-check"]["detail"]
+
+
+class TestShortfallNotFailure:
+    """On the same ring, cup's well-definedness check and solve-twisted's
+    round trip run out of window (EmptyWindow: a matrix inverse forms the
+    identity on a window ending at or below 0).  That is a precision
+    shortfall, so the verdicts are inconclusive and name the error class;
+    and a lift step with no witnessed lift to correct decides nothing."""
+
+    @pytest.mark.parametrize("task", ["cup", "solve-twisted"])
+    def test_inconclusive_naming_the_error(self, task, tmp_path):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps({"task": task, "count": 1, "seed": 0,
+                                       "ring": TAME_E4_P5}))
+        run = subprocess.run(
+            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
+            capture_output=True, text=True)
+        assert run.returncode == EXIT_INCONCLUSIVE
+        assert run.stderr == ""
+        v = {x["name"]: x for x in json.loads(run.stdout)["verdicts"]}
+        assert all(x["status"] != "fails" for x in v.values())
+        named = v["mu-well-defined" if task == "cup" else "solve-twisted"]
+        assert named["status"] == "inconclusive"
+        assert named["data"]["error"] == "EmptyWindow"
+        assert "EmptyWindow" in named["detail"]
+        if task == "cup":
+            assert v["lift-step"]["status"] == "inconclusive"
+            assert v["lift-step"]["detail"] == "no witnessed lift to correct"
+
+
+# sha256 of the canonical --json bytes of every task, seed 0, count 1, on
+# two rings.  A speed change must leave every witness, window and verdict
+# as it is, so these hashes stay; a change that alters a report on
+# purpose says so and updates them.
+GOLDEN_RINGS = {
+    "cyclotomic-p3-w24": {"kind": "cyclotomic", "p": 3, "a": 2, "f": 1,
+                          "window": 24},
+    "tame-e2-p3-w16": {"kind": "tame", "e": 2,
+                       "base": {"kind": "cyclotomic", "p": 3, "a": 2,
+                                "f": 1, "window": 16}},
+}
+GOLDEN = {
+    ("cyclotomic-p3-w24", "ring-info"):
+        "cd412b7db4c56f29dcab09f8b33177430e7203171d862d345fec4b28e87924f5",
+    ("cyclotomic-p3-w24", "analyze-phi"):
+        "7757bbe6925249339c809f2e2b269e1d10d458b4dbae5d4b83fbdd7ff771f9dd",
+    ("cyclotomic-p3-w24", "height-check"):
+        "312ea8ec4d908f018bf4d328956e756d36f1a10f162ec70acaa2ac09d98bff72",
+    ("cyclotomic-p3-w24", "solve-twisted"):
+        "fae4263cb2f132377e60ef15cad12db7f14734495d69b4dd5ce5bd1e72dbd385",
+    ("cyclotomic-p3-w24", "herr"):
+        "d8b9c3cca7f1742b3852f9e0e0a4f8689f8cab59b50d1460f10480dd37f48755",
+    ("cyclotomic-p3-w24", "cup"):
+        "bb67d1cff810ebbccefbeb005cd78bcd7236f165c8c602547c281c79b5f98032",
+    ("cyclotomic-p3-w24", "descent-check"):
+        "c17854c95050be98cf350bcd3ff489863053e9e228bff6a261c74887c9d8837f",
+    ("cyclotomic-p3-w24", "suite"):
+        "582b35c93bc82cb7beefbb4e143bf313f55081314ca91defbfa89d62fd9cab0b",
+    ("tame-e2-p3-w16", "ring-info"):
+        "73aca2be9ac6057bae3402ce39e432c57611fe7824d3b95bf3d4f4ebe11c1ee6",
+    ("tame-e2-p3-w16", "analyze-phi"):
+        "74a8b19797c2ab69900c45999ce4bd6b82df81b401ca4ca565cdab87e3b43b6f",
+    ("tame-e2-p3-w16", "height-check"):
+        "06945d37731d389724aad0ec2c92a2213cfdd37343ad956550e8b13b366a762c",
+    ("tame-e2-p3-w16", "solve-twisted"):
+        "1d7c1d05fdf7bc3a8f19c1e5615cf552b534f96d1c0039b499f018966e5972a3",
+    ("tame-e2-p3-w16", "herr"):
+        "05384ad115356d179472aa01c7a5eb0e3df8eaded88bafcafc68d50ce56f7b38",
+    ("tame-e2-p3-w16", "cup"):
+        "99610e6e74373e0fffb9b4053635dbb13becb943f82c0db84633fd0214aeb7ba",
+    ("tame-e2-p3-w16", "descent-check"):
+        "483486be5ee97e6e1b5ef77f2e16442c30ce3bd1f556f14cb9a3cc74c715f2a4",
+    ("tame-e2-p3-w16", "suite"):
+        "173387cc0e79e7a422e05acc567ca25911644d41035c62aa014b3fd5b11e7cc7",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("ring,task", sorted(GOLDEN),
+                             ids=["/".join(k) for k in sorted(GOLDEN)])
+    def test_report_hash(self, ring, task):
+        cfg = {"task": task, "ring": GOLDEN_RINGS[ring], "seed": 0,
+               "count": 1}
+        if task == "height-check":
+            cfg["v_terms"] = {"2": 1}
+        _, rep = run_config(cfg)
+        canon = json.dumps(rep, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canon.encode()).hexdigest() == \
+            GOLDEN[(ring, task)]
 
 
 # Run in a fresh interpreter: import phigamma.cli, run the given tasks,

@@ -579,6 +579,48 @@ class TestKernel:
             e = rng.choice([k for k in (1, 2, 3, 4, 5) if k % ring.p])
             assert got(eth_root_one_unit(w, e)) == ref_root(w, e)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seeds)
+    def test_monomial_times_series(self, seed):
+        # a factor with one nonzero coefficient skips the kernel; the
+        # product must still be the reference one, on either side
+        rng = random.Random(seed)
+        for ring in KERNEL_RINGS:
+            k = rng.randrange(-4, 6)
+            c = rng.choice((ring.random_unit(rng), ring.random(rng),
+                            ring.smul(ring.p, ring.random_unit(rng))))
+            # a window from one coefficient, shorter than the other
+            # factor, up to well past it
+            m = LaurentSeries.from_terms(ring, {k: c},
+                                         k + rng.randrange(1, 40))
+            y = kernel_series(rng, ring, rng.randrange(1, 30),
+                              rng.choice(KINDS))
+            assert outcome(lambda: m * y) == ref_mul(m, y)
+            assert outcome(lambda: y * m) == ref_mul(y, m)
+            assert outcome(lambda: m * m) == ref_mul(m, m)
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_monomial_cases(self, f):
+        ring = make_ring(3, 2, f)
+        unit = (2,) + (1,) * (f - 1)
+        nil = (3,) + (6,) * (f - 1)
+        y = LaurentSeries.from_terms(
+            ring, {-2: (3,) * f, 0: (1,) * f, 5: (4,) * f}, 9)
+        cases = [
+            LaurentSeries.from_terms(ring, {-3: unit}, 4),   # pole
+            LaurentSeries.from_terms(ring, {2: nil}, 20),    # nilpotent
+            LaurentSeries.from_terms(ring, {1: unit}, 3),    # cuts y
+            LaurentSeries.from_terms(ring, {0: (1,) + (0,) * (f - 1)}, 30),
+        ]
+        for m in cases:
+            assert got(m * y) == ref_mul(m, y)
+            assert got(y * m) == ref_mul(y, m)
+        # the nilpotent monomial kills the nilpotent head of y
+        assert (cases[1] * y).lo == 2
+        # a monomial whose window ends below its exponent cannot be built
+        with pytest.raises(EmptyWindow):
+            LaurentSeries.from_terms(ring, {3: unit}, 2)
+
     @pytest.mark.parametrize("a", [2, 21])
     def test_non_canonical_coordinate_raises(self, a):
         ring = make_ring(3, a, 1)

@@ -272,3 +272,90 @@ def test_large_q_coboundary_round_trip():
         for dp, cp in zip(C.d(res.witness).parts, c.parts):
             r = dp - cp
             assert r.truncate(min(r.hi, res.sub_window)).is_zero()
+
+
+# -- the sparse eliminator against a dense one ----------------------------
+
+def dense_reduce(A, p, a, ncols):
+    """Reference elimination on dense rows, in place: the pivot of least
+    valuation, first in row-major order, among the rows not yet used."""
+    q = p ** a
+
+    def val(x):
+        return next(k for k in range(a) if x % p ** (k + 1))
+
+    live = list(range(len(A)))
+    pivots = []
+    while True:
+        cands = [(val(A[i][j]), i, j) for i in live
+                 for j in range(ncols) if A[i][j]]
+        if not cands:
+            return pivots
+        v, pi, pj = min(cands)
+        pv = p ** v
+        u = pow(A[pi][pj] // pv, -1, q)
+        A[pi] = [x * u % q for x in A[pi]]
+        live.remove(pi)
+        for i in live:
+            f = A[i][pj] // pv
+            A[i] = [(x - f * y) % q for x, y in zip(A[i], A[pi])]
+        pivots.append((pi, pj, v))
+
+
+def dense_solve(A, b, p, a):
+    q = p ** a
+    if not A:
+        return []
+    cols = len(A[0])
+    if cols == 0:
+        return None if any(t % q for t in b) else []
+    aug = [[x % q for x in row] + [t % q] for row, t in zip(A, b)]
+    pivots = dense_reduce(aug, p, a, cols)
+    used = {pi for pi, _, _ in pivots}
+    if any(aug[i][cols] for i in range(len(aug)) if i not in used):
+        return None
+    x = [0] * cols
+    for pi, pj, v in reversed(pivots):
+        rhs = (aug[pi][cols] - sum(c * t for c, t in zip(aug[pi], x))) % q
+        if rhs % p ** v:
+            return None
+        x[pj] = rhs // p ** v
+    return x
+
+
+def sparse_system(rng, p, a):
+    """A system with fill-in (few nonzeros per row, spread over the
+    columns), duplicated and zero rows, and entries of equal valuation,
+    so the tie-break decides the pivot."""
+    q = p ** a
+    rows, cols = rng.randrange(0, 9), rng.randrange(0, 9)
+    A = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.15 or not cols:
+            A.append([0] * cols)
+        elif kind < 0.3 and A:
+            A.append([x * rng.randrange(q) % q for x in rng.choice(A)])
+        else:
+            v = rng.randrange(a)
+            row = [0] * cols
+            for j in rng.sample(range(cols), rng.randrange(1, min(cols, 3) + 1)):
+                row[j] = p ** v * rng.randrange(1, q) % q
+            A.append(row)
+    b = [rng.randrange(q) * p ** rng.randrange(a) % q for _ in range(rows)]
+    if rows and cols and rng.random() < 0.5:
+        x = [rng.randrange(q) for _ in range(cols)]
+        b = [sum(r[j] * x[j] for j in range(cols)) % q for r in A]
+    return A, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_sparse_matches_dense_reference(seed):
+    rng = random.Random(seed)
+    for p, a in [(3, 1), (3, 2), (2, 3), (5, 2), (3, 21), (2, 64)]:
+        A, b = sparse_system(rng, p, a)
+        assert solve_mod_prime_power(A, b, p, a) == dense_solve(A, b, p, a)
+        R = [[x % p ** a for x in row] for row in A]
+        pivots = dense_reduce(R, p, a, len(A[0]) if A else 0)
+        assert reduce_mod_prime_power(A, p, a) == (R, pivots)

@@ -55,6 +55,23 @@ class TestArithmetic:
             SeriesMatrix(R9, [[R9.one(), R9.one()],
                               [R9.one(), R9.one()]]).inv()
 
+    def test_inverse_is_kept(self):
+        u = rand_uni(random.Random(5), R9, 3, depth=1)
+        ui = u.inv()
+        assert u.inv() is ui
+        assert (u * ui).is_identity()
+
+    def test_failed_inverse_is_not_kept(self):
+        m = SeriesMatrix(R9, [[R9.one(), R9.one()], [R9.one(), R9.one()]])
+        for _ in range(2):
+            with pytest.raises(NotInvertible):
+                m.inv()
+
+    def test_rows_are_fixed(self):
+        m = SeriesMatrix.identity(R9, 2)
+        with pytest.raises(TypeError):
+            m.rows[0][1] = R9.one()
+
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_inverse_round_trip(self, seed):
