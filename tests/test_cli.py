@@ -369,8 +369,8 @@ class TestTameWindowShortfall:
 
 
 class TestShortfallNotFailure:
-    """On the same ring, cup's well-definedness check and solve-twisted's
-    round trip run out of window (EmptyWindow: a matrix inverse forms the
+    """On tame e=4 over p=5 a=2 window 16, cup's well-definedness check
+    and solve-twisted's round trip run out of window (EmptyWindow: a matrix inverse forms the
     identity on a window ending at or below 0).  That is a precision
     shortfall, so the verdicts are inconclusive and name the error class;
     and a lift step with no witnessed lift to correct decides nothing."""
