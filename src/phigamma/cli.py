@@ -246,7 +246,6 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
               ring.constant(rng.randrange(ring.base.q)))
              for j in range(n)] for i in range(n)])
         g0 = rand_uni(rng, ring, n, params.n_cong, spread=3)
-        short = None
         try:
             h = solve_h(g0, x, params)
             g2 = solve_g(h, x, params, max_iter=max_iter)
@@ -255,15 +254,13 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
             t = min(g2.hi, g0.hi)
             good = good and g2.truncate(t).agrees(g0.truncate(t))
         except SHORTFALLS as exc:
-            good = False
-            short = exc
+            shortfalls.append({"instance": idx, "error": str(exc),
+                               "class": type(exc).__name__})
+            continue
         except PhigammaError as exc:
             good = False
             failures.append({"instance": idx, "error": str(exc)})
-        if short is not None:
-            shortfalls.append({"instance": idx, "error": str(short),
-                               "class": type(short).__name__})
-        elif good:
+        if good:
             ok += 1
             pert = SeriesMatrix.identity(ring, n)
             rows = [[e for e in r] for r in pert.rows]
