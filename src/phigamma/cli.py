@@ -183,21 +183,39 @@ def task_ring_info(ring, cfg, rng):
                   ring=ring.to_json())]
 
 
+def _shortfall(name, ring, exc):
+    """The inconclusive verdict of a check that ran out of window."""
+    cls = type(exc).__name__
+    return inconclusive(name, f"ran out of window: {cls}: {exc}",
+                        window=ring.window, error=cls)
+
+
 def task_analyze_phi(ring, cfg, rng):
     lam, N, n_max = _contraction_params(cfg)
     out = []
-    rep = check_local_contraction(ring, lam, N, n_max)
-    if rep.holds:
-        out.append(holds("local-contraction",
-                         f"phi(u^n) in u^[{lam}n] for {N} < n <= {n_max}",
-                         window=ring.window, report=rep.to_json()))
+    try:
+        rep = check_local_contraction(ring, lam, N, n_max)
+    except SHORTFALLS as exc:
+        out.append(_shortfall("local-contraction", ring, exc))
     else:
-        out.append(fails("local-contraction",
-                         f"first failure at n = {rep.first_failure}",
-                         window=ring.window, report=rep.to_json()))
-    out.append(holds("contraction-constants", window=ring.window,
-                     **contraction_constants(ring)))
-    frep = check_frobenius_contraction(ring, cfg.get("max_iter", 4))
+        if rep.holds:
+            out.append(holds("local-contraction",
+                             f"phi(u^n) in u^[{lam}n] for {N} < n <= {n_max}",
+                             window=ring.window, report=rep.to_json()))
+        else:
+            out.append(fails("local-contraction",
+                             f"first failure at n = {rep.first_failure}",
+                             window=ring.window, report=rep.to_json()))
+    try:
+        out.append(holds("contraction-constants", window=ring.window,
+                         **contraction_constants(ring)))
+    except SHORTFALLS as exc:
+        out.append(_shortfall("contraction-constants", ring, exc))
+    try:
+        frep = check_frobenius_contraction(ring, cfg.get("max_iter", 4))
+    except SHORTFALLS as exc:
+        out.append(_shortfall("frobenius-contraction", ring, exc))
+        return out
     if frep.found:
         out.append(holds("frobenius-contraction",
                          f"phi^{frep.N} deforms the {frep.q}-power map",
@@ -245,8 +263,10 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
              (ring.one() if i == j else
               ring.constant(rng.randrange(ring.base.q)))
              for j in range(n)] for i in range(n)])
-        g0 = rand_uni(rng, ring, n, params.n_cong, spread=3)
         try:
+            # the sample's terms sit at n_cong to n_cong + 2, so a small
+            # window can end below them
+            g0 = rand_uni(rng, ring, n, params.n_cong, spread=3)
             h = solve_h(g0, x, params)
             g2 = solve_g(h, x, params, max_iter=max_iter)
             resid = twisted_conj(x, g2) - h.inv() * x
@@ -374,10 +394,20 @@ def revalidate_witness(ring, blob):
     return True
 
 
+def _check_cup_ring(ring):
+    """ConfigError on a ring where 2 is not a unit: cup's Levi parts
+    diag(2, 1) and diag(2, 1, 2) must be invertible."""
+    if ring.base.p == 2:
+        raise ConfigError("cup needs an odd p: its Levi constants "
+                          "diag(2, 1) and diag(2, 1, 2) are not invertible "
+                          "mod 2")
+
+
 def task_cup(ring, cfg, rng):
     from .cup import check_mu_well_defined, lambda_map, lift_step, mu, \
         parabolic_data
     from .framed import commutation_residual, make_framed
+    _check_cup_ring(ring)
     count = _param(cfg, "count", 10, least=1)
     depth = _param(cfg, "depth", 4)
     d2 = parabolic_data(2, (1, 1))
@@ -577,6 +607,7 @@ def task_descent_check(ring, cfg, rng):
 
 
 def task_suite(ring, cfg, rng):
+    _check_cup_ring(ring)
     out = []
     out += task_ring_info(ring, cfg, rng)
     out += task_analyze_phi(ring, cfg, rng)

@@ -230,6 +230,15 @@ def mu(data, i, M_i, Phi_lift, Gam_lift):
     P/U_{i-1}.  Computes lambda of the lifts in P/U_{i-1}, checks it is
     central at level i, and packages its log as a degree-2 cochain of
     the Levi adjoint framed complex.
+
+    The lifts of one module share their Levi parts, so M_i keeps, per
+    (parabolic data, level, Levi parts), that the Levi parts commute
+    and the adjoint complex built from them, and a later lift with
+    Levi parts equal as values (same windows and coefficients) reuses
+    both, with the blocks that complex keeps for its searches.  Levi
+    parts that differ in any entry, or only in a window, get their own
+    check and complex.  The checks run in the same order either way, so
+    every error is the one the first call would raise.
     """
     j = i - 1
     ring = M_i.ring
@@ -241,9 +250,13 @@ def mu(data, i, M_i, Phi_lift, Gam_lift):
         raise NotALift("lifts do not reduce to the given module")
     a_l = data.levi_part(Phi_lift)
     b_l = data.levi_part(Gam_lift)
-    if not (lambda_map(ring, a_l, b_l) -
-            SeriesMatrix.identity(ring, data.n)).is_zero():
-        raise LeviNotCommuting("lambda of the Levi parts is not 1")
+    kept = M_i.levi_complexes
+    key = (data, i, _value(a_l), _value(b_l))
+    if key not in kept:
+        if not (lambda_map(ring, a_l, b_l) -
+                SeriesMatrix.identity(ring, data.n)).is_zero():
+            raise LeviNotCommuting("lambda of the Levi parts is not 1")
+        kept[key] = None
     lam = lambda_map(ring, Phi_lift, Gam_lift, data, j)
     log = lam - SeriesMatrix.identity(ring, data.n, lam.hi)
     central = data.central_mask(i)
@@ -252,9 +265,15 @@ def mu(data, i, M_i, Phi_lift, Gam_lift):
             if (r, c) not in central and not log.entry(r, c).is_zero():
                 raise NotCentralValued(
                     f"lambda has a non-central entry at {(r, c)}")
-    C = _adjoint_complex(data, i, a_l, b_l)
+    if kept[key] is None:
+        kept[key] = _adjoint_complex(data, i, a_l, b_l)
     rep = Cochain(2, (data.vectorize_central(i, log),))
-    return Cup2Class(rep, C, data, i, Phi_lift, Gam_lift)
+    return Cup2Class(rep, kept[key], data, i, Phi_lift, Gam_lift)
+
+
+def _value(mat):
+    """The entries of a matrix as one hashable value."""
+    return tuple(e.key() for row in mat.rows for e in row)
 
 
 def check_mu_well_defined(data, i, M_i, lifts_a, lifts_b, depth=4):

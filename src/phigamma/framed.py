@@ -41,6 +41,8 @@ class FramedModule:
         self.Gam = Gam
         self.pattern = pattern
         self.n = Phi.n
+        # cup.mu keeps here what it builds for the lifts of this module
+        self.levi_complexes = {}
         if validate:
             self.validate()
 

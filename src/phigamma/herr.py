@@ -28,7 +28,7 @@ The lift ((1+eps*X)Phi, (1+eps*Y)Gam) is valid iff (X,Y) is an adjoint
 
 import math
 
-from .errors import AveragingUnavailable, NotACocycle, NotALift
+from .errors import AveragingUnavailable, EmptyWindow, NotACocycle, NotALift
 from .framed import pattern_ok
 from .laurent import LaurentSeries, mul_each
 from .linalg import length_of_row_space, solve_mod_prime_power
@@ -70,6 +70,7 @@ class HerrComplex:
         self.n = module.n
         self._phi_Gam_inv = None
         self._gam_Phi_inv = None
+        self._block_pairs = {}
 
     # -- cached derived matrices -------------------------------------------
 
@@ -152,67 +153,77 @@ class HerrComplex:
 
     # -- windowed coboundary search -------------------------------------------
 
-    def _blocks(self, degree, ks):
+    def _blocks(self, degree, k_lo, k_hi):
         """The phi and gamma blocks of the differential out of `degree`,
         d0(z) = (B_phi(z), B_gamma(z)) and d1(x, y) = B_gamma(x) - B_phi(y),
-        for the monomials e_s * u^k with (k, s) in ks."""
-        M, ring = self.module, self.ring
-        R_phi = R_gam = None
-        if self.kind == "framed":
-            if degree == 0:
-                L_phi, L_gam = self._inverses()
+        for the monomials e_s * u^k with k in [k_lo, k_hi).
+
+        The complex keeps the blocks per (degree, k_lo, k_hi), as
+        `_framed_ops` keeps its inverses: a search tries several exponent
+        ranges, and every search on the complex reuses them."""
+        key = (degree, k_lo, k_hi)
+        if key not in self._block_pairs:
+            M, ring = self.module, self.ring
+            R_phi = R_gam = None
+            if self.kind == "framed":
+                if degree == 0:
+                    L_phi, L_gam = self._inverses()
+                else:
+                    L_gam, L_phi = self._framed_ops()
             else:
-                L_gam, L_phi = self._framed_ops()
-        else:
-            L_phi, L_gam = M.Phi, M.Gam
-            if self.kind == "adjoint":
-                R_phi, R_gam = self._inverses()
-        return (_Block(self, ring.phi, L_phi, R_phi, ks),
-                _Block(self, ring.gamma, L_gam, R_gam, ks))
+                L_phi, L_gam = M.Phi, M.Gam
+                if self.kind == "adjoint":
+                    R_phi, R_gam = self._inverses()
+            self._block_pairs[key] = (
+                _Block(self, ring.phi, L_phi, R_phi, k_lo, k_hi),
+                _Block(self, ring.gamma, L_gam, R_gam, k_lo, k_hi))
+        return self._block_pairs[key]
 
     def _column_images(self, degree, z_lo, z_hi):
         """The images under d of the monomial cochains of `degree` on the
-        exponents [z_lo, z_hi).
+        exponents [z_lo, z_hi), described without forming them.
 
         Returns (keys, images): keys[t] = (part, i, j, k, s) names the
         cochain whose only nonzero entry is e_s * u^k at (i, j) of that
         part (e_s the s-th power-basis coordinate), and images[t] lists
-        the entries of its image in cochain order (part, row, column)."""
-        ring, base = self.ring, self.ring.base
-        W, f = ring.window, base.f
+        the entries of its image in cochain order (part, row, column).
+        Each entry is a tuple (lo, hi, x_lo, xs, y_lo, ys): the entry is
+        known on [lo, hi) and lo is its lowest nonzero exponent (lo == hi
+        when it is zero); on that window it is x - y, where x and y have
+        the flat coordinates xs and ys from the exponents x_lo and y_lo
+        on (ys is None or empty when y is zero).  In the columns of
+        part 1 of a degree-1 cochain the entry is y - x instead, since
+        d1(x, y) = B_gamma(x) - B_phi(y)."""
+        ring, f = self.ring, self.ring.base.f
+        W = ring.window
         nr, nc = self.part_shape()
         keys = [(part, i, j, k, s) for part in range(self.n_parts(degree))
                 for i in range(nr) for j in range(nc)
                 for k in range(z_lo, z_hi) for s in range(f)]
         if not keys:
             return keys, []
-        phi_b, gam_b = self._blocks(degree, [
-            (k, s) for k in range(z_lo, min(z_hi, W)) for s in range(f)])
+        phi_b, gam_b = self._blocks(degree, z_lo, min(z_hi, W))
         if degree == 0:
             zero_his = phi_b.zero + gam_b.zero
         else:
             zero_his = [min(a, b) for a, b in zip(gam_b.zero, phi_b.zero)]
-        zero_image = [LaurentSeries.zero(base, h) for h in zero_his]
-        units = _unit_vectors(f)
-        monomials = {}
+        if z_hi > W + 1:
+            # the monomial e_s * u^k with k > W has an empty window
+            raise EmptyWindow(f"window [{max(z_lo, W + 1)}, {W}) is empty")
+        zero_image = [(h, h, h, [], 0, None) for h in zero_his]
         images = []
         for part, i, j, k, s in keys:
-            m = monomials.get((k, s))
-            if m is None:
-                m = monomials[(k, s)] = LaurentSeries.from_terms(
-                    base, {k: units[s]}, W)
-            if m.is_zero():
+            if k == W:
                 # e_s * u^W lies at the window edge: the zero cochain
                 images.append(zero_image)
             elif degree == 0:
-                images.append(phi_b.image(i, j, k, s, m) +
-                              gam_b.image(i, j, k, s, m))
-            elif part == 0:
-                images.append([_clip(e, h) for e, h in
-                               zip(gam_b.image(i, j, k, s, m), phi_b.zero)])
+                images.append(phi_b.image(i, j, k, s) +
+                              gam_b.image(i, j, k, s))
             else:
-                images.append([_clip(-e, h) for e, h in
-                               zip(phi_b.image(i, j, k, s, m), gam_b.zero)])
+                block, cuts = (gam_b, phi_b.zero) if part == 0 else \
+                    (phi_b, gam_b.zero)
+                images.append([_clip_entry(e, h) for e, h in
+                               zip(block.image(i, j, k, s), cuts)])
         return keys, images
 
     def _windowed_system(self, target, z_lo, z_hi):
@@ -229,33 +240,45 @@ class HerrComplex:
         phi(u)^k, with the power from the operator's cache, and likewise
         for gamma; it is formed once per (k, s) for the whole system, and
         its products with one matrix entry are formed together, in one
-        kernel call (`mul_each`).  Each image entry is then the sum of its
-        nonzero terms, cut at the smallest window of all the terms d forms
-        there, zero terms included.  A zero term's window follows from the
-        product rule alone: X * 0 with the zero known below h is known
-        below h + lo(X), and op(0) is known below op's tail guard.  Every
-        product has the factors d multiplies, associated as d does,
-        e.g. (Phi[r][i] * phi(m)) * Phi^-1[j][c] in the adjoint kind; the
-        product and its window rule are symmetric, so the order of the two
-        factors in one product does not matter.  So every
-        entry, window and coefficient equals that of d on the monomial
-        cochain."""
-        keys, images = self._column_images(target.degree - 1, z_lo, z_hi)
+        kernel call (`mul_each`).  Each image entry is x - y: x is the
+        term the operator forms, y the monomial e_s u^k itself or, in the
+        framed kind, L * e_s u^k, a shifted slice of the product of an
+        entry of L with e_s.  Its window is cut at the smallest window of
+        all the terms d forms there, zero terms included, and its lowest
+        exponent follows the rule of series subtraction; both come from
+        the windows and coordinates of x and y alone.  A zero term's
+        window follows from the product rule alone: X * 0 with the zero
+        known below h is known below h + lo(X), and op(0) is known below
+        op's tail guard.  Every product has the factors d multiplies,
+        associated as d does, e.g. (Phi[r][i] * phi(m)) * Phi^-1[j][c] in
+        the adjoint kind; the product and its window rule are symmetric,
+        so the order of the two factors in one product does not matter.
+        So every entry, window and coefficient equals that of d on the
+        monomial cochain.  The columns are then written from coordinate
+        slices of x and y, and A is their transpose."""
+        degree = target.degree - 1
+        keys, images = self._column_images(degree, z_lo, z_hi)
         positions = [(p_idx, i, j) for p_idx, part in enumerate(target.parts)
                      for i in range(part.nrows) for j in range(part.ncols)]
-        entries = [e for part in target.parts for row in part.rows
+        entries = [_entry(e) for part in target.parts for row in part.rows
                    for e in row]
-        cuts = [e.hi for e in entries]
+        cuts = [e[1] for e in entries]
         for im in images:
-            cuts = [min(h, e.hi) for h, e in zip(cuts, im)]
+            cuts = [min(h, e[1]) for h, e in zip(cuts, im)]
         hi_map = dict(zip(positions, cuts))
         # the equation floor must cover every exact image coefficient,
         # or a spurious solution can hide uncancelled terms below it
-        eq_lo = min([z_lo] + [e.lo for im in images for e in im
-                              if not e.is_zero()])
-        f = self.ring.base.f
-        rhs = _window_coords(entries, eq_lo, cuts, f)
-        cols = [_window_coords(im, eq_lo, cuts, f) for im in images]
+        eq_lo = min([z_lo] + [e[0] for im in images for e in im
+                              if e[0] < e[1]])
+        base = self.ring.base
+        f, q = base.f, base.q
+        rhs = _window_coords(entries, eq_lo, cuts, f, q)
+        cols = []
+        for key, im in zip(keys, images):
+            col = _window_coords(im, eq_lo, cuts, f, q)
+            if degree == 1 and key[0] == 1:
+                col = [-v % q for v in col]
+            cols.append(col)
         A = [list(row) for row in zip(*cols)] if cols else [[] for _ in rhs]
         return keys, hi_map, A, rhs
 
@@ -327,25 +350,80 @@ class HerrComplex:
         return last
 
 
+def _clip_entry(entry, h):
+    """An image entry (see `HerrComplex._column_images`) with its window
+    cut at h; the lowest exponent moves up to h when the cut leaves no
+    nonzero term."""
+    lo, hi, x_lo, xs, y_lo, ys = entry
+    if hi <= h:
+        return entry
+    return (min(lo, h), h, x_lo, xs, y_lo, ys)
+
+
 def _clip(x, hi):
     """x with its window cut at hi (x itself when it ends below hi)."""
     return x if x.hi <= hi else x.truncate(hi)
 
 
-def _window_coords(entries, lo, cuts, f):
-    """The flat coordinates of each series on the exponents [lo, cut),
-    concatenated; zeros below a series' lowest term."""
+def _entry(x):
+    """The series x as an image entry (see `_column_images`)."""
+    return (x.lo, x.hi, x.lo, x._flat, 0, None)
+
+
+def _difference(f, hi, x_lo, xs, y_lo, ys):
+    """The image entry x - y on the window ending at hi, for x and y
+    given by the exponents of their lowest terms and their flat
+    coordinates, both known at least up to hi.
+
+    Its lowest exponent is the lower of the two lowest terms, unless they
+    sit at one exponent; then the coefficients are compared upwards from
+    there until they differ, as the subtraction of the series would find
+    it."""
+    if not ys:
+        lo = x_lo
+    elif not xs:
+        lo = y_lo
+    elif x_lo != y_lo:
+        lo = min(x_lo, y_lo)
+    else:
+        lo = hi
+        n = (hi - x_lo) * f
+        m = min(n, len(ys))
+        for i in range(0, m, f):
+            if xs[i:i + f] != ys[i:i + f]:
+                lo = x_lo + i // f
+                break
+        else:
+            # y is zero above its last coordinate
+            for i in range(m, n):
+                if xs[i]:
+                    lo = x_lo + i // f
+                    break
+    return (min(lo, hi), hi, x_lo, xs, y_lo, ys)
+
+
+def _window_coords(entries, lo, cuts, f, q):
+    """The flat coordinates of each entry x - y on the exponents
+    [lo, cut), concatenated; zeros below a term's lowest exponent.  The
+    entries are tuples (lo, hi, x_lo, xs, y_lo, ys) as in
+    `HerrComplex._column_images`, each known up to its cut."""
     out = []
-    for e, h in zip(entries, cuts):
+    for (_, _, x_lo, xs, y_lo, ys), h in zip(entries, cuts):
         if h <= lo:
             continue
-        if e.lo >= h:
-            out += [0] * ((h - lo) * f)
-        elif e.lo >= lo:
-            out += [0] * ((e.lo - lo) * f)
-            out += e._flat[:(h - e.lo) * f]
+        if x_lo >= h:
+            seg = [0] * ((h - lo) * f)
+        elif x_lo >= lo:
+            seg = [0] * ((x_lo - lo) * f) + xs[:(h - x_lo) * f]
         else:
-            out += e._flat[(lo - e.lo) * f:(h - e.lo) * f]
+            seg = xs[(lo - x_lo) * f:(h - x_lo) * f]
+        if ys:
+            a, b = max(y_lo, lo), min(h, y_lo + len(ys) // f)
+            if a < b:
+                i, j, n = (a - lo) * f, (a - y_lo) * f, (b - a) * f
+                seg[i:i + n] = [(u - v) % q for u, v in
+                                zip(seg[i:i + n], ys[j:j + n])]
+        out += seg
     return out
 
 
@@ -357,36 +435,47 @@ class _Block:
     op(z) - L * z (framed), with op = phi or gamma and L, R fixed
     matrices.  `zero` lists the window of each entry of B(0), the zero
     cochain with window the ring's; `image` gives the entries of B at a
-    monomial cochain.  Both follow the series window rules term by term,
-    as the matrix expression does (see HerrComplex._windowed_system).
+    monomial cochain, as the tuples of `HerrComplex._column_images`.
+    Both follow the series window rules term by term, as the matrix
+    expression does (see HerrComplex._windowed_system).
 
-    The op images of the monomials e_s * u^k, (k, s) in `ks`, and their
-    products with the entries of L and R are formed up front, one kernel
-    call (`mul_each`) per matrix entry."""
+    The op images of the monomials e_s * u^k, k in [k_lo, k_hi), and
+    their products with the entries of L and R are formed up front, one
+    kernel call (`mul_each`) per matrix entry; in the framed kind the
+    products L[r][i] * e_s are formed once, and L[r][i] * e_s * u^k is
+    their shift by k."""
 
-    def __init__(self, complex_, op, L, R, ks):
+    def __init__(self, complex_, op, L, R, k_lo, k_hi):
         ring = complex_.ring
         self.kind = complex_.kind
-        self.base = base = ring.base
-        W = ring.window
-        self.L = L.rows
+        base = ring.base
+        self.W = W = ring.window
+        self.f = f = base.f
+        self.k_lo = k_lo
         self.n = n = complex_.n
-        self.at = {key: t for t, key in enumerate(ks)}
+        ks = [(k, s) for k in range(k_lo, k_hi) for s in range(f)]
+        # the coordinates of e_s, as the flat list of e_s * u^k from k on
+        self.basis = [list(e) for e in _unit_vectors(f)]
         # op(0) is known below the tail guard of the substitution, and
         # op(e_s * u^k) = frob(e_s) * op(u)^k below it and the power's hi
         self.tg = tg = op.apply(ring.zero()).hi
-        f, power = base.f, op.coeff_frob_power
+        power = op.coeff_frob_power
         units = [base.frob(e, power) if power % f else e
                  for e in _unit_vectors(f)]
-        self.op_images = [_clip(_times_unit(op.image_power(k), units[s]), tg)
-                          for k, s in ks]
-        Llo = [[e.lo for e in row] for row in self.L]
+        op_images = [_clip(_times_unit(op.image_power(k), units[s]), tg)
+                     for k, s in ks]
+        Llo = [[e.lo for e in row] for row in L.rows]
         if self.kind == "framed":
+            self.op_images = op_images
             # L * z with the zero entry of window W: known below W + lo(L)
             self.cut = [[_min_except([W + x for x in Llo[r]], i)
                          for i in range(n)] for r in range(n)]
             self.zero = [min([tg] + [W + x for x in Llo[r]])
                          for r in range(n)]
+            # Ls[r][i][s] = L[r][i] * e_s
+            self.Ls = [[[_times_unit(L.rows[r][i], e)
+                         for e in _unit_vectors(f)] for i in range(n)]
+                       for r in range(n)]
             return
         # L * op(z) with the zero entry op(0): known below tg + lo(L)
         act = [[tg + x for x in Llo[r]] for r in range(n)]
@@ -398,10 +487,12 @@ class _Block:
             cut = [[_min_except(act[r], i) for i in range(n)]
                    for r in range(n)]
         # left[i][r][t] = L[r][i] * op(monomial t), cut at row r's zeros
-        self.left = [[[_clip(x, cut[r][i])
-                       for x in mul_each(self.L[r][i], self.op_images)]
-                      for r in range(n)] for i in range(n)]
+        left = [[[_clip(x, cut[r][i])
+                  for x in mul_each(L.rows[r][i], op_images)]
+                 for r in range(n)] for i in range(n)]
         if self.kind == "plain":
+            self.left = [[[_entry(x) for x in row] for row in col]
+                         for col in left]
             return
         # adjoint: column l of L * op(z) is zero unless l = j, known
         # below h1[r] in row r; times R adds lo(R[l][c])
@@ -417,30 +508,42 @@ class _Block:
             for c in range(n):
                 cuts = [min(W, _min_except(h2[r][c], j)) for r in range(n)]
                 prods = iter(mul_each(R.rows[j][c], [
-                    x for col in self.left for row in col for x in row]))
-                self.right[j][c] = [[[_clip(next(prods), cuts[r]) for _ in ks]
+                    x for col in left for row in col for x in row]))
+                self.right[j][c] = [[[_entry(_clip(next(prods), cuts[r]))
+                                      for _ in ks]
                                      for r in range(n)] for _ in range(n)]
 
-    def image(self, i, j, k, s, m):
+    def image(self, i, j, k, s):
         """The entries of B at the cochain whose only nonzero entry is the
-        monomial m = e_s * u^k at (i, j), in row-major order."""
-        n, t = self.n, self.at[(k, s)]
+        monomial e_s * u^k at (i, j), in row-major order."""
+        n, f = self.n, self.f
+        t = (k - self.k_lo) * f + s
         if self.kind == "framed":
+            # op(m) in row i, zero elsewhere, minus the column L[., i] * m
             out = []
             for r in range(n):
-                x = self.L[r][i] * m
+                cut = self.cut[r][i]
                 if r == i:
-                    out.append(_clip(self.op_images[t], self.cut[r][i]) - x)
+                    x = self.op_images[t]
+                    x_lo, xs, x_hi = x.lo, x._flat, min(x.hi, cut)
                 else:
-                    out.append(LaurentSeries.zero(
-                        self.base, min(self.tg, self.cut[r][i])) - x)
+                    x_lo = x_hi = min(self.tg, cut)
+                    xs = []
+                y = self.Ls[r][i][s]
+                out.append(_difference(
+                    f, min(x_hi, y.hi + k, self.W + y.lo),
+                    x_lo, xs, y.lo + k, y._flat))
             return out
         if self.kind == "plain":
             out = [row[t] for row in self.left[i]]
-            out[i] = out[i] - m
-            return out
-        out = [self.right[j][c][i][r][t] for r in range(n) for c in range(n)]
-        out[i * n + j] = out[i * n + j] - m
+            d = i
+        else:
+            out = [self.right[j][c][i][r][t]
+                   for r in range(n) for c in range(n)]
+            d = i * n + j
+        # minus the monomial itself on the diagonal
+        _, hi, x_lo, xs, _, _ = out[d]
+        out[d] = _difference(f, min(hi, self.W), x_lo, xs, k, self.basis[s])
         return out
 
 
@@ -687,7 +790,7 @@ def estimate_h_ranks(complex_, span=6, depth=2):
     im1 = dim1 - ker1
     # exact lower bound in degree 0: constant vectors killed exactly
     _, consts = complex_._column_images(0, 0, 1)
-    exact = [im for im in consts if all(e.is_zero() for e in im)]
+    exact = [im for im in consts if all(lo == hi for lo, hi, *_ in im)]
     lower0 = a * len(exact)
     h0_up = ker0
     h1_up = max(0, ker1 - im0)

@@ -176,6 +176,11 @@ class LaurentSeries:
                 return UnitDegree(d=self.lo + i // f, pole=self.lo)
         raise InsufficientWindow("no unit coefficient within the window")
 
+    def key(self):
+        """The series as a hashable value: two series over one ring are
+        equal, window included, exactly when their keys are."""
+        return self.lo, self.hi, tuple(self._flat)
+
     def in_lattice(self, m):
         """Decide membership in u^{-m} * (power series), i.e. lo >= -m."""
         if self.is_zero():

@@ -37,11 +37,23 @@ class OperatorDesc:
         self.label = label or kind
         self.order = order
         self._cache = {}
+        self._images = {}
 
     def apply(self, series):
-        """Apply to a series: Frobenius on coefficients, then substitute."""
-        f = series.frob_coeffs(self.coeff_frob_power)
-        return compose(f, self.image, self._cache)
+        """Apply to a series: Frobenius on coefficients, then substitute.
+
+        The operator keeps every image it forms, keyed by the value of the
+        input (its window and coefficients), next to the powers of its
+        variable image in `_cache`.  A repeated input gets the kept series
+        back, which is safe because series are values.  Both are kept on
+        the operator, so they live as long as its ring does; an input whose
+        image raises keeps nothing and raises again."""
+        key = series.key()
+        out = self._images.get(key)
+        if out is None:
+            f = series.frob_coeffs(self.coeff_frob_power)
+            out = self._images[key] = compose(f, self.image, self._cache)
+        return out
 
     def image_power(self, n):
         """Cached n-th power of the variable image (n may be negative)."""

@@ -457,6 +457,49 @@ class TestGoldenBytes:
             GOLDEN[(ring, task)]
 
 
+# sha256 of the canonical --json bytes of the Herr search tasks, count 1,
+# on rings where every system is a multi-coordinate or p = 5 one; the
+# kept operator images, Levi complexes and blocks must not move a byte
+SEARCH_GOLDEN_RINGS = {
+    "cyclotomic-p5-w16": {"kind": "cyclotomic", "p": 5, "a": 2, "f": 1,
+                          "window": 16},
+    "cyclotomic-p3-f2-w16": {"kind": "cyclotomic", "p": 3, "a": 2, "f": 2,
+                             "window": 16},
+}
+SEARCH_GOLDEN = {
+    ("cyclotomic-p5-w16", "herr", 0):
+        "7ff753db55d3c5b39d0984f010ff36e0ad8c17b4871e025d294b29ee8b48fa1f",
+    ("cyclotomic-p5-w16", "herr", 1):
+        "3c0065883140144ba5267399903725a01db006e812b9a1792990bbfb123cf35e",
+    ("cyclotomic-p5-w16", "cup", 0):
+        "c5ef430a2c8b1ddefa8d531717e2458911418394947fe14fda6a738634a3c276",
+    ("cyclotomic-p5-w16", "cup", 1):
+        "3fb113709a6c0b05b5150695ba980ed848c3c12aa471cd60282b416f34133670",
+    ("cyclotomic-p3-f2-w16", "herr", 0):
+        "9ae2e6d8d11201205213ba4cf96d09678b9bf087f24060285d99a8408bf156db",
+    ("cyclotomic-p3-f2-w16", "herr", 1):
+        "8942b4cd95b214586467f5dd6e097e284231bf1836f9ded3a01dc6b4770e1812",
+    ("cyclotomic-p3-f2-w16", "cup", 0):
+        "3298c8f2a023c327fc82896c35b3fce875e4d81e93c9345d460e6b073e0323fd",
+    ("cyclotomic-p3-f2-w16", "cup", 1):
+        "a4aba608ae23cde49949693da0e18b548a913b23a873858e79c4100b6fc78fb9",
+}
+
+
+class TestSearchGoldenBytes:
+    @pytest.mark.parametrize(
+        "ring,task,seed", sorted(SEARCH_GOLDEN),
+        ids=[f"{r}/{t}/{s}" for r, t, s in sorted(SEARCH_GOLDEN)])
+    def test_report_hash(self, ring, task, seed):
+        code, rep = run_config({"task": task,
+                                "ring": SEARCH_GOLDEN_RINGS[ring],
+                                "seed": seed, "count": 1})
+        assert code == EXIT_HOLDS
+        canon = json.dumps(rep, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canon.encode()).hexdigest() == \
+            SEARCH_GOLDEN[(ring, task, seed)]
+
+
 # Run in a fresh interpreter: import phigamma.cli, run the given tasks,
 # and print the names of the loaded modules.
 LOADED_MODULES = """
@@ -521,3 +564,86 @@ class TestSuite:
             "frobenius-contraction", "height-check", "solve-twisted",
             "herr-suite", "cup-lambda-identities", "mu-well-defined",
             "lift-step", "descent-check"]
+
+
+P2 = {"kind": "cyclotomic", "p": 2, "a": 3, "window": 16}
+
+
+class TestCupNeedsOddPrime:
+    """cup's Levi parts diag(2, 1) and diag(2, 1, 2) are not invertible
+    when p = 2, so cup and suite (which runs cup) reject such a ring as a
+    config error, before any work, rather than end in a traceback."""
+
+    @pytest.mark.parametrize("task", ["cup", "suite"])
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_console_script_exits_3(self, task, f, tmp_path):
+        cfgfile = tmp_path / "job.json"
+        cfgfile.write_text(json.dumps({"task": task, "count": 1,
+                                       "ring": dict(P2, f=f)}))
+        run = subprocess.run(
+            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
+            capture_output=True, text=True)
+        assert run.returncode == EXIT_USAGE
+        assert run.stdout == ""
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: cup needs an odd p")
+
+
+class TestSmallWindowShortfall:
+    """Below window 7, solve-twisted's own sample u^(n_cong + k) does not
+    fit the window, and at window 4 local-contraction meets phi(u^n)
+    known only below u^-m.  Both are precision shortfalls: inconclusive
+    verdicts that name the error class."""
+
+    @pytest.mark.parametrize("window", [4, 5, 6])
+    def test_solve_twisted(self, window):
+        code, rep = run_config({"task": "solve-twisted", "count": 1,
+                                "ring": CYC_P3}, window=window)
+        assert code == EXIT_INCONCLUSIVE
+        (v,) = rep["verdicts"]
+        assert v["status"] == "inconclusive"
+        assert v["data"]["error"] == "EmptyWindow"
+        assert "EmptyWindow" in v["detail"]
+
+    def test_analyze_phi(self):
+        code, rep = run_config({"task": "analyze-phi", "ring": CYC_P3},
+                               window=4)
+        assert code == EXIT_INCONCLUSIVE
+        v = {x["name"]: x for x in rep["verdicts"]}
+        assert v["local-contraction"]["status"] == "inconclusive"
+        assert v["local-contraction"]["data"]["error"] == \
+            "InsufficientWindow"
+        assert "InsufficientWindow" in v["local-contraction"]["detail"]
+        assert all(x["status"] != "fails" for x in v.values())
+
+
+BATTERY_RINGS = {
+    "cyclotomic-p3": {"kind": "cyclotomic", "p": 3, "a": 2},
+    "cyclotomic-p2-a3": {"kind": "cyclotomic", "p": 2, "a": 3},
+    "cyclotomic-p5-f2": {"kind": "cyclotomic", "p": 5, "a": 2, "f": 2},
+    "intro": {"kind": "custom", "p": 3, "a": 2,
+              "phi_terms": {"3": 1, "-1": 3}},
+    "tame-e2-p3": {"kind": "tame", "e": 2,
+                   "base": {"kind": "cyclotomic", "p": 3, "a": 2}},
+}
+SINGLE_TASKS = ("ring-info", "analyze-phi", "height-check", "solve-twisted",
+                "herr", "cup", "descent-check")
+
+
+class TestNoTraceback:
+    """Every single task on every ring kind, down to small windows,
+    either returns a verdict exit code or is a config error: never any
+    other exception, which the command line shows as a traceback."""
+
+    @pytest.mark.parametrize("ring", sorted(BATTERY_RINGS))
+    def test_exit_contract(self, ring):
+        for window in (4, 8, 12):
+            for task in SINGLE_TASKS:
+                cfg = {"task": task, "ring": BATTERY_RINGS[ring],
+                       "count": 1, "v_terms": {"1": 1}}
+                try:
+                    code, _ = run_config(cfg, window=window)
+                except ConfigError:
+                    continue
+                assert code in (EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE), \
+                    (task, window)

@@ -210,6 +210,27 @@ class TestMu:
         assert all(e.truncate(min(e.hi, 30)).is_zero()
                    for row in d.rows for e in row)
 
+    def test_levi_complex_kept_per_value(self):
+        # lifts whose Levi parts are equal as values share one adjoint
+        # complex; a Levi entry that differs only in its window gets its
+        # own, equal to the complex built from scratch
+        rng = random.Random(8)
+        M = borel2_module()
+        cls = mu(D2, 1, M, *borel2_lift(rng, M))
+        assert mu(D2, 1, M, *borel2_lift(rng, M)).complex is cls.complex
+        P, G = borel2_lift(rng, M)
+        rows = [list(r) for r in P.rows]
+        rows[1][1] = R.one(R.window - 3)
+        short = mu(D2, 1, M, SeriesMatrix(R, rows), G)
+        assert short.complex is not cls.complex
+        assert len(M.levi_complexes) == 2
+        ref = mu(D2, 1, borel2_module(), SeriesMatrix(R, rows), G)
+        for C in (short.complex, ref.complex):
+            assert C.module.Phi.entry(0, 0).hi == R.window - 3
+        assert short.complex.module.Phi.to_json() == \
+            ref.complex.module.Phi.to_json()
+        assert short.rep.to_json() == ref.rep.to_json()
+
     def test_not_a_lift(self):
         rng = random.Random(3)
         M = borel2_module()

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from phigamma.errors import NoRootOfUnity, NotGaloisCompatible
 from phigamma.laurent import LaurentSeries, compose
-from phigamma.period import (check_frobenius_contraction, check_height_theory,
-                             check_local_contraction, contraction_constants,
-                             gamma_power, make_custom_ring, project_to_base,
+from phigamma.period import (OperatorDesc, check_frobenius_contraction,
+                             check_height_theory, check_local_contraction,
+                             contraction_constants, gamma_power,
+                             make_custom_ring, project_to_base,
                              standard_cyclotomic, tame_extension)
 from phigamma.verdicts import FAILS, HOLDS, INCONCLUSIVE
 
@@ -66,6 +67,43 @@ class TestCyclotomic:
         for _ in range(7):
             sq = sq * sq
         assert img.agrees((sq - r.one(sq.hi)).truncate(img.hi))
+
+
+def _fresh(op):
+    """An operator equal to op that has kept nothing yet."""
+    return OperatorDesc(op.kind, op.image, op.coeff_frob_power, op.label,
+                        op.order)
+
+
+class TestKeptImages:
+    """An operator keeps the image of every input it has applied, keyed
+    by the input's value: a repeated input, even a new object, gets the
+    kept series back, with the values a fresh operator computes."""
+
+    @pytest.mark.parametrize("make_ring", [
+        lambda: standard_cyclotomic(3, 2, f=2, window=12),
+        lambda: tame_extension(standard_cyclotomic(3, 2, window=8), 2),
+    ], ids=["f2", "tame-e2"])
+    def test_repeated_input(self, make_ring):
+        ring = make_ring()
+        rng = random.Random(11)
+        base = ring.base
+        ops = [ring.phi, ring.gamma] + ring.galois.generators
+        for _ in range(6):
+            terms = {rng.randrange(-2, 6): [rng.randrange(base.q)
+                                            for _ in range(base.f)]
+                     for _ in range(3)}
+            x = ring.series(terms)
+            # the same coefficients on a shorter window: another value
+            y = ring.series(terms, ring.window - 2)
+            for op in ops:
+                img = op.apply(x)
+                again = op.apply(LaurentSeries.from_json(base, x.to_json()))
+                assert again is img
+                for z in (x, y):
+                    assert op.apply(z).to_json() == \
+                        _fresh(op).apply(z).to_json()
+            assert ops[0].apply(y) is not ops[0].apply(x)
 
 
 class TestTameExtension:
