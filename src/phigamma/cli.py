@@ -16,22 +16,18 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .errors import ConfigError, EmptyWindow, InsufficientWindow, \
     NotInvertible, PhigammaError, PreconditionViolated
 from .laurent import LaurentSeries
-from .matrices import FiltrationParams, SeriesMatrix, solve_g, solve_h, \
-    twisted_conj
 from .period import check_frobenius_contraction, check_height_theory, \
     check_local_contraction, contraction_constants, make_custom_ring, \
     standard_cyclotomic, tame_extension
-from .samplers import diag_const, rand_module, rand_uni, rand_vec
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE, fails, holds, inconclusive
 
-# herr, cup and framed are imported inside the tasks that use them, so a
-# process loads only what its task runs
+# matrices, samplers, framed, herr, cup and fractions are imported inside
+# the functions that use them, so a process loads only what its task runs
 
 TASKS = ("ring-info", "analyze-phi", "height-check", "solve-twisted",
          "herr", "cup", "descent-check", "suite")
@@ -117,14 +113,18 @@ def build_ring(desc, window=None):
 # -- task parameters ---------------------------------------------------------------
 
 
-def _param(cfg, name, default, kind=int, least=None):
-    """Task parameter `name` as an int or a Fraction, not below `least`
-    when that is given, else a ConfigError."""
+def _param(cfg, name, default, least=None, rational=False):
+    """Task parameter `name` as an int, or as a Fraction when `rational`,
+    not below `least` when that is given, else a ConfigError."""
     v = cfg.get(name, default)
     try:
-        x = Fraction(str(v)) if kind is Fraction else int(v)
+        if rational:
+            from fractions import Fraction
+            x = Fraction(str(v))
+        else:
+            x = int(v)
     except (TypeError, ValueError, ZeroDivisionError):
-        what = "a rational number" if kind is Fraction else "an integer"
+        what = "a rational number" if rational else "an integer"
         raise ConfigError(f"task parameter {name!r} must be {what}, "
                           f"got {v!r}") from None
     if least is not None and x < least:
@@ -134,7 +134,7 @@ def _param(cfg, name, default, kind=int, least=None):
 
 
 def _lam(cfg):
-    lam = _param(cfg, "lam", 2, Fraction)
+    lam = _param(cfg, "lam", 2, rational=True)
     if lam <= 1:
         raise ConfigError(f"task parameter 'lam' must exceed 1, got {lam}")
     return lam
@@ -151,6 +151,7 @@ def _contraction_params(cfg):
 
 def _filtration_params(cfg):
     """FiltrationParams of solve-twisted, meeting the solvers' preconditions."""
+    from .matrices import FiltrationParams
     params = FiltrationParams(m=_param(cfg, "m", 1),
                               n_cong=_param(cfg, "n_cong", 5),
                               lam=_lam(cfg), N=_param(cfg, "N", 4))
@@ -251,6 +252,8 @@ def task_height_check(ring, cfg, rng):
 
 
 def task_solve_twisted(ring, cfg, rng, max_iter=64):
+    from .matrices import SeriesMatrix, solve_g, solve_h, twisted_conj
+    from .samplers import rand_uni
     count = _param(cfg, "count", 20, least=1)
     n = _param(cfg, "rank", 2, least=1)
     params = _filtration_params(cfg)
@@ -309,7 +312,10 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
 
 
 def task_herr(ring, cfg, rng):
-    from .herr import Cochain, HerrComplex
+    from .framed import Cochain
+    from .herr import HerrComplex
+    from .matrices import SeriesMatrix
+    from .samplers import rand_module, rand_vec
     count = _param(cfg, "count", 10, least=1)
     n = _param(cfg, "rank", 2, least=1)
     exact_bad = 0
@@ -375,8 +381,9 @@ def task_herr(ring, cfg, rng):
 def revalidate_witness(ring, blob):
     """Recheck an emitted coboundary witness: d(witness) must agree with
     the stored cochain on the recorded sub-window."""
-    from .framed import make_framed
-    from .herr import Cochain, HerrComplex
+    from .framed import Cochain, make_framed
+    from .herr import HerrComplex
+    from .matrices import SeriesMatrix
     M = make_framed(ring,
                     SeriesMatrix.from_json(ring, blob["module"]["Phi"]),
                     SeriesMatrix.from_json(ring, blob["module"]["Gam"]))
@@ -407,6 +414,8 @@ def task_cup(ring, cfg, rng):
     from .cup import check_mu_well_defined, lambda_map, lift_step, mu, \
         parabolic_data
     from .framed import commutation_residual, make_framed
+    from .matrices import SeriesMatrix
+    from .samplers import diag_const
     _check_cup_ring(ring)
     count = _param(cfg, "count", 10, least=1)
     depth = _param(cfg, "depth", 4)
@@ -552,10 +561,10 @@ def task_cup(ring, cfg, rng):
 
 
 def task_descent_check(ring, cfg, rng):
-    from .framed import DescentDatum, change_basis, check_descent, \
-        descent_datum_after_change_basis, make_framed
-    from .herr import Cochain, check_invariance, descend_cochain, \
-        restrict_to_E
+    from .framed import Cochain, DescentDatum, change_basis, \
+        check_descent, check_invariance, descend_cochain, \
+        descent_datum_after_change_basis, make_framed, restrict_to_E
+    from .matrices import SeriesMatrix
     e = _param(cfg, "e", 2, least=1)
     base = ring
     p, f = base.base.p, base.base.f

@@ -39,8 +39,9 @@ defined up to coboundaries.
 from .errors import (BadComposition, BadWitness, InsufficientWindow,
                      LeviNotCommuting, NotALift, NotCentralValued,
                      NotGaloisCompatible)
-from .framed import FramedModule, commutation_residual, pattern_ok
-from .herr import Cochain, HerrComplex, check_invariance, descend_cochain
+from .framed import (Cochain, FramedModule, check_invariance,
+                     commutation_residual, descend_cochain, pattern_ok)
+from .herr import HerrComplex
 from .matrices import SeriesMatrix
 from .period import project_to_base
 from .verdicts import holds, inconclusive

@@ -2,8 +2,9 @@
 (Phi, Gam) for the phi- and gamma-actions in a chosen basis, with the
 commutation identity Phi*phi(Gam) = Gam*gamma(Phi) as the validity
 criterion.  Also: change of basis, semilinear composition, topological
-nilpotency certificates, Galois descent data, and semidirect-product
-(L-group) bookkeeping.
+nilpotency certificates, Galois descent data, cochains with their
+restriction to and averaging down from a tame extension, and
+semidirect-product (L-group) bookkeeping.
 
 Conventions.  A phi-semilinear map acts on column coordinates by
 x -> Phi*phi(x) and a gamma-semilinear one by x -> Gam*gamma(x); the
@@ -12,10 +13,11 @@ other order Phi*phi(Gam), so order-independence of the composite is
 exactly the commutation identity.
 """
 
-from .errors import (ActionMismatch, CocycleFails, CommutationFails,
-                     DescentEqFails, WrongGalComponent)
+from .errors import (ActionMismatch, AveragingUnavailable, CocycleFails,
+                     CommutationFails, DescentEqFails, WrongGalComponent)
 from .matrices import SeriesMatrix
-from .verdicts import holds, inconclusive
+from .period import project_to_base
+from .verdicts import fails, holds, inconclusive
 
 
 def commutation_residual(ring, Phi, Gam):
@@ -206,6 +208,75 @@ def descent_datum_after_change_basis(M, D, h):
         inv_word = ring.galois.generator_word(i, g.order - 1)
         maps[g.label] = _gal_apply(ring, inv_word, h) * D.matrix(g.label) * h_inv
     return DescentDatum(ring, maps)
+
+
+# -- cochains along a tame extension ----------------------------------------
+
+
+class Cochain:
+    """A Herr cochain: its degree and a tuple of matrix parts."""
+
+    def __init__(self, degree, parts):
+        self.degree = degree
+        self.parts = parts
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def to_json(self):
+        return {"degree": self.degree,
+                "parts": [p.to_json() for p in self.parts]}
+
+
+def restrict_to_E(ext_ring, cochain):
+    """Coefficient inclusion of a parent-ring cochain into the extension."""
+    if ext_ring.parent is None:
+        return cochain
+    _, _, embed_series = ext_ring.parent
+    parts = tuple(SeriesMatrix(ext_ring, [[embed_series(e) for e in row]
+                                          for row in part.rows])
+                  for part in cochain.parts)
+    return Cochain(cochain.degree, parts)
+
+
+def check_invariance(ext_ring, cochain):
+    for i, g in enumerate(ext_ring.galois.generators):
+        word = ext_ring.galois.generator_word(i)
+        for part in cochain.parts:
+            moved = part.apply_galois(word)
+            if not (moved - part).is_zero():
+                return fails("galois-invariance",
+                             f"{g.label} moves the cochain")
+    return holds("galois-invariance")
+
+
+def descend_cochain(ext_ring, cochain):
+    """Express an invariant extension cochain in parent coordinates.
+
+    Non-invariant input is first averaged over the group, which needs
+    |Gal| invertible mod p."""
+    if ext_ring.parent is None:
+        return cochain
+    if check_invariance(ext_ring, cochain).status != "holds":
+        base = ext_ring.base
+        order = ext_ring.galois.order
+        if order % base.p == 0:
+            raise AveragingUnavailable(
+                "group order is divisible by p; no averaging projector")
+        inv_order = base.inv(base.from_int(order))
+        parts = []
+        for part in cochain.parts:
+            acc = SeriesMatrix.zero(ext_ring, part.nrows, part.ncols)
+            for word in ext_ring.galois.elements():
+                acc = acc + part.apply_galois(word)
+            parts.append(acc.scale(inv_order))
+        cochain = Cochain(cochain.degree, tuple(parts))
+    parent_ring = ext_ring.parent[0]
+    parts = tuple(
+        SeriesMatrix(parent_ring, [[project_to_base(ext_ring, e)
+                                    for e in row] for row in part.rows])
+        for part in cochain.parts)
+    return Cochain(cochain.degree, parts)
 
 
 # -- L-group (semidirect product) bookkeeping --------------------------------

@@ -28,28 +28,14 @@ The lift ((1+eps*X)Phi, (1+eps*Y)Gam) is valid iff (X,Y) is an adjoint
 
 import math
 
-from .errors import AveragingUnavailable, EmptyWindow, NotACocycle, NotALift
-from .framed import pattern_ok
+from .errors import EmptyWindow, NotACocycle, NotALift
+from .framed import Cochain, pattern_ok
 from .laurent import LaurentSeries, mul_each
 from .linalg import length_of_row_space, solve_mod_prime_power
 from .matrices import SeriesMatrix
-from .period import project_to_base
 from .verdicts import fails, holds
 
 KINDS = ("plain", "framed", "adjoint")
-
-
-class Cochain:
-    def __init__(self, degree, parts):
-        self.degree = degree
-        self.parts = parts
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def to_json(self):
-        return {"degree": self.degree,
-                "parts": [p.to_json() for p in self.parts]}
 
 
 class CoboundaryResult:
@@ -690,60 +676,6 @@ def obstruction(Mbar, Phi_t, Gam_t, pattern=None):
     if pattern is not None and not pattern_ok(o.eps, pattern):
         raise NotALift("obstruction leaves the subgroup pattern")
     return o.eps
-
-
-# -- restriction, invariance, averaging ----------------------------------------
-
-
-def restrict_to_E(ext_ring, cochain):
-    """Coefficient inclusion of a parent-ring cochain into the extension."""
-    if ext_ring.parent is None:
-        return cochain
-    _, _, embed_series = ext_ring.parent
-    parts = tuple(SeriesMatrix(ext_ring, [[embed_series(e) for e in row]
-                                          for row in part.rows])
-                  for part in cochain.parts)
-    return Cochain(cochain.degree, parts)
-
-
-def check_invariance(ext_ring, cochain):
-    for i, g in enumerate(ext_ring.galois.generators):
-        word = ext_ring.galois.generator_word(i)
-        for part in cochain.parts:
-            moved = part.apply_galois(word)
-            if not (moved - part).is_zero():
-                return fails("galois-invariance",
-                             f"{g.label} moves the cochain")
-    return holds("galois-invariance")
-
-
-def descend_cochain(ext_ring, cochain):
-    """Express an invariant extension cochain in parent coordinates.
-
-    Non-invariant input is first averaged over the group, which needs
-    |Gal| invertible mod p."""
-    if ext_ring.parent is None:
-        return cochain
-    if check_invariance(ext_ring, cochain).status != "holds":
-        base = ext_ring.base
-        order = ext_ring.galois.order
-        if order % base.p == 0:
-            raise AveragingUnavailable(
-                "group order is divisible by p; no averaging projector")
-        inv_order = base.inv(base.from_int(order))
-        parts = []
-        for part in cochain.parts:
-            acc = SeriesMatrix.zero(ext_ring, part.nrows, part.ncols)
-            for word in ext_ring.galois.elements():
-                acc = acc + part.apply_galois(word)
-            parts.append(acc.scale(inv_order))
-        cochain = Cochain(cochain.degree, tuple(parts))
-    parent_ring = ext_ring.parent[0]
-    parts = tuple(
-        SeriesMatrix(parent_ring, [[project_to_base(ext_ring, e)
-                                    for e in row] for row in part.rows])
-        for part in cochain.parts)
-    return Cochain(cochain.degree, parts)
 
 
 # -- windowed rank estimates ----------------------------------------------------

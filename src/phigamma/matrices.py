@@ -11,8 +11,6 @@ construction, so `inv` computes the inverse once and keeps it on the
 matrix.
 """
 
-from fractions import Fraction
-
 from .errors import (InsufficientWindow, NoConvergence, NotAUnit,
                      NotInvertible, PreconditionViolated)
 from .laurent import LaurentSeries
@@ -144,6 +142,10 @@ class SeriesMatrix:
                     continue
                 c = aug[r2][col]
                 if c.is_zero():
+                    # c is zero only below c.hi, so c * q is zero below
+                    # c.hi + lo(q): e - c * q is e cut there
+                    aug[r2] = [_cut(e, c.hi + q.lo)
+                               for e, q in zip(aug[r2], aug[col])]
                     continue
                 aug[r2] = [e - c * q for e, q in zip(aug[r2], aug[col])]
         return SeriesMatrix(self.ring, [row[n:] for row in aug])
@@ -212,6 +214,12 @@ class SeriesMatrix:
         return f"SeriesMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
 
 
+def _cut(e, hi):
+    """e known only below hi: e itself when its window ends there already,
+    so that no series is formed."""
+    return e if e.hi <= hi else e.truncate(hi)
+
+
 class FiltrationParams:
     """Admissibility data for the twisted-conjugation solvers.
 
@@ -226,6 +234,7 @@ class FiltrationParams:
         self.N = N
 
     def check(self):
+        from fractions import Fraction
         if self.m < 0 or self.n_cong < 1:
             raise PreconditionViolated("need m >= 0 and n_cong >= 1")
         lam = Fraction(self.lam)

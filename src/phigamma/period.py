@@ -15,13 +15,10 @@ commutation relations on the variable within the window and reject
 inconsistent data.
 """
 
-from fractions import Fraction
-
 from .errors import (CommutationFails, InsufficientWindow, NoRootOfUnity,
                      NotAUnit, NotGaloisCompatible, NotPrincipalForm)
 from .galois_ring import _eval_poly, _eval_poly_deriv, make_ring
 from .laurent import LaurentSeries, _power, compose, eth_root_one_unit
-from .linalg import solve_mod_prime_power
 from .verdicts import HOLDS, fails, holds, inconclusive
 
 
@@ -457,6 +454,7 @@ def _inverse_embedding(base, ext, embed):
                 raise NotGaloisCompatible("coefficient is not in the base ring")
             return (c[0],)
         return inv
+    from .linalg import solve_mod_prime_power
     cols = []
     x = base.one
     gen = base.gen()
@@ -499,6 +497,7 @@ def check_local_contraction(ring, lam, N, n_max):
 
     A finite certificate over the verified range, not a proof for all n.
     """
+    from fractions import Fraction
     lam = Fraction(lam)
     if lam <= 1:
         raise ValueError("contracting factor must exceed 1")

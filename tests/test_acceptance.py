@@ -14,14 +14,14 @@ from fractions import Fraction
 
 from phigamma.cup import (check_mu_well_defined, lambda_map, lift_step, mu,
                           parabolic_data)
-from phigamma.framed import (DescentDatum, change_basis, check_descent,
-                             commutation_residual,
+from phigamma.framed import (Cochain, DescentDatum, change_basis,
+                             check_descent, check_invariance,
+                             commutation_residual, descend_cochain,
                              descent_datum_after_change_basis, make_framed,
-                             pattern_ok)
+                             pattern_ok, restrict_to_E)
 from phigamma.galois_ring import make_ring
-from phigamma.herr import (Cochain, HerrComplex, check_invariance,
-                           descend_cochain, ext_from_cocycle, ext_residual,
-                           lift_dual_numbers, obstruction, restrict_to_E)
+from phigamma.herr import (HerrComplex, ext_from_cocycle, ext_residual,
+                           lift_dual_numbers, obstruction)
 from phigamma.laurent import LaurentSeries, compose, eth_root_one_unit
 from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
                                solve_h, twisted_conj)

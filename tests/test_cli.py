@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from phigamma.cli import (EXIT_FAILS, EXIT_HOLDS, EXIT_INCONCLUSIVE,
-                          EXIT_USAGE, build_ring, main, revalidate_witness,
-                          run_config)
+                          EXIT_USAGE, TASKS, build_ring, main,
+                          revalidate_witness, run_config)
 from phigamma.errors import ConfigError
 
 CYC = {"kind": "cyclotomic", "p": 3, "a": 1, "window": 24}
@@ -523,6 +523,13 @@ class TestImports:
     """A CLI process loads only the modules its task runs.  This counts
     modules, not time, so it is deterministic."""
 
+    def test_ring_info_loads_only_the_ring_modules(self):
+        loaded = loaded_modules([{"task": "ring-info"}])
+        assert {m for m in loaded if m.startswith("phigamma.")} == {
+            "phigamma.cli", "phigamma.errors", "phigamma.galois_ring",
+            "phigamma.laurent", "phigamma.period", "phigamma.verdicts"}
+        assert "fractions" not in loaded
+
     def test_light_tasks_load_no_herr_cup_framed(self):
         loaded = loaded_modules([
             {"task": "ring-info"},
@@ -531,14 +538,15 @@ class TestImports:
             {"task": "solve-twisted", "count": 1}])
         assert "phigamma.samplers" in loaded
         for name in ("phigamma.herr", "phigamma.cup", "phigamma.framed",
-                     "dataclasses"):
+                     "phigamma.linalg", "dataclasses"):
             assert name not in loaded
 
     def test_descent_check_loads_no_cup(self):
         loaded = loaded_modules([{"task": "descent-check"}])
-        assert "phigamma.herr" in loaded
-        assert "phigamma.cup" not in loaded
-        assert "dataclasses" not in loaded
+        assert "phigamma.framed" in loaded
+        for name in ("phigamma.herr", "phigamma.cup", "phigamma.linalg",
+                     "fractions", "dataclasses"):
+            assert name not in loaded
 
 
 class TestSuite:
@@ -626,19 +634,17 @@ BATTERY_RINGS = {
     "tame-e2-p3": {"kind": "tame", "e": 2,
                    "base": {"kind": "cyclotomic", "p": 3, "a": 2}},
 }
-SINGLE_TASKS = ("ring-info", "analyze-phi", "height-check", "solve-twisted",
-                "herr", "cup", "descent-check")
 
 
 class TestNoTraceback:
-    """Every single task on every ring kind, down to small windows,
+    """Every task, suite included, on every ring kind, down to window 1,
     either returns a verdict exit code or is a config error: never any
     other exception, which the command line shows as a traceback."""
 
     @pytest.mark.parametrize("ring", sorted(BATTERY_RINGS))
     def test_exit_contract(self, ring):
-        for window in (4, 8, 12):
-            for task in SINGLE_TASKS:
+        for window in (1, 2, 3, 4, 8, 12):
+            for task in TASKS:
                 cfg = {"task": task, "ring": BATTERY_RINGS[ring],
                        "count": 1, "v_terms": {"1": 1}}
                 try:

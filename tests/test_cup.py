@@ -13,8 +13,9 @@ from phigamma.cup import (Cup2Class, ParabolicData, check_mu_well_defined,
 from phigamma.errors import (BadComposition, BadWitness, InsufficientWindow,
                              LeviNotCommuting, NotALift, NotCentralValued,
                              NotGaloisCompatible)
-from phigamma.framed import FramedModule, commutation_residual, make_framed
-from phigamma.herr import Cochain, HerrComplex, ext_residual
+from phigamma.framed import (Cochain, FramedModule, commutation_residual,
+                             make_framed)
+from phigamma.herr import HerrComplex, ext_residual
 from phigamma.matrices import SeriesMatrix
 from phigamma.period import standard_cyclotomic, tame_extension
 from phigamma.verdicts import HOLDS, INCONCLUSIVE

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phigamma.errors import AveragingUnavailable, NotACocycle, NotALift
-from phigamma.framed import make_framed, change_basis
-from phigamma.herr import (Cochain, DualMatrix, HerrComplex,
-                           check_invariance, descend_cochain,
+from phigamma.framed import (Cochain, change_basis, check_invariance,
+                             descend_cochain, make_framed, restrict_to_E)
+from phigamma.herr import (DualMatrix, HerrComplex,
                            dual_commutation_residual, estimate_h_ranks,
                            ext_from_cocycle, ext_is_split, ext_residual,
-                           lift_dual_numbers, obstruction, restrict_to_E,
-                           _window_coords)
+                           lift_dual_numbers, obstruction, _window_coords)
 from phigamma.matrices import SeriesMatrix
 from phigamma.period import (make_custom_ring, standard_cyclotomic,
                              tame_extension)

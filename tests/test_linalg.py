@@ -9,8 +9,8 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.framed import make_framed
-from phigamma.herr import Cochain, HerrComplex
+from phigamma.framed import Cochain, make_framed
+from phigamma.herr import HerrComplex
 from phigamma.linalg import (kernel_length, length_of_row_space,
                              reduce_mod_prime_power, solve_mod_prime_power)
 from phigamma.matrices import SeriesMatrix

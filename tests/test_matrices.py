@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.errors import (NotInvertible, PreconditionViolated)
+from phigamma.errors import (NotInvertible, PhigammaError,
+                             PreconditionViolated)
+from phigamma.laurent import LaurentSeries
 from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
                                solve_h, twisted_conj)
 from phigamma.period import make_custom_ring, standard_cyclotomic
@@ -84,6 +86,105 @@ class TestArithmetic:
         x = m * d
         assert (x * x.inv()).is_identity()
         assert (x.inv() * x).is_identity()
+
+
+# -- inverse soundness against adversarial unknown tails --------------------
+#
+# As for series (tests/test_laurent.py): an inverse is exact on its
+# windows whatever the unknown coefficients of the matrix at and above
+# each entry's hi are.  Extending every entry by random coefficients and
+# inverting again must agree wherever both windows reach, and no window
+# may shrink.  The matrices keep their pivot order under the tails: each
+# diagonal entry has a unit at degree -2 to 0, with nilpotent terms
+# below it, and the entries below the diagonal are multiples of p with
+# no term below u^1, so a tail never brings a lower unit into a pivot
+# column.
+
+TAIL_RINGS = [standard_cyclotomic(p, a, f, 16) for p, a, f in [
+    (3, 2, 1), (3, 2, 2), (2, 3, 1), (5, 2, 3)]]
+
+
+def with_tail(rng, x):
+    """x on a window reaching up to 12 exponents further, with random
+    coefficients where x leaves them unknown."""
+    ring = x.ring
+    hi = x.hi + rng.randrange(1, 13)
+    terms = dict(x.terms())
+    for e in range(x.hi, hi):
+        terms[e] = ring.random(rng)
+    return LaurentSeries.from_terms(ring, terms, hi)
+
+
+def sound(small, large):
+    return large.hi >= small.hi and large.agrees(small)
+
+
+def pivot_entry(rng, base):
+    """A unit at degree d in [-2, 0], nilpotent terms below d (a
+    nilpotent pole), random terms above."""
+    d = rng.randrange(-2, 1)
+    hi = rng.randrange(d + 1, 16)
+    terms = {d: base.random_unit(rng)}
+    for e in range(rng.randrange(-4, d + 1), d):
+        terms[e] = base.smul(base.p, base.random(rng))
+    for e in range(d + 1, hi):
+        if rng.random() < 0.5:
+            terms[e] = base.random(rng)
+    return LaurentSeries.from_terms(base, terms, hi)
+
+
+def off_pivot_entry(rng, base, below):
+    """Zero (half the time, on a window as short as u^1), sparse or
+    dense; below the diagonal a multiple of p with no term below u^1."""
+    kind = rng.choice(("zero", "zero", "sparse", "dense"))
+    lo = 1 if below else -2
+    hi = rng.randrange(lo + 1, 16)
+    terms = {}
+    if kind == "sparse":
+        for _ in range(rng.randrange(1, 4)):
+            terms[rng.randrange(lo, hi)] = base.random(rng)
+    elif kind == "dense":
+        for e in range(lo, hi):
+            terms[e] = base.random(rng)
+    if below:
+        terms = {e: base.smul(base.p, c) for e, c in terms.items()}
+    return LaurentSeries.from_terms(base, terms, hi)
+
+
+class TestAdversarialTails:
+    def test_zero_entry_with_short_window(self):
+        # M[0][1] is 0 mod u^4; u^4 mod u^16 agrees with it there
+        R = TAIL_RINGS[2]
+
+        def inverse(top_right):
+            return SeriesMatrix(R, [
+                [R.series({0: 1}, 4), top_right],
+                [R.series({1: 7}, 14), R.series({-1: 6, 0: 7}, 12)]]).inv()
+
+        small = inverse(R.zero(4))
+        assert sound(small.entry(0, 1),
+                     inverse(R.series({4: 1}, 16)).entry(0, 1))
+        assert small.entry(0, 1).hi == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds)
+    def test_inv(self, seed):
+        rng = random.Random(seed)
+        for R in TAIL_RINGS:
+            n = rng.randrange(1, 4)
+            rows = [[pivot_entry(rng, R.base) if i == j else
+                     off_pivot_entry(rng, R.base, i > j)
+                     for j in range(n)] for i in range(n)]
+            tailed = SeriesMatrix(R, [[with_tail(rng, e) for e in r]
+                                      for r in rows])
+            try:
+                small = SeriesMatrix(R, rows).inv()
+            except PhigammaError:
+                continue  # the windows are too short to invert
+            large = tailed.inv()
+            for rs, rl in zip(small.rows, large.rows):
+                for s, l in zip(rs, rl):
+                    assert sound(s, l)
 
 
 class TestOperators:
