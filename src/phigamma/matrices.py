@@ -141,12 +141,6 @@ class SeriesMatrix:
                 if r2 == col:
                     continue
                 c = aug[r2][col]
-                if c.is_zero():
-                    # c is zero only below c.hi, so c * q is zero below
-                    # c.hi + lo(q): e - c * q is e cut there
-                    aug[r2] = [_cut(e, c.hi + q.lo)
-                               for e, q in zip(aug[r2], aug[col])]
-                    continue
                 aug[r2] = [e - c * q for e, q in zip(aug[r2], aug[col])]
         return SeriesMatrix(self.ring, [row[n:] for row in aug])
 
@@ -212,12 +206,6 @@ class SeriesMatrix:
 
     def __repr__(self):
         return f"SeriesMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
-
-
-def _cut(e, hi):
-    """e known only below hi: e itself when its window ends there already,
-    so that no series is formed."""
-    return e if e.hi <= hi else e.truncate(hi)
 
 
 class FiltrationParams:
