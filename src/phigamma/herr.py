@@ -31,7 +31,7 @@ import math
 from .errors import EmptyWindow, NotACocycle, NotALift
 from .framed import Cochain, pattern_ok
 from .laurent import LaurentSeries, mul_each
-from .linalg import length_of_row_space, solve_mod_prime_power
+from .linalg import solve_mod_prime_power
 from .matrices import SeriesMatrix
 from .verdicts import fails, holds
 
@@ -677,60 +677,3 @@ def obstruction(Mbar, Phi_t, Gam_t, pattern=None):
         raise NotALift("obstruction leaves the subgroup pattern")
     return o.eps
 
-
-# -- windowed rank estimates ----------------------------------------------------
-
-
-class CohomologyProfile:
-    def __init__(self, bounds, window, span):
-        # degree -> (lower, upper), lengths of Z/p-factors
-        self.bounds = bounds
-        self.window = window
-        self.span = span
-
-    def to_json(self):
-        return {"h": [{"deg": d, "lower": lo, "upper": up}
-                      for d, (lo, up) in sorted(self.bounds.items())],
-                "window": self.window, "span": self.span}
-
-
-def estimate_h_ranks(complex_, span=6, depth=2):
-    """Window-certified length bounds for h0, h1, h2 over Z/p^a.
-
-    Upper bounds come from kernels/images of the differentials on
-    cochains supported in [-depth, span); truncation can only inflate
-    kernels and deflate images, and adding equations (larger window)
-    shrinks the bounds monotonically.  Lower bounds are conservative:
-    only exactly-certified constant fixed vectors count (degree 0).
-    """
-    base = complex_.ring.base
-    if complex_.n == 0:
-        return CohomologyProfile({0: (0, 0), 1: (0, 0), 2: (0, 0)},
-                                 complex_.ring.window, span)
-    lo_u, hi_u = -depth, span
-
-    keys0, _, A0, _ = complex_._windowed_system(
-        complex_.zero_cochain(1), lo_u, hi_u)
-    keys1, _, A1, rhs1 = complex_._windowed_system(
-        complex_.zero_cochain(2), lo_u, hi_u)
-    p, a = base.p, base.a
-    dim0 = a * len(keys0)
-    ker0 = dim0 - length_of_row_space(A0, p, a)
-    im0 = dim0 - ker0
-    dim1 = a * len(keys1)
-    ker1 = dim1 - length_of_row_space(A1, p, a)
-    im1 = dim1 - ker1
-    # exact lower bound in degree 0: constant vectors killed exactly
-    _, consts = complex_._column_images(0, 0, 1)
-    exact = [im for im in consts if all(lo == hi for lo, hi, *_ in im)]
-    lower0 = a * len(exact)
-    h0_up = ker0
-    h1_up = max(0, ker1 - im0)
-    # top degree has no outgoing differential: cokernel of d1 on the
-    # windowed target coordinates
-    target_len = a * (len(rhs1) if keys1 else 0)
-    h2_up = max(0, target_len - im1)
-    bounds = {0: (min(lower0, h0_up), h0_up),
-              1: (0, h1_up),
-              2: (0, h2_up)}
-    return CohomologyProfile(bounds, complex_.ring.window, span)

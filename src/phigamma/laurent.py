@@ -56,14 +56,32 @@ to stride 2f - 1 and the slots of x^f ... x^(2f-2) are folded back
 through the modulus rows, one column of coordinates at a time.
 `__mul__`, `mul_each` (many products with one common factor, laid out
 in one list), `scale` and the power loops of `inv` and
-`eth_root_one_unit` all use it.  The kernel checks the invariant above:
-a product with a coordinate of q or more raises PhigammaError rather
-than let that coordinate carry into its neighbour's slot.  The kernel
-changes how a product is computed, not what it is: the window rules
-above are unchanged.  A product with a monomial, a factor with exactly
-one nonzero coefficient on its window, skips the kernel: it is the
-other factor's list cut to the product window and scaled by that
-coefficient, under the same window rule and the same coordinate check.
+`eth_root_one_unit` all use it.
+
+A series packs its list once per slot width: the packed int is kept in
+the series (its `_packed` store, keyed by slot width) from its first
+product on, and a product that needs only a prefix of the list masks it
+off that int.  The power loops of `inv` and `eth_root_one_unit` keep
+the packing of their fixed factor (-w, h) the same way for one call.
+The invariant above is checked once per series, when its store is made
+before its first product, monomial products included: a product with a
+coordinate of q or more raises PhigammaError (a negative one,
+OverflowError) rather than let that coordinate carry into its
+neighbour's slot.  A series that fails the check keeps no store, so it
+raises again on every product it enters; lists without a store (the
+running powers of the loops, the factors laid out by `mul_each`) are
+checked each time they are packed.  At f = 1 the product slots are
+reduced mod q through byte tables when nb * (q-1) <= 255, nb the slot
+width in bytes: byte k of every slot is mapped to b * 256^k mod q by one
+`bytes.translate`, the translated strings are summed as ints and
+translated once more.  Other rings reduce each slot with `% q`.
+
+The kernel changes how a product is computed, not what it is: the
+window rules above are unchanged.  A product with a monomial, a factor
+with exactly one nonzero coefficient on its window, skips the kernel:
+it is the other factor's list cut to the product window and scaled by
+that coefficient, under the same window rule and the same coordinate
+check.
 
 Series are values.  Nothing writes into a series' flat list once the
 series owns it (`_series` takes the list over, and every operation
@@ -86,7 +104,7 @@ UnitDegree = namedtuple("UnitDegree", ["d", "pole"])
 class LaurentSeries:
     """A truncated Laurent series over a CoeffRing."""
 
-    __slots__ = ("ring", "lo", "hi", "_flat")
+    __slots__ = ("ring", "lo", "hi", "_flat", "_packed")
 
     def __init__(self, ring, lo, hi, coeffs):
         """The series with coordinate tuples coeffs on the window [lo, hi)."""
@@ -108,6 +126,8 @@ class LaurentSeries:
         self.lo = lo
         self.hi = hi
         self._flat = flat
+        # the store of the packings of flat, made when first multiplied
+        self._packed = None
 
     # -- constructors -----------------------------------------------------
 
@@ -220,16 +240,18 @@ class LaurentSeries:
         if hi <= lo:
             raise EmptyWindow("product window retains no exponent")
         f = ring.f
+        # checks both factors on their first product, monomials included
+        xkept, ykept = _packings(self), _packings(other)
         for x, y in ((self, other), (other, self)):
             if not any(x._flat[f:]):
                 # x = c * u^lo(x): the product is y scaled by c
                 c, ys = x._flat[:f], y._flat[:(hi - lo) * f]
-                _check_reduced(c + ys, ring.q)
                 if c[0] != 1 or any(c[1:]):
                     ys = _scale(ring, c, ys)
                 return _series(ring, lo, hi, ys)
         return _series(ring, lo, hi,
-                       _convolve(ring, self._flat, other._flat, hi - lo))
+                       _convolve(ring, self._flat, other._flat, hi - lo,
+                                 xkept, ykept))
 
     def scale(self, c):
         """Multiply by an exactly known ring constant; window unchanged."""
@@ -285,12 +307,14 @@ class LaurentSeries:
         i = (d - self.lo) * f
         neg_w[i:i + f] = ring.zero
         w_lo, neg_w = _strip(f, self.lo - d, neg_w)
+        kept = _store(neg_w, ring.q)
         # truncated geometric series sum (-w)^k, exact on the padded window
         acc_lo, acc = 0, list(ring.one)
         res_lo, res = 0, list(ring.one) + [0] * ((work_hi - 1) * f)
         kmax = work_hi + (a - 1) * (spread + 1) + 1
         for _ in range(kmax):
-            acc_lo, acc = _dense_mul(ring, acc_lo, acc, w_lo, neg_w, work_hi)
+            acc_lo, acc = _dense_mul(ring, acc_lo, acc, w_lo, neg_w, work_hi,
+                                     kept)
             if not acc:
                 break
             res_lo, res = _accumulate(ring, res_lo, res, acc_lo, acc)
@@ -348,7 +372,7 @@ def mul_each(x, ys):
         flat += y._flat
         flat += gap
     if spans:
-        prod = _convolve(ring, x._flat, flat, len(flat) // f)
+        prod = _convolve(ring, x._flat, flat, len(flat) // f, _packings(x))
         for t, lo, hi, start in spans:
             out[t] = _series(ring, lo, hi,
                              prod[start:start + (hi - lo) * f])
@@ -361,6 +385,22 @@ def _series(ring, lo, hi, flat):
     s = LaurentSeries.__new__(LaurentSeries)
     s._init(ring, lo, hi, flat)
     return s
+
+
+def _packings(x):
+    """The store of the packings of the series x, made on first use, when
+    every coordinate of x is checked (see `_store`)."""
+    kept = x._packed
+    if kept is None:
+        kept = x._packed = _store(x._flat, x.ring.q)
+    return kept
+
+
+def _store(flat, q):
+    """A new, empty store for the packings of flat by slot width (see
+    `_convolve`), once every int of flat is checked to lie in [0, q)."""
+    _check_reduced(flat, q)
+    return {}
 
 
 def _as_coords(ring, c):
@@ -422,7 +462,7 @@ def _scale(ring, c, flat):
     return _convolve(ring, list(c), flat, len(flat) // ring.f)
 
 
-def _convolve(ring, xs, ys, n):
+def _convolve(ring, xs, ys, n, xkept=None, ykept=None):
     """First n coefficients of the product of two flat coordinate lists,
     as a flat list of n * f coordinates.
 
@@ -430,33 +470,38 @@ def _convolve(ring, xs, ys, n):
     with every coordinate in a byte-aligned slot, and a single int
     product does the whole convolution.  A slot of the product sums at
     most min(len(xs), len(ys)) products of canonical coordinates (the
-    lengths count coordinates, f per coefficient), so it stays below
-    min(len(xs), len(ys)) * (q-1)^2 and never carries into its
-    neighbour.  For f > 1 the coordinates of one coefficient are spread
-    to stride 2f - 1, so the coordinate products x^k * x^l with
-    k + l <= 2f - 2 land in slots of their own; the columns for x^f ...
-    x^(2f-2) are then folded back through the modulus rows.
+    lengths count coordinates, f per coefficient, up to the first n
+    coefficients), so it stays below min(len(xs), len(ys)) * (q-1)^2 and
+    never carries into its neighbour.  For f > 1 the coordinates of one
+    coefficient are spread to stride 2f - 1, so the coordinate products
+    x^k * x^l with k + l <= 2f - 2 land in slots of their own; the
+    columns for x^f ... x^(2f-2) are then folded back through the
+    modulus rows.
+
+    xkept and ykept, when given, are the stores of the packings of the
+    whole lists xs and ys (`_store`): a list is then packed at most once
+    per slot width, and its first n coefficients are cut from that
+    packing by a mask.  A list without a store is cut and packed afresh.
     """
     square = xs is ys
     f, q = ring.f, ring.q
-    xs, ys = xs[:n * f], ys[:n * f]
-    if n <= 0 or not xs or not ys:
+    m = n * f
+    lx, ly = min(len(xs), m), min(len(ys), m)
+    if n <= 0 or not lx or not ly:
         return [0] * (max(n, 0) * f)
     stride = 2 * f - 1
-    nb = ((min(len(xs), len(ys)) * (q - 1) ** 2).bit_length() + 7) // 8
+    nb = ((min(lx, ly) * (q - 1) ** 2).bit_length() + 7) // 8
     if nb <= 8:
         # round up to a machine word of 1, 2, 4 or 8 bytes, so that array
         # does the packing and unpacking in C
         nb = 1 << (nb - 1).bit_length()
-    size = max(n, (len(xs) + len(ys)) // f - 1) * stride * nb
-    if f > 1:
-        xs = _spread(xs, f, stride)
-        ys = xs if square else _spread(ys, f, stride)
-    X = _pack(xs, nb, q)
-    Y = X if square else _pack(ys, nb, q)
-    slots = _unpack((X * Y).to_bytes(size, "little")[:n * stride * nb], nb)
+    size = max(n, (lx + ly) // f - 1) * stride * nb
+    X = _packed(ring, xs, n, nb, xkept)
+    Y = X if square else _packed(ring, ys, n, nb, ykept)
+    buf = (X * Y).to_bytes(size, "little")[:n * stride * nb]
     if f == 1:
-        return [s % q for s in slots]
+        return _reduced_slots(buf, nb, q)
+    slots = _unpack(buf, nb)
     # column k holds coordinate x^k of every output coefficient
     cols = [slots[k::stride] for k in range(stride)]
     out = [0] * (n * f)
@@ -470,9 +515,49 @@ def _convolve(ring, xs, ys, n):
     return out
 
 
-def _spread(flat, f, stride):
-    """flat with the f coordinates of each coefficient followed by
-    stride - f zero slots."""
+def _packed(ring, flat, n, nb, kept):
+    """The first n coefficients of the flat list packed at slot width nb,
+    spread to stride 2f - 1 when f > 1: cut by a mask from the packing of
+    the whole list in the store kept, built there on first use.  A list
+    without a store is cut first and gets a store for this call only."""
+    f = ring.f
+    if kept is None:
+        flat = flat[:n * f]
+        kept = _store(flat, ring.q)
+    X = kept.get(nb)
+    if X is None:
+        X = kept[nb] = _pack(_spread(flat, f) if f > 1 else flat, nb)
+    if len(flat) > n * f:
+        X &= (1 << (n * (2 * f - 1) * nb * 8)) - 1
+    return X
+
+
+def _reduced_slots(buf, nb, q):
+    """The little-endian nb-byte slots of buf, each reduced mod q.
+
+    When nb * (q-1) <= 255 this runs through byte tables, in C: byte k of
+    every slot is mapped to its residue b * 256^k mod q by one translate,
+    the nb translated strings are summed as ints (each byte of the sum is
+    at most nb * (q-1), so no byte carries into the next), and the sum is
+    reduced by one more translate."""
+    if nb * (q - 1) > 255:
+        return [s % q for s in _unpack(buf, nb)]
+    tables = _BYTE_TABLES.get((q, nb))
+    if tables is None:
+        tables = _BYTE_TABLES[q, nb] = [
+            bytes(b * pow(256, k, q) % q for b in range(256))
+            for k in range(nb)]
+    total = k = 0
+    for table in tables:
+        total += int.from_bytes(buf[k::nb].translate(table), "little")
+        k += 1
+    return list(total.to_bytes(len(buf) // nb, "little").translate(tables[0]))
+
+
+def _spread(flat, f):
+    """flat with the f coordinates of each coefficient followed by f - 1
+    zero slots, so at stride 2f - 1."""
+    stride = 2 * f - 1
     buf = [0] * (len(flat) // f * stride)
     for k in range(f):
         buf[k::stride] = flat[k::f]
@@ -482,6 +567,8 @@ def _spread(flat, f, stride):
 # array typecode for each machine-word slot width in bytes, narrowest first
 _WORD_CODES = {array(c).itemsize: c for c in "BHIQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
+# (q, nb) -> the byte tables of `_reduced_slots`, filled on first use
+_BYTE_TABLES = {}
 
 
 def _check_reduced(flat, q):
@@ -496,14 +583,13 @@ def _check_reduced(flat, q):
         raise OverflowError(f"coordinate {min(flat)} is negative")
 
 
-def _pack(flat, nb, q):
+def _pack(flat, nb):
     """One int holding the ints of flat, nb bytes each, little-endian.
 
     A coordinate of q or more would overflow its slot into the next one,
-    and a negative one cannot be packed unsigned, so both raise
-    (`_check_reduced`).
+    and a negative one cannot be packed unsigned, so the caller checks
+    flat first (`_check_reduced`).
     """
-    _check_reduced(flat, q)
     code = _WORD_CODES.get(nb)
     if code is None:
         return int.from_bytes(b"".join([v.to_bytes(nb, "little")
@@ -535,10 +621,11 @@ def _strip(f, lo, flat):
     return lo + len(flat) // f, []
 
 
-def _dense_mul(ring, x_lo, xs, y_lo, ys, hi):
-    """Product of two dense (lo, flat list) pairs, dropping exponents >= hi."""
+def _dense_mul(ring, x_lo, xs, y_lo, ys, hi, ykept):
+    """Product of two dense (lo, flat list) pairs, dropping exponents >= hi;
+    ykept is the store of the packings of ys."""
     lo = x_lo + y_lo
-    return _strip(ring.f, lo, _convolve(ring, xs, ys, hi - lo))
+    return _strip(ring.f, lo, _convolve(ring, xs, ys, hi - lo, None, ykept))
 
 
 def _accumulate(ring, res_lo, res, acc_lo, acc):
@@ -586,6 +673,7 @@ def eth_root_one_unit(w, e):
     h_lo, hs = _strip(f, w.lo, hs)
     if not hs:
         return LaurentSeries.constant(ring, 1, w.hi)
+    kept = _store(hs, q)
     pad = (a + 1) * (m + 2) + 2
     work_hi = w.hi + pad
     kmax = work_hi + (a - 1) * (m + 1) + 1
@@ -595,7 +683,7 @@ def eth_root_one_unit(w, e):
     acc_lo, acc = 0, list(ring.one)
     res_lo, res = 0, list(ring.one) + [0] * ((work_hi - 1) * f)
     for k in range(1, kmax + 1):
-        acc_lo, acc = _dense_mul(ring, acc_lo, acc, h_lo, hs, work_hi)
+        acc_lo, acc = _dense_mul(ring, acc_lo, acc, h_lo, hs, work_hi, kept)
         if not acc:
             break
         b = math.comb(c_int, k) % q

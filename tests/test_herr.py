@@ -1,5 +1,5 @@
 """Tests for the three-term complexes, extensions, dual-number lifts,
-restriction/averaging, and windowed rank estimates."""
+and restriction/averaging."""
 
 import random
 
@@ -11,9 +11,9 @@ from phigamma.errors import AveragingUnavailable, NotACocycle, NotALift
 from phigamma.framed import (Cochain, change_basis, check_invariance,
                              descend_cochain, make_framed, restrict_to_E)
 from phigamma.herr import (DualMatrix, HerrComplex,
-                           dual_commutation_residual, estimate_h_ranks,
-                           ext_from_cocycle, ext_is_split, ext_residual,
-                           lift_dual_numbers, obstruction, _window_coords)
+                           dual_commutation_residual, ext_from_cocycle,
+                           ext_is_split, ext_residual, lift_dual_numbers,
+                           obstruction, _window_coords)
 from phigamma.matrices import SeriesMatrix
 from phigamma.period import (make_custom_ring, standard_cyclotomic,
                              tame_extension)
@@ -433,34 +433,3 @@ class TestRestrictionDescent:
         assert restrict_to_E(BASE, c) is c
         assert descend_cochain(BASE, c) is c
 
-
-class TestRankEstimates:
-    def test_trivial_rank1(self):
-        I = SeriesMatrix.identity(R, 1)
-        C = HerrComplex(make_framed(R, I, I), "plain")
-        prof = estimate_h_ranks(C, span=5, depth=2)
-        lo, up = prof.bounds[0]
-        assert lo == up == 1  # the constants are fixed
-        assert all(b[0] <= b[1] for b in prof.bounds.values())
-
-    def test_twisted_rank1_no_fixed_vectors(self):
-        M = make_framed(R, SeriesMatrix(R, [[R.constant(2)]]),
-                        SeriesMatrix(R, [[R.one()]]))
-        prof = estimate_h_ranks(HerrComplex(M, "plain"), span=5, depth=2)
-        assert prof.bounds[0] == (0, 0)
-
-    def test_monotone_under_span_growth(self):
-        I = SeriesMatrix.identity(R, 1)
-        C = HerrComplex(make_framed(R, I, I), "plain")
-        small = estimate_h_ranks(C, span=4, depth=1)
-        big = estimate_h_ranks(C, span=7, depth=1)
-        for d in (0, 1, 2):
-            assert big.bounds[d][1] <= small.bounds[d][1]
-            assert big.bounds[d][0] >= small.bounds[d][0] or d != 0
-
-    def test_json_shape(self):
-        I = SeriesMatrix.identity(R, 1)
-        C = HerrComplex(make_framed(R, I, I), "plain")
-        data = estimate_h_ranks(C, span=4, depth=1).to_json()
-        assert {e["deg"] for e in data["h"]} == {0, 1, 2}
-        assert data["window"] == R.window

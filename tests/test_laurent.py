@@ -11,8 +11,8 @@ from phigamma.errors import (BadIndex, Divergent, EmptyWindow,
                              InsufficientWindow, NotAUnit, NotPrincipalForm,
                              PhigammaError)
 from phigamma.galois_ring import make_ring
-from phigamma.laurent import (LaurentSeries, _convolve, compose,
-                              eth_root_one_unit, mul_each)
+from phigamma.laurent import (LaurentSeries, _convolve, _reduced_slots,
+                              compose, eth_root_one_unit, mul_each)
 
 seeds = st.integers(0, 10**9)
 
@@ -289,6 +289,11 @@ KERNEL_RINGS = [make_ring(p, a, f) for p, a, f in [
 # so at a = 64 and f = 2 one example costs half a second; leave it to the
 # product tests
 ROOT_RINGS = KERNEL_RINGS[:-1]
+# f = 1 rings on both sides of the byte-table bound nb * (q-1) <= 255 of
+# the slot reduction: at q = 128 a product with a factor of at most 4
+# coefficients has 2-byte slots and goes through the tables; at q = 243
+# no slot width does, so every slot is reduced by % q
+THRESHOLD_RINGS = [make_ring(2, 7, 1), make_ring(3, 5, 1)]
 
 
 def ref_elem_mul(ring, x, y):
@@ -621,17 +626,116 @@ class TestKernel:
         with pytest.raises(EmptyWindow):
             LaurentSeries.from_terms(ring, {3: unit}, 2)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seeds)
+    def test_reused_packings(self, seed):
+        # one series in products with partners of several lengths, so at
+        # several slot widths and prefix masks of its kept packings, in
+        # both orders and squared, between products with the others
+        rng = random.Random(seed)
+        for ring in KERNEL_RINGS + THRESHOLD_RINGS:
+            x = kernel_series(rng, ring, rng.randrange(8, 40),
+                              rng.choice(("units", "dense")))
+            partners = [kernel_series(rng, ring, hi, rng.choice(KINDS),
+                                      lo_min=-1)
+                        for hi in (rng.randrange(1, 5), rng.randrange(5, 40),
+                                   rng.randrange(1, 5), rng.randrange(5, 40))]
+            for y in partners + partners[::-1]:
+                assert outcome(lambda: x * y) == ref_mul(x, y)
+                assert outcome(lambda: y * x) == ref_mul(y, x)
+                assert outcome(lambda: x * x) == ref_mul(x, x)
+                assert outcome(lambda: y * y) == ref_mul(y, y)
+
+    def test_packing_kept_per_slot_width(self):
+        ring = R9
+        x = LaurentSeries.from_terms(ring, {k: 1 + k % 8 for k in range(30)},
+                                     30)
+        short = LaurentSeries.from_terms(ring, {0: 2, 2: 1}, 3)
+        x * x
+        widths = set(x._packed)
+        packed = dict(x._packed)
+        x * short
+        # a new width packs x once more, and the first packing stays
+        assert set(x._packed) > widths
+        assert all(x._packed[nb] is packed[nb] for nb in widths)
+        assert got(x * short) == ref_mul(x, short)
+        assert got(x * x) == ref_mul(x, x)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seeds)
+    def test_reused_packings_mul_each_inv_root(self, seed):
+        # series that keep packings from earlier products, and the results
+        # of inv and eth_root (whose loops keep the packing of their fixed
+        # factor), in further products, each against the reference
+        rng = random.Random(seed)
+        for ring in ROOT_RINGS + THRESHOLD_RINGS:
+            small = ring.a >= 21
+            hi = rng.randrange(2, 10 if small else 24)
+            x = kernel_series(rng, ring, hi,
+                              rng.choice(("units", "nilpotent-pole")),
+                              lo_min=-1 if small else -2)
+            ys = [kernel_series(rng, ring, rng.randrange(1, 30),
+                                rng.choice(KINDS))
+                  for _ in range(4)]
+            for y in ys:
+                outcome(lambda: x * y)
+            for part in (ys, ys[:2], ys[::-1]):
+                want = [ref_mul(x, y) for y in part]
+                if any(isinstance(w, str) for w in want):
+                    with pytest.raises(EmptyWindow):
+                        mul_each(x, part)
+                else:
+                    assert [got(s) for s in mul_each(x, part)] == want
+            for _ in range(2):
+                assert outcome(x.inv) == ref_inv(x)
+            xi = x.inv()
+            assert outcome(lambda: xi * x) == ref_mul(xi, x)
+            terms = {0: ring.add(ring.one,
+                                 ring.smul(ring.p, ring.random(rng)))}
+            for _ in range(rng.randrange(4)):
+                terms[rng.randrange(1, hi + 1)] = ring.random(rng)
+            w = LaurentSeries.from_terms(ring, terms, hi)
+            e = rng.choice([k for k in (1, 2, 3, 5) if k % ring.p])
+            for y in ys:
+                outcome(lambda: w * y)
+            for _ in range(2):
+                assert got(eth_root_one_unit(w, e)) == ref_root(w, e)
+            r = eth_root_one_unit(w, e)
+            assert outcome(lambda: r * w) == ref_mul(r, w)
+
+    @pytest.mark.parametrize("q, nb", [(128, 2), (9, 31), (25, 8), (2, 1),
+                                       (243, 4), (243, 12)])
+    def test_slot_reduction(self, q, nb):
+        # byte tables when nb * (q-1) <= 255, % q otherwise; the largest
+        # slot value must not carry between the bytes of the table sum
+        rng = random.Random(q * 100 + nb)
+        slots = [256 ** nb - 1, 0, q, q - 1] + [rng.randrange(256 ** nb)
+                                                for _ in range(50)]
+        buf = b"".join(s.to_bytes(nb, "little") for s in slots)
+        assert _reduced_slots(buf, nb, q) == [s % q for s in slots]
+
     @pytest.mark.parametrize("a", [2, 21])
     def test_non_canonical_coordinate_raises(self, a):
         ring = make_ring(3, a, 1)
         one = LaurentSeries.constant(ring, 1, 4)
+        dense = LaurentSeries(ring, 0, 4, [(1,), (2,), (1,), (1,)])
+        dense * dense  # a partner that already keeps its packing
         # q - 1 + q would carry into the next slot; it must not pass silently
         big = LaurentSeries(ring, 0, 4, [(1,), (2 * ring.q - 1,), (0,), (1,)])
-        with pytest.raises(PhigammaError, match="not reduced"):
-            big * one
         neg = LaurentSeries(ring, 0, 4, [(1,), (-1,), (0,), (1,)])
-        with pytest.raises(OverflowError):
-            neg * one
+        for bad, error, match in ((big, PhigammaError, "not reduced"),
+                                  (neg, OverflowError, "negative")):
+            # in every product it enters, again after one has raised
+            for _ in range(2):
+                for partner in (one, dense, bad):
+                    with pytest.raises(error, match=match):
+                        bad * partner
+                    with pytest.raises(error, match=match):
+                        partner * bad
+                with pytest.raises(error, match=match):
+                    mul_each(bad, [dense, one])
+                with pytest.raises(error, match=match):
+                    mul_each(dense, [one, bad])
 
 
 # -- window soundness against adversarial unknown tails --------------------
