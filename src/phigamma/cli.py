@@ -415,7 +415,7 @@ def task_cup(ring, cfg, rng):
         parabolic_data
     from .framed import commutation_residual, make_framed
     from .matrices import SeriesMatrix
-    from .samplers import diag_const
+    from .samplers import diag_const, rand_lift
     _check_cup_ring(ring)
     count = _param(cfg, "count", 10, least=1)
     depth = _param(cfg, "depth", 4)
@@ -427,32 +427,6 @@ def task_cup(ring, cfg, rng):
                      diag_const(ring, (1, 1)),
                      pattern=d2.quotient_pattern(1))
     M3 = make_framed(ring, phi_l3, gam_l3, pattern=d3.quotient_pattern(2))
-    q = ring.base.q
-
-    def rand_series():
-        return ring.series({rng.randrange(0, 8): rng.randrange(q)
-                            for _ in range(3)})
-
-    def lift2():
-        def one(L):
-            rows = [[L.entry(i, j) for j in range(2)] for i in range(2)]
-            rows[0][1] = rand_series()
-            return SeriesMatrix(ring, rows)
-        return one(M2.Phi), one(M2.Gam)
-
-    def lift3():
-        def one(L):
-            rows = [[L.entry(i, j) for j in range(3)] for i in range(3)]
-            rows[0][1] = rand_series()
-            rows[1][2] = rand_series()
-            return SeriesMatrix(ring, rows)
-        return one(phi_l3), one(gam_l3)
-
-    def rand_full3(L):
-        rows = [[L.entry(i, j) for j in range(3)] for i in range(3)]
-        for (r, c) in ((0, 1), (1, 2), (0, 2)):
-            rows[r][c] = rand_series()
-        return SeriesMatrix(ring, rows)
 
     def exact_zero(mat, hi):
         return all(e.truncate(min(e.hi, hi)).is_zero()
@@ -467,7 +441,7 @@ def task_cup(ring, cfg, rng):
     check_hi = ring.window - 10
     for idx in range(count):
         # lambda identity 1: factorization with commuting Levi parts
-        a, b = rand_full3(phi_l3), rand_full3(gam_l3)
+        a, b = rand_lift(rng, M3, ((0, 1), (1, 2), (0, 2)))
         a_u = d3.qmul(0, phi_l3.inv(), a)
         b_u = d3.qmul(0, gam_l3.inv(), b)
 
@@ -488,9 +462,11 @@ def task_cup(ring, cfg, rng):
         if not exact_zero(lambda_map(ring, a, b) - pred, check_hi):
             lam_bad += 1
         # mu well-definedness on both Borel instances
-        for data, i, M, mk in ((d2, 1, M2, lift2), (d3, 2, M3, lift3)):
+        for data, i, M, cells in ((d2, 1, M2, ((0, 1),)),
+                                  (d3, 2, M3, ((0, 1), (1, 2)))):
             try:
-                v = check_mu_well_defined(data, i, M, mk(), mk(), depth)
+                v = check_mu_well_defined(data, i, M, rand_lift(rng, M, cells),
+                                          rand_lift(rng, M, cells), depth)
             except SHORTFALLS as exc:
                 mu_short.append(type(exc).__name__)
                 continue
@@ -499,7 +475,7 @@ def task_cup(ring, cfg, rng):
                 continue
             if v.status == HOLDS:
                 found += 1
-            cls = mu(data, i, M, *mk())
+            cls = mu(data, i, M, *rand_lift(rng, M, cells))
             res = cls.complex.try_coboundary(cls.rep, depth)
             if res.found:
                 lift_total += 1

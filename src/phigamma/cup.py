@@ -37,13 +37,10 @@ defined up to coboundaries.
 """
 
 from .errors import (BadComposition, BadWitness, InsufficientWindow,
-                     LeviNotCommuting, NotALift, NotCentralValued,
-                     NotGaloisCompatible)
-from .framed import (Cochain, FramedModule, check_invariance,
-                     commutation_residual, descend_cochain, pattern_ok)
+                     LeviNotCommuting, NotALift, NotCentralValued)
+from .framed import Cochain, FramedModule, commutation_residual, pattern_ok
 from .herr import HerrComplex
 from .matrices import SeriesMatrix
-from .period import project_to_base
 from .verdicts import holds, inconclusive
 
 
@@ -105,9 +102,6 @@ class ParabolicData:
 
     def central_coords(self, i):
         return sorted(self.central_mask(i))
-
-    def n_levels(self):
-        return self.k - 1
 
     def _verify_centrality(self):
         full = self.u_mask(self.k - 1)
@@ -194,25 +188,16 @@ class Cup2Class:
     complex for the Levi adjoint action at one central level, plus the
     context needed to correct the lifts."""
 
-    def __init__(self, rep, complex, data, level, Phi_lift=None,
-                 Gam_lift=None, cohomology_type_asserted=False):
+    def __init__(self, rep, complex, data, level, Phi_lift, Gam_lift):
         self.rep = rep
         self.complex = complex
         self.data = data
         self.level = level
         self.Phi_lift = Phi_lift
         self.Gam_lift = Gam_lift
-        self.cohomology_type_asserted = cohomology_type_asserted
 
     def is_zero(self):
         return all(p.is_zero() for p in self.rep.parts)
-
-    def to_json(self):
-        out = {"level": self.level, "parabolic": self.data.to_json(),
-               "rep": self.rep.to_json()}
-        if self.cohomology_type_asserted:
-            out["cohomology_type_asserted"] = True
-        return out
 
 
 def _adjoint_complex(data, i, M_levi_phi, M_levi_gam):
@@ -349,37 +334,4 @@ def lift_step(cls, witness, sub_window=None):
         if not pattern_ok(Phi2, data.quotient_pattern(j)) or \
                 not pattern_ok(Gam2, data.quotient_pattern(j)):
             raise BadWitness("corrected pair leaves the quotient pattern")
-    return out
-
-
-def descend_cup(ext_ring, cls, cohomology_type_asserted=False):
-    """Re-express an invariant class in base-ring coordinates.
-
-    The identification of the descended class with a base-ring
-    cohomology class relies on a cohomology-type hypothesis that cannot
-    be verified at finite window; the caller asserts it and the
-    assertion is recorded on the result.
-    """
-    if ext_ring.parent is None:
-        cls.cohomology_type_asserted = cohomology_type_asserted
-        return cls
-    if check_invariance(ext_ring, cls.rep).status != "holds":
-        raise NotGaloisCompatible("class representative is not invariant")
-    parent_ring = ext_ring.parent[0]
-
-    def project_matrix(mat):
-        for idx, g in enumerate(ext_ring.galois.generators):
-            word = ext_ring.galois.generator_word(idx)
-            if not (mat.apply_galois(word) - mat).is_zero():
-                raise NotGaloisCompatible("adjoint data is not invariant")
-        return SeriesMatrix(parent_ring, [
-            [project_to_base(ext_ring, e) for e in row] for row in mat.rows])
-
-    module = cls.complex.module
-    down_module = FramedModule(parent_ring, project_matrix(module.Phi),
-                               project_matrix(module.Gam))
-    down_rep = descend_cochain(ext_ring, cls.rep)
-    out = Cup2Class(down_rep, HerrComplex(down_module, "framed"),
-                    cls.data, cls.level,
-                    cohomology_type_asserted=cohomology_type_asserted)
     return out

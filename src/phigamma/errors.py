@@ -65,14 +65,6 @@ class DescentEqFails(PhigammaError):
     pass
 
 
-class ActionMismatch(PhigammaError):
-    pass
-
-
-class WrongGalComponent(PhigammaError):
-    pass
-
-
 class NotACocycle(PhigammaError):
     pass
 

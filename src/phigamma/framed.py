@@ -1,10 +1,8 @@
 """Framed modules over a period ring: an invertible matrix pair
 (Phi, Gam) for the phi- and gamma-actions in a chosen basis, with the
 commutation identity Phi*phi(Gam) = Gam*gamma(Phi) as the validity
-criterion.  Also: change of basis, semilinear composition, topological
-nilpotency certificates, Galois descent data, cochains with their
-restriction to and averaging down from a tame extension, and
-semidirect-product (L-group) bookkeeping.
+criterion.  Also: change of basis, Galois descent data, and cochains
+with their restriction to and averaging down from a tame extension.
 
 Conventions.  A phi-semilinear map acts on column coordinates by
 x -> Phi*phi(x) and a gamma-semilinear one by x -> Gam*gamma(x); the
@@ -13,11 +11,11 @@ other order Phi*phi(Gam), so order-independence of the composite is
 exactly the commutation identity.
 """
 
-from .errors import (ActionMismatch, AveragingUnavailable, CocycleFails,
-                     CommutationFails, DescentEqFails, WrongGalComponent)
+from .errors import (AveragingUnavailable, CocycleFails, CommutationFails,
+                     DescentEqFails)
 from .matrices import SeriesMatrix
 from .period import project_to_base
-from .verdicts import fails, holds, inconclusive
+from .verdicts import fails, holds
 
 
 def commutation_residual(ring, Phi, Gam):
@@ -62,13 +60,6 @@ class FramedModule:
                     raise CommutationFails("matrix leaves the subgroup pattern")
         return self
 
-    def to_json(self):
-        out = {"ring": self.ring.to_json(), "Phi": self.Phi.to_json(),
-               "Gam": self.Gam.to_json()}
-        if self.pattern is not None:
-            out["pattern"] = sorted(self.pattern)
-        return out
-
     def __repr__(self):
         return f"FramedModule(n={self.n} over {self.ring!r})"
 
@@ -83,50 +74,6 @@ def change_basis(M, h):
     Phi = h * M.Phi * h_inv.apply_phi()
     Gam = h * M.Gam * h_inv.apply_gamma()
     return FramedModule(M.ring, Phi, Gam, M.pattern)
-
-
-def compose_semilinear(ring, F, G, order="phi-then-gamma"):
-    """Matrix of the composite of the phi-map F and the gamma-map G.
-
-    phi-then-gamma applies F first: the composite is G*gamma(F);
-    gamma-then-phi gives F*phi(G).  The two agree exactly when (F, G)
-    is a valid framed pair.
-    """
-    if order == "phi-then-gamma":
-        return G * F.apply_gamma()
-    if order == "gamma-then-phi":
-        return F * G.apply_phi()
-    raise ValueError(f"unknown order {order!r}")
-
-
-def check_topologically_nilpotent(M, max_k=8, slack=None):
-    """Certify that z -> Gam*gamma(z) - z shrinks the standard cochains.
-
-    Iterates the map on the n constant basis vectors; Found(k) when all
-    iterates vanish within window up to u^(window - slack).  A negative
-    outcome is reported inconclusive, never as a disproof.
-    """
-    ring = M.ring
-    if slack is None:
-        slack = max(2, ring.window // 4)
-    cutoff = ring.window - slack
-
-    def small(vec):
-        return all(e.is_zero() or e.lo >= cutoff
-                   for row in vec.rows for e in row)
-
-    vecs = [SeriesMatrix(ring, [[ring.one() if i == j else ring.zero()]
-                                for i in range(M.n)])
-            for j in range(M.n)]
-    for k in range(1, max_k + 1):
-        vecs = [M.Gam * v.apply_gamma() - v for v in vecs]
-        if all(small(v) for v in vecs):
-            return holds("topologically-nilpotent",
-                         f"(gamma-1)^{k} sinks below u^{cutoff}",
-                         window=ring.window, k=k)
-    return inconclusive("topologically-nilpotent",
-                        f"not certified within {max_k} iterations",
-                        window=ring.window)
 
 
 # -- Galois descent ---------------------------------------------------------
@@ -149,9 +96,6 @@ class DescentDatum:
 
     def matrix(self, label):
         return self.maps[label]
-
-    def to_json(self):
-        return {label: m.to_json() for label, m in self.maps.items()}
 
 
 def _gal_apply(ring, word, mat):
@@ -277,60 +221,3 @@ def descend_cochain(ext_ring, cochain):
                                     for e in row] for row in part.rows])
         for part in cochain.parts)
     return Cochain(cochain.degree, parts)
-
-
-# -- L-group (semidirect product) bookkeeping --------------------------------
-
-
-class GHatAction:
-    """A declared action of the Galois group on the matrix group:
-    conjugation by a constant matrix composed with the ring action."""
-
-    def __init__(self, ring, conjugators=None):
-        self.ring = ring
-        self.conjugators = conjugators or {}
-
-    def apply(self, word, mat):
-        out = mat.apply_galois(word)
-        c = self.conjugators.get(tuple(word))
-        if c is not None:
-            out = c * out * c.inv()
-        return out
-
-    def word_mul(self, w1, w2):
-        gens = self.ring.galois.generators
-        return tuple((a + b) % g.order for a, b, g in zip(w1, w2, gens))
-
-    def identity_word(self):
-        return tuple(0 for _ in self.ring.galois.generators)
-
-
-class LGroupElem:
-    def __init__(self, mat, gal, action):
-        self.mat = mat
-        self.gal = tuple(gal)
-        self.action = action
-
-    def __repr__(self):
-        return f"LGroupElem(gal={self.gal})"
-
-
-def lgroup_mul(x, y):
-    """(g1, s1)(g2, s2) = (g1 * a_{s1}(g2), s1*s2)."""
-    if x.action is not y.action:
-        raise ActionMismatch("elements declared over different actions")
-    mat = x.mat * x.action.apply(x.gal, y.mat)
-    return LGroupElem(mat, x.action.word_mul(x.gal, y.gal), x.action)
-
-
-def check_lparameter_shape(phi_elem, gam_elem, expected_phi_gal,
-                           expected_gamma_gal):
-    """The Galois components of [phi] and [gamma] must equal the
-    prescribed images."""
-    if phi_elem.gal != tuple(expected_phi_gal):
-        raise WrongGalComponent(
-            f"phi carries {phi_elem.gal}, expected {tuple(expected_phi_gal)}")
-    if gam_elem.gal != tuple(expected_gamma_gal):
-        raise WrongGalComponent(
-            f"gamma carries {gam_elem.gal}, expected {tuple(expected_gamma_gal)}")
-    return holds("lparameter-shape", "Galois components match the prescription")

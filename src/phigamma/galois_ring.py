@@ -77,22 +77,6 @@ def _poly_irreducible_p(m, p):
     return True
 
 
-def _eval_poly(ring, poly, x):
-    """Horner value at x of the integer polynomial poly (constant first)."""
-    acc = ring.zero
-    for c in reversed(poly):
-        acc = ring.add(ring.mul(acc, x), ring.from_int(c))
-    return acc
-
-
-def _eval_poly_deriv(ring, poly, x):
-    """Horner value at x of the derivative of poly."""
-    acc = ring.zero
-    for i in range(len(poly) - 1, 0, -1):
-        acc = ring.add(ring.mul(acc, x), ring.smul(i, ring.from_int(poly[i])))
-    return acc
-
-
 def _first_irreducible(p, f):
     for tail in itertools.product(range(p), repeat=f):
         # tail is (c_0, ..., c_{f-1}) in lexicographic order
@@ -263,12 +247,8 @@ class CoeffRing:
         if f == 1:
             self._frob_cols = [self.one]
             return self._frob_cols
-        r = self.pow(self.gen(), self.p)
-        # Newton refinement: r <- r - m(r)/m'(r)
-        for _ in range(max(1, (self.a - 1).bit_length()) + 1):
-            mr = _eval_poly(self, self.modulus, r)
-            dmr = _eval_poly_deriv(self, self.modulus, r)
-            r = self.sub(r, self.mul(mr, self.inv(dmr)))
+        r = hensel_root(self, [self.from_int(c) for c in self.modulus],
+                        self.pow(self.gen(), self.p))
         cols = [self.one]
         acc = self.one
         for _ in range(1, f):
@@ -292,11 +272,6 @@ class CoeffRing:
         return c
 
     # -- enumeration and serialization -------------------------------------
-
-    def elements(self):
-        """Iterate over all q^f elements (small rings only)."""
-        for coords in itertools.product(range(self.q), repeat=self.f):
-            yield coords
 
     def residue_units(self):
         """One unit representative per nonzero residue class (mod p)."""
@@ -335,3 +310,48 @@ class CoeffRing:
 def make_ring(p, a, f=1):
     """Construct GR(p^a, f) with the deterministic modulus choice."""
     return CoeffRing(p, a, f)
+
+
+# -- roots of polynomials ---------------------------------------------------
+#
+# A polynomial P is the list of its coefficients, elements of the ring,
+# constant first.
+
+
+def hensel_root(ring, coeffs, z):
+    """The unique root of P congruent to z mod p.
+
+    Needs P(z) = 0 mod p and P'(z) a unit.  Then P has exactly one root
+    r = z mod p, and a Newton step z <- z - P(z)/P'(z) on z = r mod p^k
+    gives z = r mod p^(2k), so max(1, ceil(log2 a)) steps reach r in
+    GR(p^a, f).  A step at r itself changes nothing, since P(r) = 0, so
+    any larger number of steps returns the same tuple.
+
+    Every caller meets the condition on P'(z).  The Frobenius lift and
+    the coefficient embedding of a tame extension take a root of a
+    modulus, which is separable mod p.  The e-th roots of a unit and of
+    1 that a tame extension takes are roots of X^e - c with e | p^f - 1,
+    so P'(z) = e z^(e-1) is a unit."""
+    for _ in range(max(1, (ring.a - 1).bit_length())):
+        # Horner's rule for v = P(z) and d = P'(z) in one pass
+        v = d = ring.zero
+        for c in reversed(coeffs):
+            d = ring.add(ring.mul(d, z), v)
+            v = ring.add(ring.mul(v, z), c)
+        z = ring.sub(z, ring.mul(v, ring.inv(d)))
+    return z
+
+
+def residue_root(ring, coeffs):
+    """The first element of `residue_units()` that is a root of P mod p,
+    or None when P has no nonzero root mod p.  Zero is no root of the
+    polynomials the package takes roots of (an irreducible modulus of
+    degree f > 1, or X^e - c with c a unit), so leaving it out loses
+    none."""
+    for z in ring.residue_units():
+        v = ring.zero
+        for c in reversed(coeffs):
+            v = ring.add(ring.mul(v, z), c)
+        if ring.is_nilpotent(v):
+            return z
+    return None

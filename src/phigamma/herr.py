@@ -77,15 +77,6 @@ class HerrComplex:
     def n_parts(self, degree):
         return {0: 1, 1: 2, 2: 1}[degree]
 
-    def zero_cochain(self, degree, hi=None):
-        r, c = self.part_shape()
-        return Cochain(degree, tuple(
-            SeriesMatrix.zero(self.ring, r, c, hi)
-            for _ in range(self.n_parts(degree))))
-
-    def cochain(self, degree, *parts):
-        return Cochain(degree, tuple(parts))
-
     # -- differentials ----------------------------------------------------------
 
     def _act_phi(self, z):
@@ -551,63 +542,36 @@ def _unit_vectors(f):
 # -- extensions by the trivial rank-1 module ----------------------------------
 
 
+def _ext_blocks(complex_, xy):
+    """X = [[Phi, Phi*x],[0,1]] and Y = [[Gam, Gam*y],[0,1]] for the
+    pair xy = (x, y) of columns."""
+    x, y = xy.parts if isinstance(xy, Cochain) else xy
+    M, ring, n = complex_.module, complex_.ring, complex_.n
+    blocks = []
+    for L, v in ((M.Phi, M.Phi * x), (M.Gam, M.Gam * y)):
+        rows = [list(L.rows[i]) + [v.entry(i, 0)] for i in range(n)]
+        rows.append([ring.zero()] * n + [ring.one()])
+        blocks.append(SeriesMatrix(ring, rows))
+    return tuple(blocks)
+
+
 def ext_from_cocycle(complex_, xy):
-    """Block matrices X = [[Phi, Phi*x],[0,1]], Y = [[Gam, Gam*y],[0,1]]."""
+    """The blocks X, Y of the extension of the trivial rank-1 module by
+    the framed 1-cocycle xy (see `_ext_blocks`)."""
     if complex_.kind != "framed":
         raise ValueError("extensions live over the framed complex")
-    C = complex_
-    check = C.is_cocycle(xy if isinstance(xy, Cochain) else Cochain(1, tuple(xy)))
+    check = complex_.is_cocycle(
+        xy if isinstance(xy, Cochain) else Cochain(1, tuple(xy)))
     if check.status != "holds":
         raise NotACocycle("the pair (x, y) is not a framed 1-cocycle")
-    x, y = xy.parts if isinstance(xy, Cochain) else xy
-    M = C.module
-    ring = C.ring
-    n = C.n
-    px, py = M.Phi * x, M.Gam * y
-    rows = []
-    for i in range(n):
-        rows.append(list(M.Phi.rows[i]) + [px.entry(i, 0)])
-    rows.append([ring.zero()] * n + [ring.one()])
-    X = SeriesMatrix(ring, rows)
-    rows = []
-    for i in range(n):
-        rows.append(list(M.Gam.rows[i]) + [py.entry(i, 0)])
-    rows.append([ring.zero()] * n + [ring.one()])
-    Y = SeriesMatrix(ring, rows)
-    return X, Y
+    return _ext_blocks(complex_, xy)
 
 
 def ext_residual(complex_, xy):
     """X*phi(Y) - Y*gamma(X) for the blocks built from any (x, y); its
     top-right column equals -Phi*phi(Gam)*d1(x, y)."""
-    x, y = xy.parts if isinstance(xy, Cochain) else xy
-    M = complex_.module
-    ring = complex_.ring
-    n = complex_.n
-    px, py = M.Phi * x, M.Gam * y
-    rows = [list(M.Phi.rows[i]) + [px.entry(i, 0)] for i in range(n)]
-    rows.append([ring.zero()] * n + [ring.one()])
-    X = SeriesMatrix(ring, rows)
-    rows = [list(M.Gam.rows[i]) + [py.entry(i, 0)] for i in range(n)]
-    rows.append([ring.zero()] * n + [ring.one()])
-    Y = SeriesMatrix(ring, rows)
+    X, Y = _ext_blocks(complex_, xy)
     return X * Y.apply_phi() - Y * X.apply_gamma()
-
-
-def ext_is_split(complex_, xy, depth=4):
-    """Split iff (x, y) is a coboundary; the conjugator is the unipotent
-    block matrix built from the witness."""
-    res = complex_.try_coboundary(
-        xy if isinstance(xy, Cochain) else Cochain(1, tuple(xy)), depth)
-    if not res.found:
-        return res
-    z = res.witness.parts[0]
-    ring = complex_.ring
-    n = complex_.n
-    rows = [[ring.one() if i == j else ring.zero() for j in range(n)] +
-            [z.entry(i, 0)] for i in range(n)]
-    rows.append([ring.zero()] * n + [ring.one()])
-    return CoboundaryResult(True, witness=SeriesMatrix(ring, rows))
 
 
 # -- dual numbers -------------------------------------------------------------

@@ -209,9 +209,6 @@ class LaurentSeries:
             return True
         return self.lo >= -m
 
-    def in_power_series(self):
-        return self.in_lattice(0)
-
     def agrees(self, other):
         """Coefficient-wise equality on the common window."""
         hi = min(self.hi, other.hi)

@@ -161,11 +161,3 @@ def length_of_row_space(A, p, a):
     """Length of the row space of A as a Z/p^a-module."""
     _, pivots = reduce_mod_prime_power(A, p, a)
     return sum(a - v for _, _, v in pivots)
-
-
-def kernel_length(A, p, a):
-    """Length of the kernel of A acting on (Z/p^a)^cols."""
-    cols = len(A[0]) if len(A) else 0
-    if cols == 0:
-        return 0
-    return a * cols - length_of_row_space(list(zip(*A)), p, a)

@@ -17,7 +17,7 @@ inconsistent data.
 
 from .errors import (CommutationFails, InsufficientWindow, NoRootOfUnity,
                      NotAUnit, NotGaloisCompatible, NotPrincipalForm)
-from .galois_ring import _eval_poly, _eval_poly_deriv, make_ring
+from .galois_ring import hensel_root, make_ring, residue_root
 from .laurent import LaurentSeries, _power, compose, eth_root_one_unit
 from .verdicts import HOLDS, fails, holds, inconclusive
 
@@ -103,12 +103,6 @@ class GaloisGroup:
         w = [0] * len(self.generators)
         w[index] = power
         return tuple(w)
-
-    def by_label(self, label):
-        for i, g in enumerate(self.generators):
-            if g.label == label:
-                return i, g
-        raise KeyError(label)
 
 
 class PeriodRing:
@@ -214,14 +208,6 @@ def one_plus_var_pow(base, c, window):
     return acc - LaurentSeries.constant(base, 1, window)
 
 
-def gamma_power(ring, c):
-    """Operator with image (1+T)^c - 1 on ring's variable."""
-    if c < 1:
-        raise ValueError("gamma exponent must be a positive integer")
-    image = one_plus_var_pow(ring.base, c, ring.window)
-    return OperatorDesc("gamma", image, 0, label=f"gamma[{c}]")
-
-
 def standard_cyclotomic(p, a, f=1, window=32, c=None, coeff_frob_power=None):
     """The cyclotomic period ring presentation in the variable T."""
     base = make_ring(p, a, f)
@@ -281,13 +267,7 @@ def _residue_field_root_of_unity(ring, e):
             break
     if target is None:
         raise NoRootOfUnity(f"no order-{e} element found in the residue field")
-    # Newton-lift a root of X^e - 1 from the residue approximation
-    z = target
-    for _ in range(max(1, (ring.a - 1).bit_length()) + 1):
-        num = ring.sub(ring.pow(z, e), ring.one)
-        den = ring.smul(e, ring.pow(z, e - 1))
-        z = ring.sub(z, ring.mul(num, ring.inv(den)))
-    return z
+    return hensel_root(ring, _x_pow_minus(ring, e, ring.one), target)
 
 
 def _embedding(base_ring, ext_ring):
@@ -300,22 +280,11 @@ def _embedding(base_ring, ext_ring):
         def embed(c):
             return ext_ring.from_int(c[0])
         return embed
-    p = base_ring.p
-    root_bar = None
-    for cand in ext_ring.elements():
-        if any(v >= p for v in cand):
-            continue
-        val = _eval_poly(ext_ring, base_ring.modulus, cand)
-        if all(v % p == 0 for v in val):
-            root_bar = cand
-            break
-    if root_bar is None:
+    modulus = [ext_ring.from_int(c) for c in base_ring.modulus]
+    r = residue_root(ext_ring, modulus)
+    if r is None:
         raise NoRootOfUnity("base modulus has no root in the extension")
-    r = root_bar
-    for _ in range(max(1, (base_ring.a - 1).bit_length()) + 1):
-        num = _eval_poly(ext_ring, base_ring.modulus, r)
-        den = _eval_poly_deriv(ext_ring, base_ring.modulus, r)
-        r = ext_ring.sub(r, ext_ring.mul(num, ext_ring.inv(den)))
+    r = hensel_root(ext_ring, modulus, r)
     powers = [ext_ring.one]
     for _ in range(1, base_ring.f):
         powers.append(ext_ring.mul(powers[-1], r))
@@ -408,24 +377,16 @@ def tame_extension(base_ring, e, f_ext=1):
 
 def _eth_root_of_constant(ring, c0, e):
     """Some e-th root of a unit constant in GR(p^a, f), if one exists."""
-    p = ring.p
-    cbar = tuple(v % p for v in c0)
-    zbar = None
-    for cand in ring.residue_units():
-        z = ring.one
-        for _ in range(e):
-            z = tuple(v % p for v in ring.mul(z, cand))
-        if z == cbar:
-            zbar = cand
-            break
-    if zbar is None:
+    poly = _x_pow_minus(ring, e, c0)
+    z = residue_root(ring, poly)
+    if z is None:
         raise NotPrincipalForm("constant term is not an e-th power")
-    z = zbar
-    for _ in range(max(1, (ring.a - 1).bit_length()) + 2):
-        num = ring.sub(ring.pow(z, e), c0)
-        den = ring.smul(e, ring.pow(z, e - 1))
-        z = ring.sub(z, ring.mul(num, ring.inv(den)))
-    return z
+    return hensel_root(ring, poly, z)
+
+
+def _x_pow_minus(ring, e, c):
+    """The coefficients of X^e - c, constant first."""
+    return [ring.neg(c)] + [ring.zero] * (e - 1) + [ring.one]
 
 
 def project_to_base(ring, x):

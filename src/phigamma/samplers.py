@@ -40,6 +40,23 @@ def rand_vec(rng, ring, n=2, lo=-2, spread=8):
                       for _ in range(3)})] for _ in range(n)])
 
 
+def rand_lift(rng, M, cells):
+    """The pair (Phi, Gam) of the framed module M, each with a random
+    series of up to three terms of degree in [0, 8) drawn at every listed
+    cell (r, c), in order, Phi's cells first: the lifts of a Borel module
+    that `cup` draws."""
+    ring = M.ring
+    q = ring.base.q
+    out = []
+    for L in (M.Phi, M.Gam):
+        rows = [list(row) for row in L.rows]
+        for r, c in cells:
+            rows[r][c] = ring.series({rng.randrange(0, 8): rng.randrange(q)
+                                      for _ in range(3)})
+        out.append(SeriesMatrix(ring, rows))
+    return tuple(out)
+
+
 def diag_const(ring, vals):
     """The diagonal matrix of the integer constants vals."""
     n = len(vals)

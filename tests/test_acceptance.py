@@ -26,9 +26,10 @@ from phigamma.laurent import LaurentSeries, compose, eth_root_one_unit
 from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
                                solve_h, twisted_conj)
 from phigamma.period import (check_height_theory, check_local_contraction,
-                             gamma_power, make_custom_ring,
+                             make_custom_ring, one_plus_var_pow,
                              standard_cyclotomic, tame_extension)
-from phigamma.samplers import diag_const, rand_module, rand_uni, rand_vec
+from phigamma.samplers import (diag_const, rand_lift, rand_module, rand_uni,
+                               rand_vec)
 from phigamma.verdicts import FAILS, HOLDS
 
 HOLD, FAIL, INC = "holds", "fails", "inconclusive"
@@ -321,10 +322,9 @@ def test_criterion_6_dual_lifts():
 
 # -- criterion 7: cup-product layer on Borel instances --------------------------
 
-def _rand_cup_series(rng, ring):
-    q = ring.base.q
-    return ring.series({rng.randrange(0, 8): rng.randrange(q)
-                        for _ in range(3)})
+# the upper cells of a lift of a Borel module one step up the series
+CELLS2 = ((0, 1),)
+CELLS3 = ((0, 1), (1, 2))
 
 
 def _borel2(ring, D2):
@@ -333,27 +333,10 @@ def _borel2(ring, D2):
                        pattern=D2.quotient_pattern(1))
 
 
-def _borel2_lift(rng, ring, M):
-    def one(L):
-        rows = [[L.entry(i, j) for j in range(2)] for i in range(2)]
-        rows[0][1] = _rand_cup_series(rng, ring)
-        return SeriesMatrix(ring, rows)
-    return one(M.Phi), one(M.Gam)
-
-
 def _borel3(ring, D3):
     return make_framed(ring, diag_const(ring, (2, 1, 2)),
                        diag_const(ring, (1, 2, 1)),
                        pattern=D3.quotient_pattern(2))
-
-
-def _borel3_lift(rng, ring, M):
-    def one(L):
-        rows = [[L.entry(i, j) for j in range(3)] for i in range(3)]
-        rows[0][1] = _rand_cup_series(rng, ring)
-        rows[1][2] = _rand_cup_series(rng, ring)
-        return SeriesMatrix(ring, rows)
-    return one(M.Phi), one(M.Gam)
 
 
 def crit_cup(s):
@@ -369,10 +352,10 @@ def crit_cup(s):
     for i in range(100):
         rng = random.Random(17000 + i)
         if i % 2 == 0:
-            a, b = _borel2_lift(rng, ring, M2)
+            a, b = rand_lift(rng, M2, CELLS2)
             I = I2
         else:
-            a, b = _borel3_lift(rng, ring, M3)
+            a, b = rand_lift(rng, M3, CELLS3)
             I = I3
         lam = lambda_map(ring, a, b)
         pred = I + a.apply_gamma().inv() * b.inv() * \
@@ -396,21 +379,21 @@ def crit_cup(s):
     for i in range(100):
         rng = random.Random(17500 + i)
         if i % 2 == 0:
-            v = check_mu_well_defined(D2, 1, M2, _borel2_lift(rng, ring, M2),
-                                      _borel2_lift(rng, ring, M2))
+            v = check_mu_well_defined(D2, 1, M2, rand_lift(rng, M2, CELLS2),
+                                      rand_lift(rng, M2, CELLS2))
         else:
-            v = check_mu_well_defined(D3, 2, M3, _borel3_lift(rng, ring, M3),
-                                      _borel3_lift(rng, ring, M3))
+            v = check_mu_well_defined(D3, 2, M3, rand_lift(rng, M3, CELLS3),
+                                      rand_lift(rng, M3, CELLS3))
         statuses[f"mu-wd-{i}"] = (HOLD if v.status == HOLDS else
                                   (FAIL if v.status == FAILS else INC))
     for i in range(100):
         rng = random.Random(18500 + i)
         if i % 2 == 0:
             data, lvl, M = D2, 1, M2
-            P, G = _borel2_lift(rng, ring, M2)
+            P, G = rand_lift(rng, M2, CELLS2)
         else:
             data, lvl, M = D3, 2, M3
-            P, G = _borel3_lift(rng, ring, M3)
+            P, G = rand_lift(rng, M3, CELLS3)
         cls = mu(data, lvl, M, P, G)
         res = cls.complex.try_coboundary(cls.rep)
         if not res.found:
@@ -540,15 +523,16 @@ def crit_oracles(s):
     r = standard_cyclotomic(3, 2, window=W)
     sq = r.series({0: 1, 1: 1})
     for k in range(11):
-        img = gamma_power(r, 2 ** k).image
+        img = one_plus_var_pow(r.base, 2 ** k, W)
         oracle = (sq - LaurentSeries.constant(r.base, 1, sq.hi)).truncate(img.hi)
         statuses[f"gammapow-2^{k}"] = mark(img.agrees(oracle))
         sq = sq * sq
     for i in range(10):
         rng = random.Random(20500 + i)
         c1, c2 = rng.randrange(2, 32), rng.randrange(2, 32)
-        lhs = compose(gamma_power(r, c1).image, gamma_power(r, c2).image)
-        g12 = gamma_power(r, c1 * c2).image
+        lhs = compose(one_plus_var_pow(r.base, c1, W),
+                      one_plus_var_pow(r.base, c2, W))
+        g12 = one_plus_var_pow(r.base, c1 * c2, W)
         t = min(lhs.hi, g12.hi)
         statuses[f"gammamul-{i}"] = mark(
             lhs.truncate(t).agrees(g12.truncate(t)))

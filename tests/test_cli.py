@@ -397,15 +397,25 @@ class TestShortfallNotFailure:
 
 
 # sha256 of the canonical --json bytes of every task, seed 0, count 1, on
-# two rings.  A speed change must leave every witness, window and verdict
-# as it is, so these hashes stay; a change that alters a report on
-# purpose says so and updates them.
+# two rings, and of ring-info on rings whose construction takes every
+# root that galois_ring.hensel_root lifts: the Frobenius lift, the
+# embedding of an f = 2 base, e-th roots of unity up to e = 8 and the
+# e-th root of gamma's constant term.  A speed change must leave every
+# witness, window and verdict as it is, so these hashes stay; a change
+# that alters a report on purpose says so and updates them.
+def _cyc(p, a, f, window):
+    return {"kind": "cyclotomic", "p": p, "a": a, "f": f, "window": window}
+
+
 GOLDEN_RINGS = {
-    "cyclotomic-p3-w24": {"kind": "cyclotomic", "p": 3, "a": 2, "f": 1,
-                          "window": 24},
-    "tame-e2-p3-w16": {"kind": "tame", "e": 2,
-                       "base": {"kind": "cyclotomic", "p": 3, "a": 2,
-                                "f": 1, "window": 16}},
+    "cyclotomic-p3-w24": _cyc(3, 2, 1, 24),
+    "tame-e2-p3-w16": {"kind": "tame", "e": 2, "base": _cyc(3, 2, 1, 16)},
+    "cyclotomic-p2-a3-f2-w16": _cyc(2, 3, 2, 16),
+    "tame-e4-p5-w16": {"kind": "tame", "e": 4, "base": _cyc(5, 2, 1, 16)},
+    "tame-e2-fext2-p3-w12": {"kind": "tame", "e": 2, "f_ext": 2,
+                             "base": _cyc(3, 2, 1, 12)},
+    "tame-e2-p3-f2-w12": {"kind": "tame", "e": 2, "base": _cyc(3, 2, 2, 12)},
+    "tame-e8-p3-f2-w8": {"kind": "tame", "e": 8, "base": _cyc(3, 2, 2, 8)},
 }
 GOLDEN = {
     ("cyclotomic-p3-w24", "ring-info"):
@@ -440,6 +450,16 @@ GOLDEN = {
         "483486be5ee97e6e1b5ef77f2e16442c30ce3bd1f556f14cb9a3cc74c715f2a4",
     ("tame-e2-p3-w16", "suite"):
         "173387cc0e79e7a422e05acc567ca25911644d41035c62aa014b3fd5b11e7cc7",
+    ("cyclotomic-p2-a3-f2-w16", "ring-info"):
+        "31d1f0696a4f05fb0593d3e97e2573b3ea49d41d1d858b26aa4fca42065f1ff2",
+    ("tame-e4-p5-w16", "ring-info"):
+        "3eeb550eeda574fa9404339fd26a8c6def282b2f65b87fcedc197704e4b36f1e",
+    ("tame-e2-fext2-p3-w12", "ring-info"):
+        "3f0e99f1f31871eb90ca5b4c24b37f9a02f80037928a1295cbd8c5544107b733",
+    ("tame-e2-p3-f2-w12", "ring-info"):
+        "11ec9a0c7eb70120627fd418afe998300040d3bb0b36aafe3b246296e9893412",
+    ("tame-e8-p3-f2-w8", "ring-info"):
+        "320f2b27e5136d3349a92aabf219a6a7157dfaa3474402547248ed383c15744d",
 }
 
 

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.cup import (Cup2Class, ParabolicData, check_mu_well_defined,
-                          descend_cup, lambda_map, lift_step, mu,
+from phigamma.cup import (check_mu_well_defined, lambda_map, lift_step, mu,
                           parabolic_data)
 from phigamma.errors import (BadComposition, BadWitness, InsufficientWindow,
-                             LeviNotCommuting, NotALift, NotCentralValued,
-                             NotGaloisCompatible)
+                             LeviNotCommuting, NotALift, NotCentralValued)
 from phigamma.framed import (Cochain, FramedModule, commutation_residual,
                              make_framed)
 from phigamma.herr import HerrComplex, ext_residual
 from phigamma.matrices import SeriesMatrix
-from phigamma.period import standard_cyclotomic, tame_extension
+from phigamma.period import standard_cyclotomic
+from phigamma.samplers import diag_const, rand_lift, rand_vec
 from phigamma.verdicts import HOLDS, INCONCLUSIVE
 
 seeds = st.integers(0, 10**9)
@@ -25,19 +24,6 @@ seeds = st.integers(0, 10**9)
 R = standard_cyclotomic(3, 1, window=40)
 D2 = parabolic_data(2, (1, 1))
 D3 = parabolic_data(3, (1, 1, 1))
-
-
-def diag_const(ring, vals):
-    n = len(vals)
-    return SeriesMatrix(ring, [
-        [ring.constant(vals[i]) if i == j else ring.zero()
-         for j in range(n)] for i in range(n)])
-
-
-def rand_series(rng, ring=R, spread=8):
-    q = ring.base.q
-    return ring.series({rng.randrange(0, spread): rng.randrange(q)
-                        for _ in range(3)})
 
 
 PHI_L3 = diag_const(R, (2, 1, 2))
@@ -49,43 +35,32 @@ def borel2_module():
                        pattern=D2.quotient_pattern(1))
 
 
-def borel2_lift(rng, M):
-    def one(L):
-        rows = [[L.entry(i, j) for j in range(2)] for i in range(2)]
-        rows[0][1] = rand_series(rng)
-        return SeriesMatrix(R, rows)
-    return one(M.Phi), one(M.Gam)
-
-
 def borel3_module():
     return make_framed(R, PHI_L3, GAM_L3, pattern=D3.quotient_pattern(2))
 
 
-def borel3_lift2(rng):
-    def one(L):
-        rows = [[L.entry(i, j) for j in range(3)] for i in range(3)]
-        rows[0][1] = rand_series(rng)
-        rows[1][2] = rand_series(rng)
-        return SeriesMatrix(R, rows)
-    return one(PHI_L3), one(GAM_L3)
+# the upper cells of a lift of a Borel module one step up the series
+CELLS2 = ((0, 1),)
+CELLS3 = ((0, 1), (1, 2))
+M3 = borel3_module()
 
 
 class TestParabolicData:
     def test_borel_gl2(self):
-        assert D2.n_levels() == 1
+        assert D2.k == 2
         assert sorted(D2.u_mask(1)) == [(0, 1)]
         assert sorted(D2.central_mask(1)) == [(0, 1)]
         assert D2.u_mask(0) == frozenset()
 
     def test_borel_gl3(self):
-        assert D3.n_levels() == 2
+        assert D3.k == 3
         assert sorted(D3.u_mask(1)) == [(0, 2)]  # the center line
         assert sorted(D3.central_mask(2)) == [(0, 1), (1, 2)]
         assert D3.u_mask(1) < D3.u_mask(2)
 
     def test_abelian_radical(self):
         d = parabolic_data(3, (2, 1))
-        assert d.n_levels() == 1
+        assert d.k == 2
         assert sorted(d.u_mask(1)) == [(0, 2), (1, 2)]
 
     def test_bad_compositions(self):
@@ -125,7 +100,7 @@ class TestLambda:
     def test_lambda_is_one_plus_scaled_residual(self, seed):
         # lambda(a, b) = 1 + gamma(a)^-1 b^-1 (a phi(b) - b gamma(a))
         rng = random.Random(seed)
-        a, b = borel3_lift2(rng)
+        a, b = rand_lift(rng, M3, CELLS3)
         lam = lambda_map(R, a, b)
         resid = commutation_residual(R, a, b)
         pred = (SeriesMatrix.identity(R, 3) +
@@ -142,16 +117,10 @@ class TestLambda:
         #          ad_{phi(b_l)^-1}(a_u) phi(b_u)
         rng = random.Random(seed)
 
-        def rand_full(L):
-            rows = [[L.entry(i, j) for j in range(3)] for i in range(3)]
-            for (r, c) in ((0, 1), (1, 2), (0, 2)):
-                rows[r][c] = rand_series(rng)
-            return SeriesMatrix(R, rows)
-
         def ad(g, x):
             return D3.qmul(0, D3.qmul(0, g, x), D3.qinv(0, g))
 
-        a, b = rand_full(PHI_L3), rand_full(GAM_L3)
+        a, b = rand_lift(rng, M3, ((0, 1), (1, 2), (0, 2)))
         a_u = D3.qmul(0, PHI_L3.inv(), a)
         b_u = D3.qmul(0, GAM_L3.inv(), b)
         lam = lambda_map(R, a, b, D3, 0)
@@ -178,7 +147,7 @@ class TestMu:
         # extension residual for the same unipotent coordinates
         rng = random.Random(seed)
         M = borel2_module()
-        P, G = borel2_lift(rng, M)
+        P, G = rand_lift(rng, M, CELLS2)
         cls = mu(D2, 1, M, P, G)
         Phi0, Gam0 = M.Phi.entry(0, 0), M.Gam.entry(0, 0)
         M0 = make_framed(R, SeriesMatrix(R, [[Phi0]]),
@@ -196,11 +165,10 @@ class TestMu:
     def test_central_perturbation_shifts_by_d1(self, seed):
         rng = random.Random(seed)
         M = borel3_module()
-        P, G = borel3_lift2(rng)
+        P, G = rand_lift(rng, M, CELLS3)
         cls = mu(D3, 2, M, P, G)
         C = cls.complex
-        z = SeriesMatrix(R, [[rand_series(rng)], [rand_series(rng)]])
-        zp = SeriesMatrix(R, [[rand_series(rng)], [rand_series(rng)]])
+        z, zp = rand_vec(rng, R, lo=0), rand_vec(rng, R, lo=0)
         I = SeriesMatrix.identity(R, 3)
         P2 = D3.qmul(1, P, I + D3.unvectorize_central(2, z))
         G2 = D3.qmul(1, G, I + D3.unvectorize_central(2, zp))
@@ -217,9 +185,9 @@ class TestMu:
         # own, equal to the complex built from scratch
         rng = random.Random(8)
         M = borel2_module()
-        cls = mu(D2, 1, M, *borel2_lift(rng, M))
-        assert mu(D2, 1, M, *borel2_lift(rng, M)).complex is cls.complex
-        P, G = borel2_lift(rng, M)
+        cls = mu(D2, 1, M, *rand_lift(rng, M, CELLS2))
+        assert mu(D2, 1, M, *rand_lift(rng, M, CELLS2)).complex is cls.complex
+        P, G = rand_lift(rng, M, CELLS2)
         rows = [list(r) for r in P.rows]
         rows[1][1] = R.one(R.window - 3)
         short = mu(D2, 1, M, SeriesMatrix(R, rows), G)
@@ -235,7 +203,7 @@ class TestMu:
     def test_not_a_lift(self):
         rng = random.Random(3)
         M = borel2_module()
-        P, G = borel2_lift(rng, M)
+        P, G = rand_lift(rng, M, CELLS2)
         wrong = P + SeriesMatrix(R, [[R.one(), R.zero()],
                                      [R.zero(), R.zero()]])
         with pytest.raises(NotALift):
@@ -244,7 +212,7 @@ class TestMu:
     def test_pattern_violation_is_not_a_lift(self):
         rng = random.Random(4)
         M = borel2_module()
-        P, G = borel2_lift(rng, M)
+        P, G = rand_lift(rng, M, CELLS2)
         low = SeriesMatrix(R, [[R.zero(), R.zero()],
                                [R.series({1: 1}), R.zero()]])
         with pytest.raises(NotALift):
@@ -267,7 +235,7 @@ class TestMu:
     def test_not_central_valued(self):
         # an invalid level-1 pair: its lambda has entries off the center
         rng = random.Random(5)
-        P1, G1 = borel3_lift2(rng)
+        P1, G1 = rand_lift(rng, M3, CELLS3)
         M1 = FramedModule(R, P1, G1, pattern=D3.quotient_pattern(1),
                           validate=False)
         lam = lambda_map(R, P1, G1, D3, 1)
@@ -281,7 +249,7 @@ class TestWellDefinedAndLift:
     def test_identical_lifts(self):
         rng = random.Random(6)
         M = borel2_module()
-        pair = borel2_lift(rng, M)
+        pair = rand_lift(rng, M, CELLS2)
         v = check_mu_well_defined(D2, 1, M, pair, pair)
         assert v.status == HOLDS
 
@@ -290,8 +258,8 @@ class TestWellDefinedAndLift:
     def test_random_pairs_gl3(self, seed):
         rng = random.Random(seed)
         M = borel3_module()
-        v = check_mu_well_defined(D3, 2, M, borel3_lift2(rng),
-                                  borel3_lift2(rng))
+        v = check_mu_well_defined(D3, 2, M, rand_lift(rng, M, CELLS3),
+                                  rand_lift(rng, M, CELLS3))
         assert v.status in (HOLDS, INCONCLUSIVE)
         assert v.status == HOLDS  # polynomial data at window 40
 
@@ -300,7 +268,7 @@ class TestWellDefinedAndLift:
     def test_lift_step_round_trip(self, seed):
         rng = random.Random(seed)
         M = borel2_module()
-        P, G = borel2_lift(rng, M)
+        P, G = rand_lift(rng, M, CELLS2)
         cls = mu(D2, 1, M, P, G)
         res = cls.complex.try_coboundary(cls.rep)
         assert res.found
@@ -315,18 +283,13 @@ class TestWellDefinedAndLift:
     def test_gl3_two_step_lift(self):
         rng = random.Random(7)
         M = borel3_module()
-        P, G = borel3_lift2(rng)
+        P, G = rand_lift(rng, M, CELLS3)
         cls = mu(D3, 2, M, P, G)
         res = cls.complex.try_coboundary(cls.rep)
         assert res.found
         M1 = lift_step(cls, res.witness)
         assert M1.pattern == D3.quotient_pattern(1)
-
-        def widen(Base):
-            rows = [[Base.entry(i, j) for j in range(3)] for i in range(3)]
-            rows[0][2] = rand_series(rng)
-            return SeriesMatrix(R, rows)
-        cls1 = mu(D3, 1, M1, widen(M1.Phi), widen(M1.Gam))
+        cls1 = mu(D3, 1, M1, *rand_lift(rng, M1, ((0, 2),)))
         res1 = cls1.complex.try_coboundary(cls1.rep)
         assert res1.found
         full = lift_step(cls1, res1.witness)
@@ -336,7 +299,7 @@ class TestWellDefinedAndLift:
     def test_bad_witness(self):
         rng = random.Random(8)
         M = borel2_module()
-        P, G = borel2_lift(rng, M)
+        P, G = rand_lift(rng, M, CELLS2)
         cls = mu(D2, 1, M, P, G)
         bad = Cochain(1, (SeriesMatrix(R, [[R.one()]]),
                           SeriesMatrix.zero(R, 1, 1)))
@@ -350,7 +313,7 @@ class TestWellDefinedAndLift:
         # and one certified below 37 is wrong
         rng = random.Random(8)
         M = borel2_module()
-        cls = mu(D2, 1, M, *borel2_lift(rng, M))
+        cls = mu(D2, 1, M, *rand_lift(rng, M, CELLS2))
         res = cls.complex.try_coboundary(cls.rep)
         assert res.found
         x, y = res.witness.parts
@@ -361,45 +324,3 @@ class TestWellDefinedAndLift:
             lift_step(cls, bumped, 37)
         with pytest.raises(BadWitness):
             lift_step(cls, bumped)
-
-
-BASE = standard_cyclotomic(3, 1, window=16)
-EXT = tame_extension(BASE, 2)
-DE2 = parabolic_data(2, (1, 1))
-
-
-def ext_class(invariant=True):
-    phiL = diag_const(EXT, (2, 1))
-    gamL = diag_const(EXT, (1, 1))
-    M = make_framed(EXT, phiL, gamL, pattern=DE2.quotient_pattern(1))
-    exp = 2 if invariant else 1  # even powers of v are sigma-invariant
-    P = SeriesMatrix(EXT, [[phiL.entry(0, 0), EXT.series({exp: 1})],
-                           [EXT.zero(), phiL.entry(1, 1)]])
-    G = SeriesMatrix(EXT, [[gamL.entry(0, 0), EXT.series({2 * exp: 2})],
-                           [EXT.zero(), gamL.entry(1, 1)]])
-    return mu(DE2, 1, M, P, G)
-
-
-class TestDescent:
-    def test_base_ring_passthrough(self):
-        rng = random.Random(9)
-        M = borel2_module()
-        cls = mu(D2, 1, M, *borel2_lift(rng, M))
-        out = descend_cup(R, cls, cohomology_type_asserted=True)
-        assert out is cls and out.cohomology_type_asserted
-
-    def test_invariant_class_descends(self):
-        cls = ext_class(invariant=True)
-        down = descend_cup(EXT, cls, cohomology_type_asserted=True)
-        assert down.complex.ring is BASE
-        assert down.cohomology_type_asserted
-        assert "cohomology_type_asserted" in down.to_json()
-        # exponents halve under v^2 = T
-        up_terms = dict(cls.rep.parts[0].entry(0, 0).terms())
-        down_terms = dict(down.rep.parts[0].entry(0, 0).terms())
-        assert down_terms == {k // 2: v for k, v in up_terms.items()}
-
-    def test_non_invariant_rejected(self):
-        cls = ext_class(invariant=False)
-        with pytest.raises(NotGaloisCompatible):
-            descend_cup(EXT, cls)

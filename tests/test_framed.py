@@ -1,4 +1,4 @@
-"""Tests for framed modules, descent data, and L-group arithmetic."""
+"""Tests for framed modules and descent data."""
 
 import random
 
@@ -6,33 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.errors import (ActionMismatch, CocycleFails, CommutationFails,
-                             DescentEqFails, WrongGalComponent)
-from phigamma.framed import (DescentDatum, FramedModule, GHatAction,
-                             LGroupElem, change_basis, check_descent,
-                             check_lparameter_shape,
-                             check_topologically_nilpotent,
-                             commutation_residual, compose_semilinear,
-                             descent_datum_after_change_basis, lgroup_mul,
-                             make_framed)
+from phigamma.errors import CocycleFails, CommutationFails, DescentEqFails
+from phigamma.framed import (DescentDatum, change_basis, check_descent,
+                             descent_datum_after_change_basis, make_framed)
 from phigamma.matrices import SeriesMatrix
 from phigamma.period import standard_cyclotomic, tame_extension
-from phigamma.verdicts import HOLDS, INCONCLUSIVE
+from phigamma.samplers import rand_uni
+from phigamma.verdicts import HOLDS
 
 seeds = st.integers(0, 10**9)
 
 RC = standard_cyclotomic(3, 1, window=20)
-
-
-def rand_uni(rng, ring, n, depth=1, spread=4):
-    rows = [[r for r in row] for row in SeriesMatrix.identity(ring, n).rows]
-    q = ring.base.q
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < 0.7:
-                rows[i][j] = rows[i][j] + ring.series(
-                    {depth + rng.randrange(spread): rng.randrange(q)})
-    return SeriesMatrix(ring, rows)
 
 
 class TestValidation:
@@ -87,44 +71,7 @@ class TestChangeBasis:
         assert M3.Gam.truncate(t).agrees(M.Gam.truncate(t))
 
 
-class TestComposeSemilinear:
-    def test_identity_pair(self):
-        I = SeriesMatrix.identity(RC, 2)
-        for order in ("phi-then-gamma", "gamma-then-phi"):
-            assert compose_semilinear(RC, I, I, order).is_identity()
-
-    @settings(max_examples=15, deadline=None)
-    @given(seeds)
-    def test_orders_agree_iff_valid(self, seed):
-        rng = random.Random(seed)
-        I = SeriesMatrix.identity(RC, 2)
-        M = change_basis(make_framed(RC, I, I), rand_uni(rng, RC, 2))
-        c1 = compose_semilinear(RC, M.Phi, M.Gam, "phi-then-gamma")
-        c2 = compose_semilinear(RC, M.Phi, M.Gam, "gamma-then-phi")
-        t = min(c1.hi, c2.hi)
-        assert c1.truncate(t).agrees(c2.truncate(t))
-        # perturb Phi: the difference of orders is the commutation residual
-        pert = M.Phi + SeriesMatrix(RC, [
-            [RC.series({1: 1}), RC.zero()], [RC.zero(), RC.zero()]])
-        d1 = compose_semilinear(RC, pert, M.Gam, "gamma-then-phi")
-        d2 = compose_semilinear(RC, pert, M.Gam, "phi-then-gamma")
-        resid = commutation_residual(RC, pert, M.Gam)
-        t = min(d1.hi, d2.hi, resid.hi)
-        assert (d1 - d2).truncate(t).agrees(resid.truncate(t))
-
-
 class TestNilpotency:
-    def test_trivial_gamma(self):
-        I = SeriesMatrix.identity(RC, 2)
-        v = check_topologically_nilpotent(make_framed(RC, I, I), max_k=10)
-        assert v.status == HOLDS and v.data["k"] == 1
-
-    def test_scalar_two_not_certified(self):
-        M = make_framed(RC, SeriesMatrix(RC, [[RC.one()]]),
-                        SeriesMatrix(RC, [[RC.constant(2)]]))
-        v = check_topologically_nilpotent(M, max_k=6)
-        assert v.status == INCONCLUSIVE
-
     def test_cyclotomic_variable_cochain(self):
         # (gamma-1)(T) = (1+T)^4 - 1 - T gains u-valuation under iteration
         M = make_framed(RC, SeriesMatrix(RC, [[RC.one()]]),
@@ -174,61 +121,3 @@ class TestDescent:
         I = SeriesMatrix.identity(ext2, 2)
         M = make_framed(ext2, I, I)
         assert check_descent(M, DescentDatum.canonical(ext2, 2)).status == HOLDS
-
-
-class TestLGroup:
-    def setup_method(self):
-        self.act = GHatAction(EXT)
-        self.e = self.act.identity_word()
-
-    def test_neutral(self):
-        I = SeriesMatrix.identity(EXT, 1)
-        ident = LGroupElem(I, self.e, self.act)
-        x = LGroupElem(SeriesMatrix(EXT, [[EXT.variable()]]), (1,), self.act)
-        xy = lgroup_mul(ident, x)
-        assert xy.gal == x.gal and (xy.mat - x.mat).is_zero()
-
-    def test_twisted_product(self):
-        # (v, sigma)(v, sigma) = (v * sigma(v), e) = (-v^2, e)
-        x = LGroupElem(SeriesMatrix(EXT, [[EXT.variable()]]), (1,), self.act)
-        sq = lgroup_mul(x, x)
-        assert sq.gal == (0,)
-        assert dict(sq.mat.entry(0, 0).terms()) == {2: (2,)}
-
-    @settings(max_examples=15, deadline=None)
-    @given(seeds)
-    def test_associativity(self, seed):
-        rng = random.Random(seed)
-        def elem():
-            return LGroupElem(rand_uni(rng, EXT, 2),
-                              (rng.randrange(2),), self.act)
-        x, y, z = elem(), elem(), elem()
-        l = lgroup_mul(lgroup_mul(x, y), z)
-        r = lgroup_mul(x, lgroup_mul(y, z))
-        assert l.gal == r.gal
-        t = min(l.mat.hi, r.mat.hi)
-        assert l.mat.truncate(t).agrees(r.mat.truncate(t))
-
-    def test_gal_projection_hom(self):
-        x = LGroupElem(SeriesMatrix.identity(EXT, 1), (1,), self.act)
-        y = LGroupElem(SeriesMatrix.identity(EXT, 1), (1,), self.act)
-        assert lgroup_mul(x, y).gal == (0,)
-
-    def test_action_mismatch(self):
-        other = GHatAction(EXT)
-        x = LGroupElem(SeriesMatrix.identity(EXT, 1), (0,), self.act)
-        y = LGroupElem(SeriesMatrix.identity(EXT, 1), (0,), other)
-        with pytest.raises(ActionMismatch):
-            lgroup_mul(x, y)
-
-    def test_lparameter_shape(self):
-        I = SeriesMatrix.identity(EXT, 1)
-        phi_e = LGroupElem(I, (1,), self.act)
-        gam_e = LGroupElem(I, (0,), self.act)
-        assert check_lparameter_shape(phi_e, gam_e, (1,), (0,)).status == HOLDS
-        with pytest.raises(WrongGalComponent):
-            check_lparameter_shape(phi_e, gam_e, (0,), (0,))
-        # multiplying by a pure matrix element keeps the verdict
-        g = LGroupElem(SeriesMatrix(EXT, [[EXT.series({0: 2})]]), (0,), self.act)
-        assert check_lparameter_shape(lgroup_mul(phi_e, g), gam_e,
-                                      (1,), (0,)).status == HOLDS

@@ -1,14 +1,17 @@
 """Tests for Galois ring arithmetic GR(p^a, f)."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.errors import NotAUnit, NotPrime
-from phigamma.galois_ring import CoeffRing, make_ring, _poly_irreducible_p
+from phigamma.errors import NoRootOfUnity, NotAUnit, NotPrime, NotPrincipalForm
+from phigamma.galois_ring import (CoeffRing, _poly_irreducible_p, hensel_root,
+                                  make_ring, residue_root)
 from phigamma.laurent import LaurentSeries
+from phigamma.period import standard_cyclotomic, tame_extension
 
 
 def all_monic_irreducible(p, f):
@@ -123,7 +126,7 @@ def test_frobenius_order_f():
 def test_inverse_round_trip_exhaustive_units(p, a, f):
     R = make_ring(p, a, f)
     count = 0
-    for c in R.elements():
+    for c in itertools.product(range(R.q), repeat=R.f):
         if R.is_unit(c):
             assert R.mul(c, R.inv(c)) == R.one
             count += 1
@@ -143,7 +146,7 @@ def test_non_unit_inverse_raises():
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
 def test_ring_axioms_gr_9_2(i, j, k):
     R = make_ring(3, 2, 2)
-    els = list(R.elements())
+    els = list(itertools.product(range(R.q), repeat=R.f))
     x, y, z = els[i], els[j], els[k]
     assert R.add(x, y) == R.add(y, x)
     assert R.mul(x, y) == R.mul(y, x)
@@ -154,7 +157,7 @@ def test_ring_axioms_gr_9_2(i, j, k):
 
 def test_nilpotent_iff_divisible_by_p():
     R = make_ring(2, 2, 2)
-    for c in R.elements():
+    for c in itertools.product(range(R.q), repeat=R.f):
         nil = R.is_nilpotent(c)
         # oracle: c nilpotent iff c^a = 0 in GR(p^a, f)
         assert nil == R.is_zero(R.pow(c, 2 * R.a))
@@ -194,3 +197,100 @@ def test_irreducibility_helper_matches_oracle():
         for tail in itertools.product(range(p), repeat=f):
             m = list(tail) + [1]
             assert _poly_irreducible_p(m, p) == _brute_irreducible(m, p)
+
+
+# -- Hensel lifting ---------------------------------------------------------
+
+LIFT_RINGS = [(2, 1, 2), (2, 3, 2), (3, 2, 2), (5, 2, 3), (2, 64, 2),
+              (3, 21, 1)]
+
+
+def poly_value(R, coeffs, z):
+    """Oracle: sum of c_i * z^i, with the powers taken one by one."""
+    out, zi = R.zero, R.one
+    for c in coeffs:
+        out = R.add(out, R.mul(c, zi))
+        zi = R.mul(zi, z)
+    return out
+
+
+def x_pow_minus(R, e, c):
+    return [R.neg(c)] + [R.zero] * (e - 1) + [R.one]
+
+
+def assert_lifts(R, coeffs, z):
+    """hensel_root(R, coeffs, z) is an exact root and agrees with z mod p."""
+    r = hensel_root(R, coeffs, z)
+    assert R.is_zero(poly_value(R, coeffs, r))
+    assert R.is_nilpotent(R.sub(r, z))
+    return r
+
+
+def root_indices(p, f, limit=32):
+    """The indices e > 1 with e | p^f - 1, up to limit."""
+    return [e for e in range(2, limit + 1) if (p ** f - 1) % e == 0]
+
+
+@pytest.mark.parametrize("p,a,f", LIFT_RINGS)
+def test_hensel_root_of_a_modulus(p, a, f):
+    R = make_ring(p, a, f)
+    if f > 1:
+        # the Frobenius lift: the root x^p of the ring's own modulus
+        modulus = [R.from_int(c) for c in R.modulus]
+        assert_lifts(R, modulus, R.pow(R.gen(), p))
+    # the moduli of the subrings of an extension, as a tame extension
+    # embeds the coefficients of its base
+    E = make_ring(p, a, 2 * f) if p ** (2 * f) <= 81 else R
+    for d in range(2, E.f + 1):
+        if E.f % d == 0:
+            modulus = [E.from_int(c) for c in make_ring(p, a, d).modulus]
+            assert_lifts(E, modulus, residue_root(E, modulus))
+
+
+@pytest.mark.parametrize("p,a,f", LIFT_RINGS)
+def test_hensel_root_of_unity(p, a, f):
+    R = make_ring(p, a, f)
+    for e in root_indices(p, f):
+        poly = x_pow_minus(R, e, R.one)
+        starts = [z for z in R.residue_units()
+                  if R.is_nilpotent(R.sub(R.pow(z, e), R.one))]
+        assert len(starts) == e
+        roots = {assert_lifts(R, poly, z) for z in starts}
+        assert len(roots) == e
+
+
+@pytest.mark.parametrize("p,a,f", LIFT_RINGS)
+def test_hensel_root_of_a_constant(p, a, f):
+    R = make_ring(p, a, f)
+    rng = random.Random(p * 1000 + a * 10 + f)
+    for e in [1] + root_indices(p, f)[:3]:
+        for _ in range(3):
+            u = R.random(rng)
+            if not R.is_unit(u):
+                continue
+            # an e-th power mod p, moved by a multiple of p
+            c = R.add(R.pow(u, e), R.smul(p, R.random(rng)))
+            poly = x_pow_minus(R, e, c)
+            z = residue_root(R, poly)
+            assert z is not None
+            assert_lifts(R, poly, z)
+
+
+@pytest.mark.parametrize("p,a,f", LIFT_RINGS)
+def test_residue_root_none_on_a_non_power(p, a, f):
+    R = make_ring(p, a, f)
+    e = root_indices(p, f)[0]
+    powers = {tuple(v % p for v in R.pow(z, e)) for z in R.residue_units()}
+    c = next(z for z in R.residue_units() if z not in powers)
+    assert residue_root(R, x_pow_minus(R, e, c)) is None
+    assert residue_root(R, x_pow_minus(R, e, R.smul(1 + p, c))) is None
+
+
+def test_tame_extension_without_roots():
+    # gamma(T)/T = 2 + ... over p = 3, and 2 is no square mod 3
+    base = standard_cyclotomic(3, 2, window=12, c=2)
+    with pytest.raises(NotPrincipalForm):
+        tame_extension(base, 2)
+    # 4 does not divide 3 - 1: no 4th roots of unity
+    with pytest.raises(NoRootOfUnity):
+        tame_extension(standard_cyclotomic(3, 2, window=12), 4)

@@ -217,8 +217,8 @@ class TestMembership:
     def test_lattice(self):
         assert S({-2: 1}).in_lattice(2)
         assert not S({-3: 1}).in_lattice(2)
-        assert S({0: 1}).in_power_series()
-        assert not S({-1: 3}).in_power_series()
+        assert S({0: 1}).in_lattice(0)
+        assert not S({-1: 3}).in_lattice(0)
 
     def test_unit_degree(self):
         ud = S({-1: 3, 2: 1}).unit_degree()

@@ -13,24 +13,12 @@ from phigamma.laurent import LaurentSeries
 from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
                                solve_h, twisted_conj)
 from phigamma.period import make_custom_ring, standard_cyclotomic
+from phigamma.samplers import rand_uni
 
 seeds = st.integers(0, 10**9)
 
 R2 = make_custom_ring(2, 1, 1, 40, {2: 1})
 R9 = make_custom_ring(3, 2, 1, 48, {3: 1, -1: 3})
-
-
-def rand_uni(rng, ring, n, depth, spread=4):
-    """Random element of U_depth (depth >= 1 keeps it invertible)."""
-    rows = SeriesMatrix.identity(ring, n).rows
-    out = [[e for e in r] for r in rows]
-    q = ring.base.q
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < 0.7:
-                out[i][j] = out[i][j] + ring.series(
-                    {depth + rng.randrange(spread): rng.randrange(q)})
-    return SeriesMatrix(ring, out)
 
 
 class TestArithmetic:
