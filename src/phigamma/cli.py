@@ -38,10 +38,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
-def _int_keys(d):
-    return {int(k): v for k, v in d.items()}
-
-
 def _int_field(name, v, least):
     """v if it is an int >= least (a bool is not), else a ConfigError."""
     if type(v) is not int or v < least:
@@ -50,22 +46,24 @@ def _int_field(name, v, least):
     return v
 
 
-def _phi_terms(d, f):
-    """{exponent: coefficient} from a JSON object whose keys are integer
-    strings and whose values are ints or lists of f ints."""
+def _terms(what, name, d, f=None):
+    """{exponent: coefficient} from the JSON object d, the field `name`
+    (a `what`, for the messages), whose keys are integer strings and
+    whose values are ints, or lists of f ints when f is given."""
     if not isinstance(d, dict):
-        raise ConfigError("ring field 'phi_terms' must be an object")
+        raise ConfigError(f"{what} {name!r} must be an object")
     terms = {}
     for k, c in d.items():
         try:
             e = int(k)
         except ValueError:
-            raise ConfigError(f"phi_terms exponent {k!r} is not an integer") \
+            raise ConfigError(f"{name} exponent {k!r} is not an integer") \
                 from None
-        if not (type(c) is int or isinstance(c, list) and len(c) == f
-                and all(type(v) is int for v in c)):
-            raise ConfigError(f"phi_terms coefficient {c!r} must be an "
-                              f"integer or a list of {f} integers")
+        if not (type(c) is int or f is not None and isinstance(c, list)
+                and len(c) == f and all(type(v) is int for v in c)):
+            raise ConfigError(f"{name} coefficient {c!r} must be an integer"
+                              + ("" if f is None else
+                                 f" or a list of {f} integers"))
         terms[e] = c
     return terms
 
@@ -92,8 +90,10 @@ def build_ring(desc, window=None):
             return standard_cyclotomic(
                 p, a, f, w, c=c if c is None else _int_field("c", c, 1))
         if kind == "custom":
+            phi_terms = _terms("ring field", "phi_terms", desc["phi_terms"],
+                               f)
             return make_custom_ring(
-                p, a, f, w, _phi_terms(desc["phi_terms"], f),
+                p, a, f, w, phi_terms,
                 gamma_c=_int_field("gamma_c", desc.get("gamma_c", 1), 1))
         if kind == "tame":
             base = build_ring(desc["base"], window)
@@ -141,8 +141,9 @@ def _lam(cfg):
 
 
 def _contraction_params(cfg):
-    """(lam, N, n_max) of analyze-phi: lam > 1 and N < n_max."""
-    lam, N, n_max = _lam(cfg), _param(cfg, "N", 1), _param(cfg, "n_max", 50)
+    """(lam, N, n_max) of analyze-phi: lam > 1 and 1 <= N < n_max."""
+    lam, N = _lam(cfg), _param(cfg, "N", 1, least=1)
+    n_max = _param(cfg, "n_max", 50)
     if N >= n_max:
         raise ConfigError(f"task parameters need N < n_max, got N = {N}, "
                           f"n_max = {n_max}")
@@ -154,7 +155,7 @@ def _filtration_params(cfg):
     from .matrices import FiltrationParams
     params = FiltrationParams(m=_param(cfg, "m", 1),
                               n_cong=_param(cfg, "n_cong", 5),
-                              lam=_lam(cfg), N=_param(cfg, "N", 4))
+                              lam=_lam(cfg), N=_param(cfg, "N", 4, least=1))
     try:
         params.check()
     except PreconditionViolated as exc:
@@ -231,12 +232,17 @@ def task_analyze_phi(ring, cfg, rng):
 def task_height_check(ring, cfg, rng):
     if "v_terms" not in cfg:
         raise ConfigError("height-check needs v_terms")
-    v = LaurentSeries.from_terms(ring.base, _int_keys(cfg["v_terms"]),
-                                 ring.window)
+    terms = _terms("task parameter", "v_terms", cfg["v_terms"], ring.base.f)
     expected = cfg.get("expected_expansion")
     if expected is not None:
-        expected = _int_keys(expected)
-    rep = check_height_theory(ring, v, expected)
+        expected = _terms("task parameter", "expected_expansion", expected)
+    try:
+        # a probe term at or above the window, or an inverse that needs
+        # more window than there is, is a precision shortfall
+        v = LaurentSeries.from_terms(ring.base, terms, ring.window)
+        rep = check_height_theory(ring, v, expected)
+    except SHORTFALLS as exc:
+        return [_shortfall("height-check", ring, exc)]
     data = rep.to_json()
     if any(x.status == FAILS for x in rep.verdicts.values()):
         return [fails("height-check", "a checkable height axiom fails",
@@ -418,7 +424,7 @@ def task_cup(ring, cfg, rng):
     from .samplers import diag_const, rand_lift
     _check_cup_ring(ring)
     count = _param(cfg, "count", 10, least=1)
-    depth = _param(cfg, "depth", 4)
+    depth = _param(cfg, "depth", 4, least=0)
     d2 = parabolic_data(2, (1, 1))
     d3 = parabolic_data(3, (1, 1, 1))
     phi_l3 = diag_const(ring, (2, 1, 2))

@@ -159,9 +159,6 @@ class ParabolicData:
             out[r][c] = vec.entry(idx, 0)
         return SeriesMatrix(ring, out)
 
-    def to_json(self):
-        return {"n": self.n, "blocks": list(self.blocks)}
-
     def __repr__(self):
         return f"ParabolicData(n={self.n}, blocks={self.blocks})"
 

@@ -190,14 +190,6 @@ class CoeffRing:
         p = self.p
         return all(x % p == 0 for x in c)
 
-    def val(self, c):
-        """Largest v <= a with p^v dividing every coordinate (a for zero)."""
-        v = 0
-        p = self.p
-        while v < self.a and all(x % (p ** (v + 1)) == 0 for x in c):
-            v += 1
-        return v
-
     def inv(self, c):
         """Multiplicative inverse via a field inverse mod p lifted by Newton."""
         if not self.is_unit(c):

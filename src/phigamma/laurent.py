@@ -81,7 +81,7 @@ window rules above are unchanged.  A product with a monomial, a factor
 with exactly one nonzero coefficient on its window, skips the kernel:
 it is the other factor's list cut to the product window and scaled by
 that coefficient, under the same window rule and the same coordinate
-check.
+check.  Likewise the inverse of a monomial is written down, not summed.
 
 Series are values.  Nothing writes into a series' flat list once the
 series owns it (`_series` takes the list over, and every operation
@@ -110,30 +110,20 @@ class LaurentSeries:
         """The series with coordinate tuples coeffs on the window [lo, hi)."""
         if hi >= lo and len(coeffs) != hi - lo:
             raise ValueError("coefficient list does not match window")
-        self._init(ring, lo, hi, [v for c in coeffs for v in c])
-
-    def _init(self, ring, lo, hi, flat):
-        """Take ownership of the flat coordinate list of [lo, hi) and strip
-        its exact leading zeros."""
-        if hi < lo:
-            raise EmptyWindow(f"window [{lo}, {hi}) is empty")
-        if len(flat) != (hi - lo) * ring.f:
-            raise ValueError("coefficient list does not match window")
-        if flat and not flat[0]:
-            # the zero series comes out with lo == hi
-            lo, flat = _strip(ring.f, lo, flat)
-        self.ring = ring
-        self.lo = lo
-        self.hi = hi
-        self._flat = flat
-        # the store of the packings of flat, made when first multiplied
-        self._packed = None
+        s = _series(ring, lo, hi, [v for c in coeffs for v in c])
+        self.ring, self.lo, self.hi = ring, s.lo, s.hi
+        self._flat, self._packed = s._flat, None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, ring, hi):
-        return _series(ring, hi, hi, [])
+        s = _new(LaurentSeries)
+        s.ring = ring
+        s.lo = s.hi = hi
+        s._flat = []
+        s._packed = None
+        return s
 
     @classmethod
     def from_terms(cls, ring, terms, hi):
@@ -284,7 +274,11 @@ class LaurentSeries:
         Requires a unit degree d within the window; all coefficients below
         d are then automatically nilpotent.  Computed by a geometric series
         against the leading unit term, on an internally padded window, then
-        clamped to hi = min(x.hi, x.hi + 2 * lo(result)).
+        clamped to hi = min(x.hi, x.hi + 2 * lo(result)).  For a monomial
+        c u^d that series is c^-1 u^-d alone, so the result is written
+        down: c^-1 u^-d below u^min(x.hi, x.hi - 2d), the zero series
+        there when that window is empty, and EmptyWindow when -d lies
+        beyond the padded window, as the series would give.
         """
         ring = self.ring
         f = ring.f
@@ -297,9 +291,19 @@ class LaurentSeries:
         spread = d - pole
         pad = (a + 1) * (spread + 1) + 2
         work_hi = self.hi + pad
+        cd_inv = ring.inv(self.coeff(d))
+        if not any(self._flat[f:]):
+            # x = c_d u^d: the sum below is c_d^{-1} u^{-d} alone, on
+            # [-d, work_hi), clamped as the docstring says
+            if -d > work_hi:
+                raise EmptyWindow(f"window [{-d}, {work_hi}) is empty")
+            hi = min(self.hi, self.hi - 2 * d)
+            if hi <= -d:
+                return LaurentSeries.zero(ring, hi)
+            return _series(ring, -d, hi,
+                           list(cd_inv) + [0] * ((hi + d - 1) * f))
         # m = c_d^{-1} u^{-d}; w = m*x - 1 has positive or nilpotent terms.
         # The loop multiplies by -w, so acc runs through (-w)^k.
-        cd_inv = ring.inv(self.coeff(d))
         neg_w = _scale(ring, ring.neg(cd_inv), self._flat)
         i = (d - self.lo) * f
         neg_w[i:i + f] = ring.zero
@@ -376,11 +380,28 @@ def mul_each(x, ys):
     return out
 
 
+# makes a bare series, whose slots the constructors set themselves
+_new = object.__new__
+
+
 def _series(ring, lo, hi, flat):
-    """The series with the flat coordinate list flat on [lo, hi); it takes
-    flat over, so the caller must not change that list afterwards."""
-    s = LaurentSeries.__new__(LaurentSeries)
-    s._init(ring, lo, hi, flat)
+    """The series with the flat coordinate list flat on [lo, hi), its exact
+    leading zeros stripped; it takes flat over, so the caller must not
+    change that list afterwards."""
+    if hi < lo:
+        raise EmptyWindow(f"window [{lo}, {hi}) is empty")
+    if len(flat) != (hi - lo) * ring.f:
+        raise ValueError("coefficient list does not match window")
+    if flat and not flat[0]:
+        # the zero series comes out with lo == hi
+        lo, flat = _strip(ring.f, lo, flat)
+    s = _new(LaurentSeries)
+    s.ring = ring
+    s.lo = lo
+    s.hi = hi
+    s._flat = flat
+    # the store of the packings of flat, made when first multiplied
+    s._packed = None
     return s
 
 

@@ -15,23 +15,22 @@ set to zero.
 The valuation profile also gives the length (number of Z/p composition
 factors) of the row space: sum over pivots of (a - v).
 
-Matrices are lists of rows of Python ints in [0, q), so nothing
-overflows, however large q is.  The eliminator keeps each row as a dict
-{column: nonzero entry}, so it reads and updates only the nonzero
-entries, and a row left with no entry in the pivot columns drops out of
-the search.  The Herr systems it solves start at about 14% density.
+Matrices come in as lists of dense rows of Python ints, so nothing
+overflows, however large q is.  One pass reduces each row mod q into a
+dict {column: nonzero entry}; the eliminator reads and updates only
+those entries, a row left with no entry in the pivot columns drops out
+of the search, and the closing check of A x = b reads the same dicts.
+The Herr systems it solves start at about 14% density.
 """
 
 from .errors import PhigammaError
 
 
-def _as_rows(A, q):
-    return [[x % q for x in row] for row in A]
-
-
-def _sparse(row):
-    """The row as {column: entry} over its nonzero entries."""
-    return {j: x for j, x in enumerate(row) if x}
+def _sparse_rows(A, q):
+    """The dense rows of A, reduced mod q, as {column: entry} dicts over
+    their nonzero entries."""
+    return [{j: r for j, x in enumerate(row) if x and (r := x % q)}
+            for row in A]
 
 
 def _valuation(x, p):
@@ -111,9 +110,8 @@ def _reduce(R, p, a, ncols):
 
 def reduce_mod_prime_power(A, p, a):
     """Row-reduce A over Z/p^a; returns (R, pivots), R as dense rows."""
-    rows = _as_rows(A, p ** a)
-    ncols = len(rows[0]) if rows else 0
-    R = [_sparse(row) for row in rows]
+    ncols = len(A[0]) if A else 0
+    R = _sparse_rows(A, p ** a)
     pivots = _reduce(R, p, a, ncols)
     return [[row.get(j, 0) for j in range(ncols)] for row in R], pivots
 
@@ -121,19 +119,21 @@ def reduce_mod_prime_power(A, p, a):
 def solve_mod_prime_power(A, b, p, a):
     """One solution x of A x = b over Z/p^a, or None when unsolvable."""
     q = p ** a
-    M = _as_rows(A, q)
     bb = [t % q for t in b]
-    if not M:
+    if not A:
         return []
-    cols = len(M[0])
+    cols = len(A[0])
     if cols == 0:
         return None if any(bb) else []
+    rows = _sparse_rows(A, q)
+    # the rhs rides along as column cols; _reduce works on copies, since
+    # the closing check reads the rows as given
     aug = []
-    for row, t in zip(M, bb):
-        sparse = _sparse(row)
+    for row, t in zip(rows, bb):
+        row = dict(row)
         if t:
-            sparse[cols] = t
-        aug.append(sparse)
+            row[cols] = t
+        aug.append(row)
     pivots = _reduce(aug, p, a, cols)
     pivot_rows = {pi for pi, _, _ in pivots}
     if any(cols in aug[i] for i in range(len(aug)) if i not in pivot_rows):
@@ -150,9 +150,8 @@ def solve_mod_prime_power(A, b, p, a):
             return None
         x[pj] = rhs // pv
     x.pop()
-    nonzero = [(j, t) for j, t in enumerate(x) if t]
-    if any((sum(row[j] * t for j, t in nonzero) - t0) % q
-           for row, t0 in zip(M, bb)):
+    if any((sum(c * x[j] for j, c in row.items()) - t) % q
+           for row, t in zip(rows, bb)):
         raise PhigammaError("elimination invariant violated")
     return x
 

@@ -7,12 +7,12 @@ is exact relative to the windows of the entries, and InsufficientWindow
 is raised when the window cannot decide.
 
 A matrix is a value: its rows are tuples of series, fixed at
-construction, so `inv` computes the inverse once and keeps it on the
-matrix.
+construction, so `inv` computes the inverse of each matrix value once
+per ring and keeps it on the matrix and on the ring.
 """
 
 from .errors import (InsufficientWindow, NoConvergence, NotAUnit,
-                     NotInvertible, PreconditionViolated)
+                     NotInvertible, PhigammaError, PreconditionViolated)
 from .laurent import LaurentSeries
 
 
@@ -110,10 +110,26 @@ class SeriesMatrix:
     def inv(self):
         """Gauss-Jordan inverse; pivots need a visible unit degree.
 
-        The inverse is computed on the first call and kept; an error
-        (NotInvertible, EmptyWindow) is raised again on every call."""
+        The inverse is computed on the first call and kept on the matrix.
+        The ring keeps it too, in `PeriodRing._inverses`, keyed by the
+        matrix's value (the `key()` of every entry, windows included), so
+        an equal matrix built separately gets the same inverse back.  A
+        library error (NotInvertible, EmptyWindow) is kept there as its
+        class and message, and every later call for that value raises a
+        fresh instance of it."""
         if self._inv is None:
-            self._inv = self._gauss_jordan()
+            memo = self.ring._inverses
+            key = tuple(tuple(e.key() for e in r) for r in self.rows)
+            got = memo.get(key)
+            if got is None:
+                try:
+                    got = memo[key] = self._gauss_jordan()
+                except PhigammaError as exc:
+                    memo[key] = (type(exc), str(exc))
+                    raise
+            if type(got) is tuple:
+                raise got[0](got[1])
+            self._inv = got
         return self._inv
 
     def _gauss_jordan(self):

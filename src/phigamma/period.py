@@ -118,6 +118,9 @@ class PeriodRing:
         self.gamma = gamma
         self.galois = galois or GaloisGroup([])
         self.parent = parent  # (base PeriodRing, coeff embedding fn) or None
+        # SeriesMatrix.inv's memo: matrix value -> inverse, or the class
+        # and message of the error its inversion raised
+        self._inverses = {}
         if validate:
             self.validate()
 

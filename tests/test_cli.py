@@ -115,6 +115,21 @@ class TestHeightCheckTask:
         with pytest.raises(ConfigError):
             run_config({"task": "height-check", "ring": CYC})
 
+    @pytest.mark.parametrize("v_terms,message", [
+        # every term at or above the window: the probe has no window
+        ({"30": 1}, "window [30, 24) is empty"),
+        # its inverse needs more padding than the window has
+        ({"-40": 1}, "window [40, 28) is empty"),
+    ])
+    def test_probe_out_of_window_is_inconclusive(self, v_terms, message):
+        code, rep = run_config({"task": "height-check", "ring": CYC,
+                                "v_terms": v_terms})
+        assert code == EXIT_INCONCLUSIVE
+        (v,) = rep["verdicts"]
+        assert v["status"] == "inconclusive"
+        assert v["data"]["error"] == "EmptyWindow"
+        assert message in v["detail"]
+
 
 class TestWitnesses:
     def test_herr_witness_revalidates(self):
@@ -234,6 +249,13 @@ BAD_PARAMS = [
     ({"task": "herr", "count": 0}, "'count' must be at least 1"),
     ({"task": "cup", "count": 0}, "'count' must be at least 1"),
     ({"task": "suite", "count": 0}, "'count' must be at least 1"),
+    ({"task": "analyze-phi", "N": 0}, "'N' must be at least 1"),
+    ({"task": "solve-twisted", "N": 0}, "'N' must be at least 1"),
+    ({"task": "cup", "depth": -1}, "'depth' must be at least 0"),
+    ({"task": "height-check", "v_terms": []},
+     "'v_terms' must be an object"),
+    ({"task": "height-check", "v_terms": {"1": [1, 2]}},
+     "v_terms coefficient [1, 2] must be an integer or a list of 1"),
 ]
 
 
@@ -673,3 +695,46 @@ class TestNoTraceback:
                     continue
                 assert code in (EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE), \
                     (task, window)
+
+    # each task parameter at its least admissible value, which must give
+    # a verdict, and one below it, a config error; the defaults are
+    # lam 2, N 1, n_max 50 (analyze-phi) and lam 2, m 1, n_cong 5, N 4
+    # (solve-twisted), so n_cong > max(2m/(lam-1), N) binds at those
+    EDGE_PARAMS = [
+        ("analyze-phi", {"lam": "101/100"}, True),
+        ("analyze-phi", {"lam": 1}, False),
+        ("analyze-phi", {"N": 1, "n_max": 2}, True),
+        ("analyze-phi", {"N": 0}, False),
+        ("analyze-phi", {"N": -1}, False),
+        ("analyze-phi", {"n_max": 1}, False),
+        ("suite", {"N": 0}, False),
+        ("solve-twisted", {"lam": "3/2"}, True),
+        ("solve-twisted", {"lam": "7/5"}, False),
+        ("solve-twisted", {"m": 0, "N": 1, "n_cong": 2}, True),
+        ("solve-twisted", {"m": 0, "N": 1, "n_cong": 1}, False),
+        ("solve-twisted", {"m": 0}, True),
+        ("solve-twisted", {"m": -1}, False),
+        ("solve-twisted", {"n_cong": 4}, False),
+        ("solve-twisted", {"N": 0}, False),
+        ("cup", {"depth": 0}, True),
+        ("cup", {"depth": -1}, False),
+        ("height-check", {"v_terms": {}}, True),
+        ("height-check", {"v_terms": {"100": 1}}, True),
+        ("height-check", {"v_terms": {"-100": 1}}, True),
+        ("height-check", {"v_terms": []}, False),
+        ("height-check", {"v_terms": {"x": 1}}, False),
+        ("height-check", {"v_terms": {"1": "x"}}, False),
+        ("height-check", {"v_terms": {"1": 1},
+                          "expected_expansion": {"1": [1]}}, False),
+    ]
+
+    @pytest.mark.parametrize("ring", ["cyclotomic-p3", "tame-e2-p3"])
+    @pytest.mark.parametrize("task,params,admitted", EDGE_PARAMS)
+    def test_edge_parameters(self, ring, task, params, admitted):
+        cfg = dict(params, task=task, ring=BATTERY_RINGS[ring], count=1)
+        if not admitted:
+            with pytest.raises(ConfigError):
+                run_config(cfg, window=12)
+            return
+        code, _ = run_config(cfg, window=12)
+        assert code in (EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE)

@@ -78,9 +78,6 @@ class TestParabolicData:
         direct = L * D3.unvectorize_central(2, z) * L.inv()
         assert (D3.vectorize_central(2, direct) - A * z).is_zero()
 
-    def test_json(self):
-        assert D3.to_json() == {"n": 3, "blocks": [1, 1, 1]}
-
 
 class TestLambda:
     def test_identity_pair(self):

@@ -163,14 +163,6 @@ def test_nilpotent_iff_divisible_by_p():
         assert nil == R.is_zero(R.pow(c, 2 * R.a))
 
 
-def test_val():
-    R = make_ring(3, 3, 1)
-    assert R.val((0,)) == 3
-    assert R.val((9,)) == 2
-    assert R.val((6,)) == 1
-    assert R.val((7,)) == 0
-
-
 def test_coordinate_tuple_arithmetic():
     R = make_ring(2, 2, 2)
     x = R.gen()

@@ -57,38 +57,54 @@ def test_module_uses_its_imports(path):
 
 
 def names_read(tree):
-    """How often each name is read in tree: as a name, as an attribute,
-    or as an imported name."""
+    """How often each name is read in tree, as a Counter of
+    ("name", name) for a bare or imported name and ("attr", name) for an
+    attribute."""
     read = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            read[node.id] += 1
+            read["name", node.id] += 1
         elif isinstance(node, ast.Attribute):
-            read[node.attr] += 1
+            read["attr", node.attr] += 1
         elif isinstance(node, ast.alias):
-            read[node.name.split(".")[-1]] += 1
+            read["name", node.name.split(".")[-1]] += 1
     return read
 
 
 def definitions(trees):
-    """The function, class and method definitions in trees, dunder
-    methods left out, since the language calls those."""
-    return [node for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    """(definition, is a method) for the function, class and method
+    definitions in trees, dunder methods left out, since the language
+    calls those."""
+    out = []
+    for tree in trees:
+        methods = {id(item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body}
+        out += [(node, id(node) in methods) for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))]
+    return out
 
 
 def uncalled(package, others=()):
     """The names of the definitions in the sources of package that no
     code reads outside the definition itself, in package or in others.
-    A name counts wherever it is read, whatever it is read from."""
+    A method counts only where its name is read as an attribute; a
+    function or class wherever its name is read."""
     trees = [ast.parse(source) for source in package]
     read = Counter()
     for tree in trees + [ast.parse(source) for source in others]:
         read += names_read(tree)
-    return sorted(node.name for node in definitions(trees)
-                  if read[node.name] == names_read(node)[node.name])
+
+    def reads(counter, name, method):
+        if method:
+            return counter["attr", name]
+        return counter["name", name] + counter["attr", name]
+
+    return sorted(node.name for node, method in definitions(trees)
+                  if reads(read, node.name, method)
+                  == reads(names_read(node), node.name, method))
 
 
 def test_finds_a_definition_without_caller():
@@ -99,11 +115,19 @@ def test_finds_a_definition_without_caller():
     assert uncalled([package]) == ["C", "f", "g", "m"]
 
 
+def test_a_method_needs_an_attribute_read():
+    package = ("class C:\n    def val(self):\n        return 0\n\n"
+               "    def m(self):\n        return 1\n")
+    assert uncalled([package], ["val = 1\nprint(val)\nC().m()\n"]) == [
+        "val"]
+    assert uncalled([package], ["C().m()\nC().val()\n"]) == []
+
+
 def test_every_definition_has_a_caller():
     package = [path.read_text() for path in MODULES]
     others = [path.read_text() for path in BENCH]
     assert [name for name in uncalled(package, others)
             if name not in KEPT] == []
-    defined = {node.name for node in
+    defined = {node.name for node, _ in
                definitions(ast.parse(source) for source in package)}
     assert sorted(set(KEPT) - defined) == []

@@ -626,6 +626,46 @@ class TestKernel:
         with pytest.raises(EmptyWindow):
             LaurentSeries.from_terms(ring, {3: unit}, 2)
 
+    # inverses of c u^d known below u^hi, as the geometric-series loop
+    # gives them: ((p, a, f), d, c, hi) -> (lo, hi, leading coefficient),
+    # every later coefficient zero; the zero series at hi when the window
+    # is empty; or the error.  The inverse is c^-1 u^-d below
+    # u^min(hi, hi - 2d), and the loop's padded window ends at hi + a + 3.
+    MONOMIAL_INVERSES = [
+        ((3, 2, 1), 3, (2,), 10, (-3, 4, (5,))),
+        ((3, 2, 1), -2, (4,), 5, (2, 5, (7,))),
+        ((3, 2, 2), 1, (2, 1), 6, (-1, 4, (4, 7))),
+        ((3, 2, 2), 0, (1, 0), 5, (0, 5, (1, 0))),
+        ((5, 2, 3), -4, (0, 3, 1), -1, (-1, -1, None)),
+        ((2, 64, 1), 5, (3,), 7, (-5, -3, (12297829382473034411,))),
+        ((2, 64, 1), -30, (2 ** 64 - 1,), -25, (-25, -25, None)),
+        ((2, 64, 2), -1, (5, 2), 3,
+         (1, 3, (10679693937410793041, 17475862806672206794))),
+        # the padded window ends exactly at -d, then one below it
+        ((3, 2, 1), -3, (1,), -2, (-2, -2, None)),
+        ((3, 2, 1), -4, (1,), -3, ("EmptyWindow", "window [4, 2) is empty")),
+        ((3, 2, 1), -20, (1,), -19,
+         ("EmptyWindow", "window [20, -14) is empty")),
+        ((3, 2, 1), 0, (3,), 5, ("NotAUnit", None)),
+        ((3, 2, 2), 2, (3, 6), 4, ("NotAUnit", None)),
+    ]
+
+    @pytest.mark.parametrize("ring,d,c,hi,want", MONOMIAL_INVERSES)
+    def test_monomial_inv(self, ring, d, c, hi, want):
+        ring = make_ring(*ring)
+        x = LaurentSeries.from_terms(ring, {d: c}, hi)
+        if isinstance(want[0], str):
+            with pytest.raises(PhigammaError) as info:
+                x.inv()
+            assert type(info.value).__name__ == want[0]
+            assert want[1] is None or str(info.value) == want[1]
+            return
+        lo, top, lead = want
+        coeffs = [lead] + [ring.zero] * (top - lo - 1) if lead else []
+        assert got(x.inv()) == (lo, top, coeffs)
+        if lead:
+            assert got(x.inv()) == ref_inv(x)
+
     @settings(max_examples=20, deadline=None)
     @given(seeds)
     def test_reused_packings(self, seed):

@@ -245,6 +245,24 @@ def test_pinned_solutions():
     assert got == PINNED_SOLUTIONS
 
 
+def test_unreduced_entries_solve_as_reduced():
+    # the pinned systems with every entry, zeros included, moved by a
+    # multiple of q, often to a negative representative: the solver
+    # reduces its input first, so the answers stay the pinned ones
+    rng = random.Random(7)
+    for (A, b, p, a), want in zip(pinned_systems(), PINNED_SOLUTIONS):
+        q = p ** a
+
+        def moved(x):
+            return x + q * rng.choice((-3, -2, -1, 0, 1, 2))
+        A2 = [[moved(x) for x in row] for row in A]
+        b2 = [moved(t) for t in b]
+        assert any(x < 0 for row in A2 for x in row)
+        assert solve_mod_prime_power(A2, b2, p, a) == want
+        assert reduce_mod_prime_power(A2, p, a) == \
+            reduce_mod_prime_power(A, p, a)
+
+
 def test_cli_import_leaves_numpy_out():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)

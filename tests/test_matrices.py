@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.errors import (NotInvertible, PhigammaError,
+from phigamma.errors import (EmptyWindow, NotInvertible, PhigammaError,
                              PreconditionViolated)
 from phigamma.laurent import LaurentSeries
 from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
@@ -19,6 +19,19 @@ seeds = st.integers(0, 10**9)
 
 R2 = make_custom_ring(2, 1, 1, 40, {2: 1})
 R9 = make_custom_ring(3, 2, 1, 48, {3: 1, -1: 3})
+
+
+def count_gauss_jordan(monkeypatch):
+    """The list of matrices SeriesMatrix._gauss_jordan runs on from now on
+    in this test."""
+    calls = []
+    run = SeriesMatrix._gauss_jordan
+
+    def counted(self):
+        calls.append(self)
+        return run(self)
+    monkeypatch.setattr(SeriesMatrix, "_gauss_jordan", counted)
+    return calls
 
 
 class TestArithmetic:
@@ -56,6 +69,46 @@ class TestArithmetic:
         for _ in range(2):
             with pytest.raises(NotInvertible):
                 m.inv()
+
+    def test_equal_matrices_share_one_inversion(self, monkeypatch):
+        ring = standard_cyclotomic(3, 2, 1, 16)
+        calls = count_gauss_jordan(monkeypatch)
+
+        def build():
+            return SeriesMatrix(ring, [[ring.one(), ring.series({2: 4})],
+                                       [ring.series({1: 3}), ring.one()]])
+        first, second = build(), build()
+        assert first is not second
+        assert second.inv() is first.inv()
+        assert len(calls) == 1
+        # a window is part of the value: a matrix that differs only there
+        # is inverted on its own, and keeps its own window
+        short = SeriesMatrix(ring, [[e.truncate(10) for e in r]
+                                    for r in build().rows])
+        assert short.inv().hi == 10 and first.inv().hi == 16
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("rows,error,message", [
+        # no unit in the first column
+        ([[3, 0], [0, 1]], NotInvertible, "no unit pivot in column 0"),
+        # known only below u^-3, so the identity beside it has no window
+        ([[{-5: 1}]], EmptyWindow, "window [0, -3) is empty"),
+    ])
+    def test_equal_matrix_raises_the_same_error(self, monkeypatch, rows,
+                                                error, message):
+        ring = standard_cyclotomic(3, 2, 1, 16)
+        calls = count_gauss_jordan(monkeypatch)
+
+        def build():
+            return SeriesMatrix(ring, [
+                [ring.series(e, -3) if isinstance(e, dict) else
+                 ring.constant(e) for e in r] for r in rows])
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                build().inv()
+            assert type(info.value) is error
+            assert str(info.value) == message
+        assert len(calls) == 1
 
     def test_rows_are_fixed(self):
         m = SeriesMatrix.identity(R9, 2)
