@@ -141,13 +141,14 @@ def _lam(cfg):
 
 
 def _contraction_params(cfg):
-    """(lam, N, n_max) of analyze-phi: lam > 1 and 1 <= N < n_max."""
+    """(lam, N, n_max, max_iter) of analyze-phi: lam > 1, 1 <= N < n_max
+    and max_iter >= 1."""
     lam, N = _lam(cfg), _param(cfg, "N", 1, least=1)
     n_max = _param(cfg, "n_max", 50)
     if N >= n_max:
         raise ConfigError(f"task parameters need N < n_max, got N = {N}, "
                           f"n_max = {n_max}")
-    return lam, N, n_max
+    return lam, N, n_max, _param(cfg, "max_iter", 4, least=1)
 
 
 def _filtration_params(cfg):
@@ -192,40 +193,30 @@ def _shortfall(name, ring, exc):
                         window=ring.window, error=cls)
 
 
+def _shortfalls(name, ring, classes, what, **data):
+    """The inconclusive verdict of a check whose `what` (a plural noun)
+    ran out of window, raising errors of the given class names."""
+    cls = _class_names(classes)
+    return inconclusive(name, f"{len(classes)} {what} ran out of window: "
+                        f"{cls}", window=ring.window, error=cls, **data)
+
+
 def task_analyze_phi(ring, cfg, rng):
-    lam, N, n_max = _contraction_params(cfg)
+    lam, N, n_max, max_iter = _contraction_params(cfg)
+    checks = (
+        ("local-contraction",
+         lambda: check_local_contraction(ring, lam, N, n_max)),
+        ("contraction-constants",
+         lambda: holds("contraction-constants", window=ring.window,
+                       **contraction_constants(ring))),
+        ("frobenius-contraction",
+         lambda: check_frobenius_contraction(ring, max_iter)))
     out = []
-    try:
-        rep = check_local_contraction(ring, lam, N, n_max)
-    except SHORTFALLS as exc:
-        out.append(_shortfall("local-contraction", ring, exc))
-    else:
-        if rep.holds:
-            out.append(holds("local-contraction",
-                             f"phi(u^n) in u^[{lam}n] for {N} < n <= {n_max}",
-                             window=ring.window, report=rep.to_json()))
-        else:
-            out.append(fails("local-contraction",
-                             f"first failure at n = {rep.first_failure}",
-                             window=ring.window, report=rep.to_json()))
-    try:
-        out.append(holds("contraction-constants", window=ring.window,
-                         **contraction_constants(ring)))
-    except SHORTFALLS as exc:
-        out.append(_shortfall("contraction-constants", ring, exc))
-    try:
-        frep = check_frobenius_contraction(ring, cfg.get("max_iter", 4))
-    except SHORTFALLS as exc:
-        out.append(_shortfall("frobenius-contraction", ring, exc))
-        return out
-    if frep.found:
-        out.append(holds("frobenius-contraction",
-                         f"phi^{frep.N} deforms the {frep.q}-power map",
-                         window=ring.window, report=frep.to_json()))
-    else:
-        out.append(inconclusive("frobenius-contraction",
-                                "no contracting iterate within max_iter",
-                                window=ring.window, report=frep.to_json()))
+    for name, check in checks:
+        try:
+            out.append(check())
+        except SHORTFALLS as exc:
+            out.append(_shortfall(name, ring, exc))
     return out
 
 
@@ -239,22 +230,10 @@ def task_height_check(ring, cfg, rng):
     try:
         # a probe term at or above the window, or an inverse that needs
         # more window than there is, is a precision shortfall
-        v = LaurentSeries.from_terms(ring.base, terms, ring.window)
-        rep = check_height_theory(ring, v, expected)
+        return [check_height_theory(ring, LaurentSeries.from_terms(
+            ring.base, terms, ring.window), expected)]
     except SHORTFALLS as exc:
         return [_shortfall("height-check", ring, exc)]
-    data = rep.to_json()
-    if any(x.status == FAILS for x in rep.verdicts.values()):
-        return [fails("height-check", "a checkable height axiom fails",
-                      window=ring.window, **data)]
-    if rep.all_checkable_hold():
-        detail = "checkable axioms hold; structural axioms recorded"
-        if rep.expected_mismatch is not None:
-            detail += ("; supplied closed form disagrees with the direct "
-                       "expansion (see expected_mismatch)")
-        return [holds("height-check", detail, window=ring.window, **data)]
-    return [inconclusive("height-check", "window too small to decide",
-                         window=ring.window, **data)]
 
 
 def task_solve_twisted(ring, cfg, rng, max_iter=64):
@@ -273,8 +252,9 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
               ring.constant(rng.randrange(ring.base.q)))
              for j in range(n)] for i in range(n)])
         try:
-            # the sample's terms sit at n_cong to n_cong + 2, so a small
-            # window can end below them
+            # the sample's terms sit at n_cong to n_cong + 2, and the
+            # perturbation's at n_cong to n_cong + 3, so a small window
+            # can end below them
             g0 = rand_uni(rng, ring, n, params.n_cong, spread=3)
             h = solve_h(g0, x, params)
             g2 = solve_g(h, x, params, max_iter=max_iter)
@@ -282,6 +262,14 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
             good = resid.is_zero()
             t = min(g2.hi, g0.hi)
             good = good and g2.truncate(t).agrees(g0.truncate(t))
+            if good:
+                rows = [list(r) for r in SeriesMatrix.identity(ring, n).rows]
+                rows[n - 1][0] = ring.series(
+                    {params.n_cong + rng.randrange(4): 1 + rng.randrange(
+                        ring.base.q - 1)})
+                pert = SeriesMatrix(ring, rows)
+                unique = not (twisted_conj(x, g0 * pert) -
+                              h.inv() * x).is_zero()
         except SHORTFALLS as exc:
             shortfalls.append({"instance": idx, "error": str(exc),
                                "class": type(exc).__name__})
@@ -291,14 +279,7 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
             failures.append({"instance": idx, "error": str(exc)})
         if good:
             ok += 1
-            pert = SeriesMatrix.identity(ring, n)
-            rows = [[e for e in r] for r in pert.rows]
-            rows[n - 1][0] = ring.series(
-                {params.n_cong + rng.randrange(4): 1 + rng.randrange(
-                    ring.base.q - 1)})
-            pert = SeriesMatrix(ring, rows)
-            if not (twisted_conj(x, g0 * pert) - h.inv() * x).is_zero():
-                uniq_ok += 1
+            uniq_ok += unique
         elif not failures or failures[-1].get("instance") != idx:
             failures.append({"instance": idx, "error": "residual nonzero"})
     data = {"instances": count, "round_trips_ok": ok,
@@ -307,11 +288,9 @@ def task_solve_twisted(ring, cfg, rng, max_iter=64):
         return [holds("solve-twisted", f"{ok}/{count} round trips",
                       window=ring.window, **data)]
     if shortfalls and not failures and uniq_ok == ok:
-        name = _class_names(s["class"] for s in shortfalls)
-        return [inconclusive("solve-twisted",
-                             f"{len(shortfalls)} round trips ran out of "
-                             f"window: {name}", window=ring.window,
-                             error=name, shortfalls=shortfalls, **data)]
+        return [_shortfalls("solve-twisted", ring,
+                            [s["class"] for s in shortfalls], "round trips",
+                            shortfalls=shortfalls, **data)]
     return [fails("solve-twisted",
                   f"{count - ok} round trips failed", window=ring.window,
                   **data)]
@@ -434,39 +413,42 @@ def task_cup(ring, cfg, rng):
                      pattern=d2.quotient_pattern(1))
     M3 = make_framed(ring, phi_l3, gam_l3, pattern=d3.quotient_pattern(2))
 
-    def exact_zero(mat, hi):
-        return all(e.truncate(min(e.hi, hi)).is_zero()
-                   for row in mat.rows for e in row)
+    def ad(g, x):
+        return d3.qmul(0, d3.qmul(0, g, x), d3.qinv(0, g))
 
     lam_bad = 0
+    lam_short = []  # precision shortfalls of the lambda identities
     found = 0
     mu_failed = 0
     mu_short = []  # precision shortfalls of the well-definedness check
     lift_ok = lift_total = 0
     lift_short = []  # certified windows of lifts that ran out of precision
+    draw_short = []  # precision shortfalls of the lifts to correct
     check_hi = ring.window - 10
     for idx in range(count):
-        # lambda identity 1: factorization with commuting Levi parts
-        a, b = rand_lift(rng, M3, ((0, 1), (1, 2), (0, 2)))
-        a_u = d3.qmul(0, phi_l3.inv(), a)
-        b_u = d3.qmul(0, gam_l3.inv(), b)
-
-        def ad(g, x):
-            return d3.qmul(0, d3.qmul(0, g, x), d3.qinv(0, g))
-
-        lam = lambda_map(ring, a, b, d3, 0)
-        rhs = d3.qmul(0, d3.qinv(0, a_u.apply_gamma()),
-              d3.qmul(0, ad(phi_l3.apply_gamma().inv(), d3.qinv(0, b_u)),
-              d3.qmul(0, ad(gam_l3.apply_phi().inv(), a_u),
-                      d3.qreduce(b_u.apply_phi(), 0))))
-        if not exact_zero(lam - rhs, check_hi):
-            lam_bad += 1
-        # lambda identity 2: lambda = 1 + gamma(a)^-1 b^-1 residual
-        pred = (SeriesMatrix.identity(ring, 3) +
-                a.apply_gamma().inv() * b.inv() *
-                commutation_residual(ring, a, b))
-        if not exact_zero(lambda_map(ring, a, b) - pred, check_hi):
-            lam_bad += 1
+        # the random lifts have terms up to u^7, so a small window can end
+        # below them
+        try:
+            # lambda identity 1: factorization with commuting Levi parts
+            a, b = rand_lift(rng, M3, ((0, 1), (1, 2), (0, 2)))
+            a_u = d3.qmul(0, phi_l3.inv(), a)
+            b_u = d3.qmul(0, gam_l3.inv(), b)
+            lam = lambda_map(ring, a, b, d3, 0)
+            rhs = d3.qmul(0, d3.qinv(0, a_u.apply_gamma()), d3.qmul(
+                0, ad(phi_l3.apply_gamma().inv(), d3.qinv(0, b_u)),
+                d3.qmul(0, ad(gam_l3.apply_phi().inv(), a_u),
+                        d3.qreduce(b_u.apply_phi(), 0))))
+            if not (lam - rhs).truncate(check_hi).is_zero():
+                lam_bad += 1
+            # lambda identity 2: lambda = 1 + gamma(a)^-1 b^-1 residual
+            pred = (SeriesMatrix.identity(ring, 3) +
+                    a.apply_gamma().inv() * b.inv() *
+                    commutation_residual(ring, a, b))
+            if not (lambda_map(ring, a, b) - pred).truncate(
+                    check_hi).is_zero():
+                lam_bad += 1
+        except SHORTFALLS as exc:
+            lam_short.append(type(exc).__name__)
         # mu well-definedness on both Borel instances
         for data, i, M, cells in ((d2, 1, M2, ((0, 1),)),
                                   (d3, 2, M3, ((0, 1), (1, 2)))):
@@ -481,8 +463,12 @@ def task_cup(ring, cfg, rng):
                 continue
             if v.status == HOLDS:
                 found += 1
-            cls = mu(data, i, M, *rand_lift(rng, M, cells))
-            res = cls.complex.try_coboundary(cls.rep, depth)
+            try:
+                cls = mu(data, i, M, *rand_lift(rng, M, cells))
+                res = cls.complex.try_coboundary(cls.rep, depth)
+            except SHORTFALLS as exc:
+                draw_short.append(type(exc).__name__)
+                continue
             if res.found:
                 lift_total += 1
                 try:
@@ -504,6 +490,9 @@ def task_cup(ring, cfg, rng):
         out.append(fails("cup-lambda-identities",
                          f"{lam_bad} identity checks failed",
                          window=ring.window, failures=lam_bad))
+    elif lam_short:
+        out.append(_shortfalls("cup-lambda-identities", ring, lam_short,
+                               "instances"))
     else:
         out.append(holds("cup-lambda-identities",
                          f"both identities on {count} instances",
@@ -523,22 +512,24 @@ def task_cup(ring, cfg, rng):
         out.append(inconclusive("mu-well-defined",
                                 f"{found}/{mu_total} witnessed",
                                 window=ring.window, **data))
-    if lift_total == 0:
+    if lift_ok + len(lift_short) < lift_total:
+        out.append(fails("lift-step",
+                         f"{lift_total - lift_ok} corrected lifts invalid",
+                         window=ring.window))
+    elif draw_short:
+        out.append(_shortfalls("lift-step", ring, draw_short, "lifts"))
+    elif lift_total == 0:
         out.append(inconclusive("lift-step", "no witnessed lift to correct",
                                 window=ring.window))
     elif lift_ok == lift_total:
         out.append(holds("lift-step",
                          f"{lift_ok}/{lift_total} corrected lifts revalidate",
                          window=ring.window))
-    elif lift_ok + len(lift_short) == lift_total:
+    else:
         out.append(inconclusive(
             "lift-step", f"{len(lift_short)} corrected lifts revalidate "
             "only below the certified sub-window", window=ring.window,
             sub_window=min(lift_short)))
-    else:
-        out.append(fails("lift-step",
-                         f"{lift_total - lift_ok} corrected lifts invalid",
-                         window=ring.window))
     return out
 
 

@@ -234,7 +234,7 @@ def mu(data, i, M_i, Phi_lift, Gam_lift):
     a_l = data.levi_part(Phi_lift)
     b_l = data.levi_part(Gam_lift)
     kept = M_i.levi_complexes
-    key = (data, i, _value(a_l), _value(b_l))
+    key = (data, i, a_l.key(), b_l.key())
     if key not in kept:
         if not (lambda_map(ring, a_l, b_l) -
                 SeriesMatrix.identity(ring, data.n)).is_zero():
@@ -252,11 +252,6 @@ def mu(data, i, M_i, Phi_lift, Gam_lift):
         kept[key] = _adjoint_complex(data, i, a_l, b_l)
     rep = Cochain(2, (data.vectorize_central(i, log),))
     return Cup2Class(rep, kept[key], data, i, Phi_lift, Gam_lift)
-
-
-def _value(mat):
-    """The entries of a matrix as one hashable value."""
-    return tuple(e.key() for row in mat.rows for e in row)
 
 
 def check_mu_well_defined(data, i, M_i, lifts_a, lifts_b, depth=4):

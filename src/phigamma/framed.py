@@ -98,10 +98,6 @@ class DescentDatum:
         return self.maps[label]
 
 
-def _gal_apply(ring, word, mat):
-    return mat.apply_galois(word)
-
-
 def check_descent(M, D):
     """Verify the descent equations and the cocycle condition.
 
@@ -118,24 +114,24 @@ def check_descent(M, D):
         fs_inv = fs.inv()
         inv_word = ring.galois.generator_word(i, g.order - 1)
         lhs = fs * M.Phi * fs_inv.apply_phi()
-        rhs = _gal_apply(ring, inv_word, M.Phi)
+        rhs = M.Phi.apply_galois(inv_word)
         if not (lhs - rhs).is_zero():
             raise DescentEqFails(f"phi descent equation fails for {g.label}")
         lhs = fs * M.Gam * fs_inv.apply_gamma()
-        rhs = _gal_apply(ring, inv_word, M.Gam)
+        rhs = M.Gam.apply_galois(inv_word)
         if not (lhs - rhs).is_zero():
             raise DescentEqFails(f"gamma descent equation fails for {g.label}")
         acc = fs
         for k in range(1, g.order):
-            acc = acc * _gal_apply(ring, ring.galois.generator_word(i, k), fs)
+            acc = acc * fs.apply_galois(ring.galois.generator_word(i, k))
         if not acc.is_identity():
             raise CocycleFails(f"cocycle condition fails for {g.label}")
     for i, gi in enumerate(gens):
         for j in range(i + 1, len(gens)):
             gj = gens[j]
             fi, fj = D.matrix(gi.label), D.matrix(gj.label)
-            lhs = fi * _gal_apply(ring, ring.galois.generator_word(i), fj)
-            rhs = fj * _gal_apply(ring, ring.galois.generator_word(j), fi)
+            lhs = fi * fj.apply_galois(ring.galois.generator_word(i))
+            rhs = fj * fi.apply_galois(ring.galois.generator_word(j))
             if not (lhs - rhs).is_zero():
                 raise CocycleFails(
                     f"commuting-pair condition fails for {gi.label},{gj.label}")
@@ -150,7 +146,7 @@ def descent_datum_after_change_basis(M, D, h):
     maps = {}
     for i, g in enumerate(ring.galois.generators):
         inv_word = ring.galois.generator_word(i, g.order - 1)
-        maps[g.label] = _gal_apply(ring, inv_word, h) * D.matrix(g.label) * h_inv
+        maps[g.label] = h.apply_galois(inv_word) * D.matrix(g.label) * h_inv
     return DescentDatum(ring, maps)
 
 

@@ -54,20 +54,8 @@ class HerrComplex:
         self.ring = module.ring
         self.kind = kind
         self.n = module.n
-        self._phi_Gam_inv = None
-        self._gam_Phi_inv = None
+        self._ops = {}
         self._block_pairs = {}
-
-    # -- cached derived matrices -------------------------------------------
-
-    def _inverses(self):
-        return self.module.Phi.inv(), self.module.Gam.inv()
-
-    def _framed_ops(self):
-        if self._phi_Gam_inv is None:
-            self._phi_Gam_inv = self.module.Gam.apply_phi().inv()
-            self._gam_Phi_inv = self.module.Phi.apply_gamma().inv()
-        return self._phi_Gam_inv, self._gam_Phi_inv
 
     # -- cochain shapes -------------------------------------------------------
 
@@ -79,41 +67,50 @@ class HerrComplex:
 
     # -- differentials ----------------------------------------------------------
 
-    def _act_phi(self, z):
-        M = self.module
-        if self.kind == "plain":
-            return M.Phi * z.apply_phi()
-        if self.kind == "adjoint":
-            Phi_inv, _ = self._inverses()
-            return M.Phi * z.apply_phi() * Phi_inv
-        raise AssertionError
+    def _block_ops(self, degree):
+        """The (op, L, R) of the phi and the gamma block of the
+        differential out of `degree`, which is
+        d0(z) = (B_phi(z), B_gamma(z)) and d1(x, y) = B_gamma(x) - B_phi(y),
+        with B(z) = (L * op(z)) * R - z in the plain (R is None) and
+        adjoint kinds, and B(z) = op(z) - L * z in the framed kind.
 
-    def _act_gamma(self, z):
-        M = self.module
-        if self.kind == "plain":
-            return M.Gam * z.apply_gamma()
-        if self.kind == "adjoint":
-            _, Gam_inv = self._inverses()
-            return M.Gam * z.apply_gamma() * Gam_inv
-        raise AssertionError
+        The complex keeps them per degree.  The inverses are taken in one
+        order, Phi^-1 before Gam^-1 and phi(Gam)^-1 before gamma(Phi)^-1,
+        so the first one that fails is the error raised."""
+        ops = self._ops.get(degree)
+        if ops is None:
+            M = self.module
+            L, R = (M.Phi, M.Gam), (None, None)
+            if self.kind == "adjoint":
+                R = (M.Phi.inv(), M.Gam.inv())
+            elif self.kind == "framed" and degree == 0:
+                L = (M.Phi.inv(), M.Gam.inv())
+            elif self.kind == "framed":
+                L_gam = M.Gam.apply_phi().inv()
+                L = (M.Phi.apply_gamma().inv(), L_gam)
+            ops = self._ops[degree] = ((self.ring.phi, L[0], R[0]),
+                                       (self.ring.gamma, L[1], R[1]))
+        return ops
+
+    def _block(self, ops, z):
+        """The block with the given (op, L, R) at the matrix z."""
+        op, L, R = ops
+        if self.kind == "framed":
+            return z.apply_op(op) - L * z
+        x = L * z.apply_op(op)
+        return (x if R is None else x * R) - z
 
     def d0(self, z):
         if isinstance(z, Cochain):
             (z,) = z.parts
-        if self.kind == "framed":
-            Phi_inv, Gam_inv = self._inverses()
-            return Cochain(1, (z.apply_phi() - Phi_inv * z,
-                               z.apply_gamma() - Gam_inv * z))
-        return Cochain(1, (self._act_phi(z) - z, self._act_gamma(z) - z))
+        return Cochain(1, tuple(self._block(ops, z)
+                                for ops in self._block_ops(0)))
 
     def d1(self, xy):
         x, y = xy.parts if isinstance(xy, Cochain) else xy
-        if self.kind == "framed":
-            pGi, gPi = self._framed_ops()
-            out = (x.apply_gamma() - pGi * x) + (gPi * y - y.apply_phi())
-            return Cochain(2, (out,))
-        out = (self._act_gamma(x) - x) - (self._act_phi(y) - y)
-        return Cochain(2, (out,))
+        phi_ops, gam_ops = self._block_ops(1)
+        return Cochain(2, (self._block(gam_ops, x) -
+                           self._block(phi_ops, y),))
 
     def d(self, c):
         return self.d0(c) if c.degree == 0 else self.d1(c)
@@ -131,29 +128,18 @@ class HerrComplex:
     # -- windowed coboundary search -------------------------------------------
 
     def _blocks(self, degree, k_lo, k_hi):
-        """The phi and gamma blocks of the differential out of `degree`,
-        d0(z) = (B_phi(z), B_gamma(z)) and d1(x, y) = B_gamma(x) - B_phi(y),
-        for the monomials e_s * u^k with k in [k_lo, k_hi).
+        """The phi and gamma blocks of the differential out of `degree`
+        (see `_block_ops`), for the monomials e_s * u^k with k in
+        [k_lo, k_hi).
 
-        The complex keeps the blocks per (degree, k_lo, k_hi), as
-        `_framed_ops` keeps its inverses: a search tries several exponent
-        ranges, and every search on the complex reuses them."""
+        The complex keeps the blocks per (degree, k_lo, k_hi): a search
+        tries several exponent ranges, and every search on the complex
+        reuses them."""
         key = (degree, k_lo, k_hi)
         if key not in self._block_pairs:
-            M, ring = self.module, self.ring
-            R_phi = R_gam = None
-            if self.kind == "framed":
-                if degree == 0:
-                    L_phi, L_gam = self._inverses()
-                else:
-                    L_gam, L_phi = self._framed_ops()
-            else:
-                L_phi, L_gam = M.Phi, M.Gam
-                if self.kind == "adjoint":
-                    R_phi, R_gam = self._inverses()
-            self._block_pairs[key] = (
-                _Block(self, ring.phi, L_phi, R_phi, k_lo, k_hi),
-                _Block(self, ring.gamma, L_gam, R_gam, k_lo, k_hi))
+            self._block_pairs[key] = tuple(
+                _Block(self, op, L, R, k_lo, k_hi)
+                for op, L, R in self._block_ops(degree))
         return self._block_pairs[key]
 
     def _column_images(self, degree, z_lo, z_hi):
@@ -408,11 +394,10 @@ class _Block:
     """One semilinear block B of a Herr differential, evaluated on the
     cochains with a single monomial entry.
 
-    B(z) = L * op(z) - z (plain), (L * op(z)) * R - z (adjoint) or
-    op(z) - L * z (framed), with op = phi or gamma and L, R fixed
-    matrices.  `zero` lists the window of each entry of B(0), the zero
-    cochain with window the ring's; `image` gives the entries of B at a
-    monomial cochain, as the tuples of `HerrComplex._column_images`.
+    B is given by its (op, L, R) from `HerrComplex._block_ops`.  `zero`
+    lists the window of each entry of B(0), the zero cochain with window
+    the ring's; `image` gives the entries of B at a monomial cochain, as
+    the tuples of `HerrComplex._column_images`.
     Both follow the series window rules term by term, as the matrix
     expression does (see HerrComplex._windowed_system).
 

@@ -104,6 +104,11 @@ class SeriesMatrix:
     def is_zero(self):
         return all(e.is_zero() for r in self.rows for e in r)
 
+    def key(self):
+        """The matrix as one hashable value: the `key()` of every entry,
+        windows included."""
+        return tuple(tuple(e.key() for e in r) for r in self.rows)
+
     def is_identity(self):
         return (self - SeriesMatrix.identity(self.ring, self.n, self.hi)).is_zero()
 
@@ -119,7 +124,7 @@ class SeriesMatrix:
         fresh instance of it."""
         if self._inv is None:
             memo = self.ring._inverses
-            key = tuple(tuple(e.key() for e in r) for r in self.rows)
+            key = self.key()
             got = memo.get(key)
             if got is None:
                 try:

@@ -19,7 +19,7 @@ from .errors import (CommutationFails, InsufficientWindow, NoRootOfUnity,
                      NotAUnit, NotGaloisCompatible, NotPrincipalForm)
 from .galois_ring import hensel_root, make_ring, residue_root
 from .laurent import LaurentSeries, _power, compose, eth_root_one_unit
-from .verdicts import HOLDS, fails, holds, inconclusive
+from .verdicts import FAILS, HOLDS, fails, holds, inconclusive
 
 
 class OperatorDesc:
@@ -109,7 +109,7 @@ class PeriodRing:
     """A coefficient ring + window + phi/gamma/Galois operator package."""
 
     def __init__(self, base, window, var, e, phi, gamma, galois=None,
-                 parent=None, validate=True):
+                 parent=None):
         self.base = base
         self.window = window
         self.var = var
@@ -121,8 +121,7 @@ class PeriodRing:
         # SeriesMatrix.inv's memo: matrix value -> inverse, or the class
         # and message of the error its inversion raised
         self._inverses = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- series constructors ------------------------------------------------
 
@@ -211,15 +210,14 @@ def one_plus_var_pow(base, c, window):
     return acc - LaurentSeries.constant(base, 1, window)
 
 
-def standard_cyclotomic(p, a, f=1, window=32, c=None, coeff_frob_power=None):
-    """The cyclotomic period ring presentation in the variable T."""
+def standard_cyclotomic(p, a, f=1, window=32, c=None):
+    """The cyclotomic period ring presentation in the variable T; phi acts
+    on the coefficients by the Frobenius when f > 1."""
     base = make_ring(p, a, f)
     if c is None:
         c = 5 if p == 2 else 1 + p
-    if coeff_frob_power is None:
-        coeff_frob_power = 1 if f > 1 else 0
     phi = OperatorDesc("phi", one_plus_var_pow(base, p, window),
-                       coeff_frob_power, label="phi")
+                       1 if f > 1 else 0, label="phi")
     gam = OperatorDesc("gamma", one_plus_var_pow(base, c, window),
                        0, label=f"gamma[{c}]")
     ring = PeriodRing(base, window, "T", 1, phi, gam)
@@ -227,16 +225,16 @@ def standard_cyclotomic(p, a, f=1, window=32, c=None, coeff_frob_power=None):
     return ring
 
 
-def make_custom_ring(p, a, f, window, phi_terms, gamma_c=1,
-                     phi_coeff_frob_power=0):
-    """A synthetic period ring with a user-supplied phi image.
+def make_custom_ring(p, a, f, window, phi_terms, gamma_c=1):
+    """A synthetic period ring with a user-supplied phi image, acting
+    trivially on the coefficients.
 
     Used for deformed Frobenii such as u^p + p*u^{-r}; gamma defaults to
     the identity operator (exponent 1) so commutation is automatic.
     """
     base = make_ring(p, a, f)
     image = LaurentSeries.from_terms(base, phi_terms, window)
-    phi = OperatorDesc("phi", image, phi_coeff_frob_power, label="phi")
+    phi = OperatorDesc("phi", image, 0, label="phi")
     gam = OperatorDesc("gamma", one_plus_var_pow(base, gamma_c, window),
                        0, label=f"gamma[{gamma_c}]")
     ring = PeriodRing(base, window, "u", 1, phi, gam)
@@ -439,27 +437,12 @@ def _inverse_embedding(base, ext, embed):
 # -- analyzers ---------------------------------------------------------------
 
 
-class ContractionReport:
-    def __init__(self, lam, N, d_lambda, verified_range, holds,
-                 first_failure=None):
-        self.lam = lam
-        self.N = N
-        self.d_lambda = d_lambda
-        self.verified_range = verified_range
-        self.holds = holds
-        self.first_failure = first_failure
-
-    def to_json(self):
-        return {"lambda": str(self.lam), "N": self.N,
-                "d_lambda": str(self.d_lambda),
-                "verified_range": list(self.verified_range),
-                "holds": self.holds, "first_failure": self.first_failure}
-
-
 def check_local_contraction(ring, lam, N, n_max):
     """Verify phi(u^n) in u^{floor(lam*n)} * power series for N < n <= n_max.
 
-    A finite certificate over the verified range, not a proof for all n.
+    A finite certificate over the verified range, not a proof for all n:
+    the `local-contraction` verdict holds, or fails at the first n out of
+    the lattice, with the range and that n in its `report`.
     """
     from fractions import Fraction
     lam = Fraction(lam)
@@ -467,17 +450,18 @@ def check_local_contraction(ring, lam, N, n_max):
         raise ValueError("contracting factor must exceed 1")
     if N >= n_max:
         raise ValueError("need N < n_max")
-    first_failure = None
-    for n in range(N + 1, n_max + 1):
-        gn = ring.phi.image_power(n)
-        t = (lam.numerator * n) // lam.denominator
-        if not gn.in_lattice(-t):
-            first_failure = n
-            break
-    return ContractionReport(lam=lam, N=N, d_lambda=Fraction(1, N),
-                             verified_range=(N, n_max),
-                             holds=first_failure is None,
-                             first_failure=first_failure)
+    first_failure = next(
+        (n for n in range(N + 1, n_max + 1) if not ring.phi.image_power(
+            n).in_lattice(-(lam.numerator * n // lam.denominator))), None)
+    report = {"lambda": str(lam), "N": N, "d_lambda": str(Fraction(1, N)),
+              "verified_range": [N, n_max], "holds": first_failure is None,
+              "first_failure": first_failure}
+    if first_failure is None:
+        return holds("local-contraction",
+                     f"phi(u^n) in u^[{lam}n] for {N} < n <= {n_max}",
+                     window=ring.window, report=report)
+    return fails("local-contraction", f"first failure at n = {first_failure}",
+                 window=ring.window, report=report)
 
 
 def contraction_constants(ring):
@@ -500,19 +484,10 @@ def contraction_constants(ring):
     return {"c_phi": c}
 
 
-class FrobeniusContractionReport:
-    def __init__(self, found, N=None, q=None):
-        self.found = found
-        self.N = N
-        self.q = q
-
-    def to_json(self):
-        return {"found": self.found, "N": self.N, "q": self.q}
-
-
 def check_frobenius_contraction(ring, max_iter=4):
     """Search for an iterate of phi that is u^q + p*(...) with trivial
-    coefficient action."""
+    coefficient action: `frobenius-contraction` holds for the first one
+    found, and is inconclusive when no iterate up to max_iter is one."""
     base = ring.base
     p, f = base.p, base.f
     x = ring.variable()
@@ -534,8 +509,14 @@ def check_frobenius_contraction(ring, max_iter=4):
                 break
             q_exp = exp
         if ok and q_exp is not None and q_exp > 1:
-            return FrobeniusContractionReport(found=True, N=N, q=q_exp)
-    return FrobeniusContractionReport(found=False)
+            return holds("frobenius-contraction",
+                         f"phi^{N} deforms the {q_exp}-power map",
+                         window=ring.window,
+                         report={"found": True, "N": N, "q": q_exp})
+    return inconclusive("frobenius-contraction",
+                        "no contracting iterate within max_iter",
+                        window=ring.window,
+                        report={"found": False, "N": None, "q": None})
 
 
 _STRUCTURAL_AXIOMS = {
@@ -547,48 +528,49 @@ _STRUCTURAL_AXIOMS = {
 }
 
 
-class HeightReport:
-    def __init__(self, verdicts, k=None, expansion=None,
-                 expected_mismatch=None):
-        self.verdicts = verdicts
-        self.k = k
-        self.expansion = expansion
-        self.expected_mismatch = expected_mismatch
-
-    def all_checkable_hold(self):
-        return all(v.status == HOLDS for n, v in self.verdicts.items()
-                   if n in ("H0a", "H1", "H2"))
-
-    def to_json(self):
-        out = {"verdicts": {k: v.to_json() for k, v in self.verdicts.items()},
-               "k": self.k}
-        if self.expansion is not None:
-            out["expansion"] = {str(j): list(c) for j, c in self.expansion.items()}
-        if self.expected_mismatch is not None:
-            out["expected_mismatch"] = self.expected_mismatch
-        return out
+def _height_verdict(ring, verdicts, k=None, expansion=None, mismatch=None):
+    """The `height-check` verdict over the per-axiom verdicts: fails if a
+    checkable axiom fails, holds if H0a, H1 and H2 all hold, else
+    inconclusive."""
+    data = {"verdicts": {n: v.to_json() for n, v in verdicts.items()},
+            "k": k}
+    if expansion is not None:
+        data["expansion"] = {str(j): list(c) for j, c in expansion.items()}
+    if mismatch is not None:
+        data["expected_mismatch"] = mismatch
+    if any(v.status == FAILS for v in verdicts.values()):
+        return fails("height-check", "a checkable height axiom fails",
+                     window=ring.window, **data)
+    if all(verdicts[n].status == HOLDS for n in ("H0a", "H1", "H2")):
+        detail = "checkable axioms hold; structural axioms recorded"
+        if mismatch is not None:
+            detail += ("; supplied closed form disagrees with the direct "
+                       "expansion (see expected_mismatch)")
+        return holds("height-check", detail, window=ring.window, **data)
+    return inconclusive("height-check", "window too small to decide",
+                        window=ring.window, **data)
 
 
 def check_height_theory(ring, v, expected_expansion=None):
-    """Per-axiom height verdicts for a candidate element v.
+    """The `height-check` verdict for a candidate element v, with the
+    per-axiom verdicts in its data (see `_height_verdict`).
 
     H0a is exact (invertibility); H1 is the restricted-form check
     (v = u^k * unit); H2 rewrites phi(v) greedily in powers of v and never
     reports a false positive.  If expected_expansion (a {power: int} dict)
-    is supplied and differs from the computed expansion, the report flags
-    the mismatch without failing H2.
+    is supplied and differs from the computed expansion, the verdict flags
+    the mismatch in `expected_mismatch` without failing H2.
     """
     base = ring.base
-    verdicts = {}
-    for name, text in _STRUCTURAL_AXIOMS.items():
-        verdicts[name] = inconclusive(name, text)
+    verdicts = {name: inconclusive(name, text)
+                for name, text in _STRUCTURAL_AXIOMS.items()}
     try:
         v.inv()
         verdicts["H0a"] = holds("H0a", "v is a unit of the Laurent ring",
                                 window=v.hi)
     except NotAUnit:
         verdicts["H0a"] = fails("H0a", "v is not a unit")
-        return HeightReport(verdicts=verdicts)
+        return _height_verdict(ring, verdicts)
 
     ud = v.unit_degree()
     k = ud.d
@@ -601,37 +583,26 @@ def check_height_theory(ring, v, expected_expansion=None):
             "H1", "restricted-form precondition unmet (pole below unit degree)")
         verdicts["H2"] = inconclusive(
             "H2", "greedy rewriting requires the restricted form")
-        return HeightReport(verdicts=verdicts, k=k)
+        return _height_verdict(ring, verdicts, k)
 
-    phi_v = ring.apply_phi(v)
-    expansion = {}
-    t = phi_v
-    cache = {}
-    vjlead = {}
-    ok = True
-    detail = ""
+    # each step cancels the lowest term of t, so the exponents rise
+    phi_v = t = ring.apply_phi(v)
+    expansion, cache = {}, {}
     while not t.is_zero():
         d0 = t.lo
         if d0 < 0 or d0 % k:
-            ok = False
-            detail = f"lowest remaining exponent {d0} is not a power of v"
-            break
-        j = d0 // k
-        vj = _power(v, j, cache)
-        if j not in vjlead:
-            vjlead[j] = base.inv(vj.coeff(vj.lo))
-        b = base.mul(t.coeff(d0), vjlead[j])
-        expansion[j] = b
+            verdicts["H2"] = fails(
+                "H2", f"lowest remaining exponent {d0} is not a power of v",
+                window=phi_v.hi)
+            return _height_verdict(ring, verdicts, k, expansion)
+        vj = _power(v, d0 // k, cache)
+        b = expansion[d0 // k] = base.mul(t.coeff(d0),
+                                          base.inv(vj.coeff(vj.lo)))
         t = t - vj.scale(b)
-    if ok:
-        verdicts["H2"] = holds(
-            "H2", "phi(v) rewritten in powers of v within window",
-            window=phi_v.hi)
-    else:
-        verdicts["H2"] = fails("H2", detail, window=phi_v.hi)
-
+    verdicts["H2"] = holds("H2", "phi(v) rewritten in powers of v within "
+                                 "window", window=phi_v.hi)
     mismatch = None
-    if expected_expansion is not None and ok:
+    if expected_expansion is not None:
         exp_norm = {j: base.from_int(c) for j, c in expected_expansion.items()
                     if not base.is_zero(base.from_int(c))}
         if exp_norm != expansion:
@@ -641,5 +612,4 @@ def check_height_theory(ring, v, expected_expansion=None):
                 "note": "supplied closed form disagrees with the direct "
                         "expansion; the computed expansion is authoritative",
             }
-    return HeightReport(verdicts=verdicts, k=k, expansion=expansion,
-                        expected_mismatch=mismatch)
+    return _height_verdict(ring, verdicts, k, expansion, mismatch)

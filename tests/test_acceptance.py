@@ -75,11 +75,12 @@ def crit_height(s):
     for p in (3, 5, 7):
         t0 = time.perf_counter()
         r = make_custom_ring(p, 2, 1, 24 * s, {p: 1, -(p - 2): 2 * p})
-        rep = check_height_theory(r, r.variable(2),
-                                  expected_expansion={p: 1, p - 1: 4 * p})
-        ok = (rep.all_checkable_hold()
-              and rep.expansion == {1: r.base.from_int(4 * p), p: (1,)}
-              and rep.expected_mismatch is not None)
+        v = check_height_theory(r, r.variable(2),
+                                expected_expansion={p: 1, p - 1: 4 * p})
+        ok = (v.status == HOLDS
+              and v.data["expansion"] == {"1": list(r.base.from_int(4 * p)),
+                                         str(p): [1]}
+              and v.data["expected_mismatch"] is not None)
         times[p] = time.perf_counter() - t0
         statuses[f"height-p{p}"] = mark(ok)
     return statuses, times
@@ -99,8 +100,8 @@ def test_criterion_1_height_example():
 
 def crit_contraction(s):
     r = make_custom_ring(3, 2, 1, 40 * s, {3: 1, -1: 3})
-    rep = check_local_contraction(r, 2, 4, 200)
-    return {"intro-contraction": mark(rep.holds)}, {}
+    v = check_local_contraction(r, 2, 4, 200)
+    return {"intro-contraction": mark(v.status == HOLDS)}, {}
 
 
 def test_criterion_2_intro_contraction():

@@ -641,9 +641,11 @@ class TestCupNeedsOddPrime:
 
 class TestSmallWindowShortfall:
     """Below window 7, solve-twisted's own sample u^(n_cong + k) does not
-    fit the window, and at window 4 local-contraction meets phi(u^n)
-    known only below u^-m.  Both are precision shortfalls: inconclusive
-    verdicts that name the error class."""
+    fit the window, nor below window 9 its uniqueness perturbation
+    u^(n_cong + k), k < 4; cup's random lifts have terms up to u^7; and
+    at window 4 local-contraction meets phi(u^n) known only below u^-m.
+    All are precision shortfalls: inconclusive verdicts that name the
+    error class."""
 
     @pytest.mark.parametrize("window", [4, 5, 6])
     def test_solve_twisted(self, window):
@@ -666,6 +668,30 @@ class TestSmallWindowShortfall:
         assert "InsufficientWindow" in v["local-contraction"]["detail"]
         assert all(x["status"] != "fails" for x in v.values())
 
+    def test_solve_twisted_perturbation(self):
+        # the round trip closes, then the perturbation draws u^8
+        code, rep = run_config({"task": "solve-twisted", "count": 1,
+                                "ring": {"kind": "cyclotomic", "p": 2,
+                                         "a": 3}}, window=7, seed=2)
+        assert code == EXIT_INCONCLUSIVE
+        (v,) = rep["verdicts"]
+        assert v["data"]["error"] == "EmptyWindow"
+        assert v["data"]["shortfalls"][0]["instance"] == 0
+        assert v["data"]["failures"] == []
+
+    @pytest.mark.parametrize("window,seed,name", [
+        (4, 3, "cup-lambda-identities"),  # the lambda identities' lifts
+        (5, 5, "lift-step"),  # the lift that mu corrects
+    ])
+    def test_cup_draws(self, window, seed, name):
+        code, rep = run_config({"task": "cup", "count": 1,
+                                "ring": CYC_P3}, window=window, seed=seed)
+        assert code == EXIT_INCONCLUSIVE
+        v = {x["name"]: x for x in rep["verdicts"]}
+        assert v[name]["status"] == "inconclusive"
+        assert v[name]["data"]["error"] == "EmptyWindow"
+        assert "EmptyWindow" in v[name]["detail"]
+
 
 BATTERY_RINGS = {
     "cyclotomic-p3": {"kind": "cyclotomic", "p": 3, "a": 2},
@@ -683,23 +709,31 @@ class TestNoTraceback:
     either returns a verdict exit code or is a config error: never any
     other exception, which the command line shows as a traceback."""
 
+    # the tasks whose random draws have terms up to u^7 or u^8: at
+    # windows 4 to 7 some seeds draw a term outside the window
+    DRAWS = ("cup", "solve-twisted", "suite")
+
     @pytest.mark.parametrize("ring", sorted(BATTERY_RINGS))
     def test_exit_contract(self, ring):
-        for window in (1, 2, 3, 4, 8, 12):
+        for window in (1, 2, 3, 4, 5, 6, 7, 8, 12):
             for task in TASKS:
                 cfg = {"task": task, "ring": BATTERY_RINGS[ring],
                        "count": 1, "v_terms": {"1": 1}}
-                try:
-                    code, _ = run_config(cfg, window=window)
-                except ConfigError:
-                    continue
-                assert code in (EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE), \
-                    (task, window)
+                seeds = range(8) if 4 <= window <= 7 and \
+                    task in self.DRAWS else (0,)
+                for seed in seeds:
+                    try:
+                        code, _ = run_config(cfg, window=window, seed=seed)
+                    except ConfigError:
+                        continue
+                    assert code in (EXIT_HOLDS, EXIT_FAILS,
+                                    EXIT_INCONCLUSIVE), (task, window, seed)
 
     # each task parameter at its least admissible value, which must give
     # a verdict, and one below it, a config error; the defaults are
-    # lam 2, N 1, n_max 50 (analyze-phi) and lam 2, m 1, n_cong 5, N 4
-    # (solve-twisted), so n_cong > max(2m/(lam-1), N) binds at those
+    # lam 2, N 1, n_max 50, max_iter 4 (analyze-phi) and lam 2, m 1,
+    # n_cong 5, N 4 (solve-twisted), so n_cong > max(2m/(lam-1), N)
+    # binds at those
     EDGE_PARAMS = [
         ("analyze-phi", {"lam": "101/100"}, True),
         ("analyze-phi", {"lam": 1}, False),
@@ -726,6 +760,11 @@ class TestNoTraceback:
         ("height-check", {"v_terms": {"1": "x"}}, False),
         ("height-check", {"v_terms": {"1": 1},
                           "expected_expansion": {"1": [1]}}, False),
+        ("analyze-phi", {"max_iter": 1}, True),
+        ("analyze-phi", {"max_iter": 0}, False),
+        ("analyze-phi", {"max_iter": "x"}, False),
+        ("analyze-phi", {"max_iter": [1]}, False),
+        ("suite", {"max_iter": 0}, False),
     ]
 
     @pytest.mark.parametrize("ring", ["cyclotomic-p3", "tame-e2-p3"])

@@ -212,6 +212,51 @@ BUILDER_CASES = {
 }
 
 
+def docstring_d(C, c):
+    """The parts of d(c) by the formulas of the module docstring, written
+    out with explicit matrix products."""
+    Phi, Gam = C.module.Phi, C.module.Gam
+    if c.degree == 0:
+        (z,) = c.parts
+        if C.kind == "plain":
+            return (Phi * z.apply_phi() - z, Gam * z.apply_gamma() - z)
+        if C.kind == "adjoint":
+            return (Phi * z.apply_phi() * Phi.inv() - z,
+                    Gam * z.apply_gamma() * Gam.inv() - z)
+        return (z.apply_phi() - Phi.inv() * z,
+                z.apply_gamma() - Gam.inv() * z)
+    x, y = c.parts
+    if C.kind == "plain":
+        return ((Gam * x.apply_gamma() - x) - (Phi * y.apply_phi() - y),)
+    if C.kind == "adjoint":
+        return ((Gam * x.apply_gamma() * Gam.inv() - x) -
+                (Phi * y.apply_phi() * Phi.inv() - y),)
+    return ((x.apply_gamma() - Gam.apply_phi().inv() * x) +
+            (Phi.apply_gamma().inv() * y - y.apply_phi()),)
+
+
+class TestDifferentialFormulas:
+    """d0 and d1 of every kind against the docstring's formulas, entry
+    for entry, windows included."""
+
+    @pytest.mark.parametrize("degree", (0, 1))
+    @pytest.mark.parametrize("kind", ("plain", "framed", "adjoint"))
+    @pytest.mark.parametrize("case", sorted(BUILDER_CASES))
+    def test_matches_formulas(self, case, kind, degree):
+        make_ring, make_module = BUILDER_CASES[case]
+        ring = make_ring()
+        rng = random.Random(3)
+        C = HerrComplex(make_module(rng, ring), kind)
+        for _ in range(3):
+            c = rand_cochain(rng, C, degree)
+            # uneven entry windows, so the windows of d's terms differ
+            c = Cochain(degree, tuple(
+                part.map(lambda e: e.truncate(e.hi - rng.randrange(3)))
+                for part in c.parts))
+            assert [p.to_json() for p in C.d(c).parts] == \
+                [p.to_json() for p in docstring_d(C, c)]
+
+
 class TestSystemBuilder:
     """The semilinear system builder against d applied column by column."""
 

@@ -167,17 +167,22 @@ class TestTameExtension:
 class TestLocalContraction:
     def test_holds_lambda_2(self):
         r = make_custom_ring(3, 2, 1, 40, {3: 1, -1: 3})
-        rep = check_local_contraction(r, 2, 4, 60)
-        assert rep.holds and rep.first_failure is None
+        v = check_local_contraction(r, 2, 4, 60)
+        assert v.status == HOLDS and v.window == 40
+        assert v.data["report"] == {
+            "lambda": "2", "N": 4, "d_lambda": "1/4",
+            "verified_range": [4, 60], "holds": True, "first_failure": None}
 
     def test_fails_lambda_3(self):
         r = make_custom_ring(3, 2, 1, 40, {3: 1, -1: 3})
-        rep = check_local_contraction(r, 3, 4, 60)
-        assert not rep.holds and rep.first_failure == 5
+        v = check_local_contraction(r, 3, 4, 60)
+        assert v.status == FAILS and v.detail == "first failure at n = 5"
+        assert not v.data["report"]["holds"]
+        assert v.data["report"]["first_failure"] == 5
 
     def test_large_range_within_budget(self):
         r = make_custom_ring(3, 2, 1, 40, {3: 1, -1: 3})
-        assert check_local_contraction(r, 2, 4, 200).holds
+        assert check_local_contraction(r, 2, 4, 200).status == HOLDS
 
     def test_rejects_bad_parameters(self):
         r = make_custom_ring(3, 2, 1, 20, {3: 1})
@@ -210,75 +215,85 @@ class TestContractionConstants:
 
 class TestFrobeniusContraction:
     def test_cyclotomic(self):
-        rep = check_frobenius_contraction(standard_cyclotomic(3, 2, window=30))
-        assert rep.found and rep.N == 1 and rep.q == 3
+        v = check_frobenius_contraction(standard_cyclotomic(3, 2, window=30))
+        assert v.status == HOLDS
+        assert v.data["report"] == {"found": True, "N": 1, "q": 3}
 
     def test_tame(self):
         ext = tame_extension(standard_cyclotomic(3, 1, window=12), 2)
-        rep = check_frobenius_contraction(ext)
-        assert rep.found and rep.N == 1 and rep.q == 3
+        v = check_frobenius_contraction(ext)
+        assert v.status == HOLDS
+        assert v.data["report"] == {"found": True, "N": 1, "q": 3}
 
     def test_unramified_coefficients(self):
         # coefficient Frobenius has order 2, so the first candidate is phi^2
-        rep = check_frobenius_contraction(standard_cyclotomic(3, 2, f=2, window=30))
-        assert rep.found and rep.N == 2 and rep.q == 9
+        v = check_frobenius_contraction(
+            standard_cyclotomic(3, 2, f=2, window=30))
+        assert v.status == HOLDS
+        assert v.data["report"] == {"found": True, "N": 2, "q": 9}
 
     def test_not_found(self):
         # phi(u) = 4u = (1 + 3)u mod 9 never contracts: no iterate has the
         # shape u^q + p*(...) with q > 1
-        rep = check_frobenius_contraction(
+        v = check_frobenius_contraction(
             make_custom_ring(3, 2, 1, 20, {1: 4}), max_iter=3)
-        assert not rep.found and rep.N is None
+        assert v.status == INCONCLUSIVE
+        assert v.data["report"] == {"found": False, "N": None, "q": None}
 
 
 class TestHeightTheory:
     def test_square_substitution(self):
         # phi(u) = u^5 + 10u^-3 over Z/25 and v = u^2: phi(v) = v^5 + 20v
         r = make_custom_ring(5, 2, 1, 40, {5: 1, -3: 10})
-        rep = check_height_theory(r, r.variable(2))
-        assert rep.k == 2
-        assert rep.expansion == {1: (20,), 5: (1,)}
-        assert rep.all_checkable_hold()
-        assert rep.verdicts["H3"].status == INCONCLUSIVE
+        v = check_height_theory(r, r.variable(2))
+        assert v.data["k"] == 2
+        assert v.data["expansion"] == {"1": [20], "5": [1]}
+        assert v.status == HOLDS
+        assert v.data["verdicts"]["H3"]["status"] == INCONCLUSIVE
 
     def test_mismatch_flagged_without_failing(self):
         r = make_custom_ring(5, 2, 1, 40, {5: 1, -3: 10})
-        rep = check_height_theory(r, r.variable(2),
-                                  expected_expansion={5: 1, 4: 20})
-        assert rep.expected_mismatch is not None
-        assert rep.verdicts["H2"].status == HOLDS
+        v = check_height_theory(r, r.variable(2),
+                                expected_expansion={5: 1, 4: 20})
+        assert v.data["expected_mismatch"] is not None
+        assert v.data["verdicts"]["H2"]["status"] == HOLDS
+        assert v.status == HOLDS and "expected_mismatch" in v.detail
         ok = check_height_theory(r, r.variable(2),
                                  expected_expansion={5: 1, 1: 20})
-        assert ok.expected_mismatch is None
+        assert "expected_mismatch" not in ok.data
 
     def test_v_equals_u_fails(self):
         r = make_custom_ring(5, 2, 1, 40, {5: 1, -3: 10})
-        rep = check_height_theory(r, r.variable(1))
-        assert rep.verdicts["H2"].status == FAILS
+        v = check_height_theory(r, r.variable(1))
+        assert v.data["verdicts"]["H2"]["status"] == FAILS
+        assert v.status == FAILS
 
     def test_non_unit_v(self):
         r = make_custom_ring(5, 2, 1, 40, {5: 1, -3: 10})
-        rep = check_height_theory(r, r.series({1: 5}))
-        assert rep.verdicts["H0a"].status == FAILS
+        v = check_height_theory(r, r.series({1: 5}))
+        assert v.data["verdicts"]["H0a"]["status"] == FAILS
+        assert v.status == FAILS and v.data["k"] is None
 
     def test_unrestricted_form_inconclusive(self):
         r = make_custom_ring(3, 2, 1, 40, {3: 1, -1: 3})
-        rep = check_height_theory(r, r.series({2: 1, -1: 3}))
-        assert rep.verdicts["H1"].status == INCONCLUSIVE
-        assert rep.verdicts["H2"].status == INCONCLUSIVE
+        v = check_height_theory(r, r.series({2: 1, -1: 3}))
+        assert v.data["verdicts"]["H1"]["status"] == INCONCLUSIVE
+        assert v.data["verdicts"]["H2"]["status"] == INCONCLUSIVE
+        assert v.status == INCONCLUSIVE
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_deformed_family(self, p):
         r = make_custom_ring(p, 2, 1, 40, {p: 1, -(p - 2): 2 * p})
-        rep = check_height_theory(r, r.variable(2),
-                                  expected_expansion={p: 1, p - 1: 4 * p})
-        assert rep.all_checkable_hold()
-        assert rep.expansion == {1: r.base.from_int(4 * p), p: (1,)}
-        assert rep.expected_mismatch is not None
+        v = check_height_theory(r, r.variable(2),
+                                expected_expansion={p: 1, p - 1: 4 * p})
+        assert v.status == HOLDS
+        assert v.data["expansion"] == {
+            "1": list(r.base.from_int(4 * p)), str(p): [1]}
+        assert v.data["expected_mismatch"] is not None
 
     def test_json_shape(self):
         r = make_custom_ring(5, 2, 1, 40, {5: 1, -3: 10})
-        data = check_height_theory(r, r.variable(2)).to_json()
+        data = check_height_theory(r, r.variable(2)).to_json()["data"]
         assert data["k"] == 2
         assert set(data["verdicts"]) == {"H0a", "H0b", "H1", "H2", "H3", "H4"}
 
