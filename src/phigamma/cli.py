@@ -115,12 +115,16 @@ def build_ring(desc, window=None):
 
 def _param(cfg, name, default, least=None, rational=False):
     """Task parameter `name` as an int, or as a Fraction when `rational`,
-    not below `least` when that is given, else a ConfigError."""
+    not below `least` when that is given, else a ConfigError.  An int
+    comes from an int or an integer string, never from a float or a bool,
+    which `int` would truncate."""
     v = cfg.get(name, default)
     try:
         if rational:
             from fractions import Fraction
             x = Fraction(str(v))
+        elif isinstance(v, (bool, float)):
+            raise TypeError
         else:
             x = int(v)
     except (TypeError, ValueError, ZeroDivisionError):

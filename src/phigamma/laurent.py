@@ -56,7 +56,9 @@ to stride 2f - 1 and the slots of x^f ... x^(2f-2) are folded back
 through the modulus rows, one column of coordinates at a time.
 `__mul__`, `mul_each` (many products with one common factor, laid out
 in one list), `scale` and the power loops of `inv` and
-`eth_root_one_unit` all use it.
+`eth_root_one_unit` all use it, and `compose` forms its whole sum
+c_n * g^n in the same packed slots: one shifted product per term, every
+product added as a Python int, and one slot reduction for the sum.
 
 A series packs its list once per slot width: the packed int is kept in
 the series (its `_packed` store, keyed by slot width) from its first
@@ -168,10 +170,14 @@ class LaurentSeries:
         return tuple(self._flat[i:i + f])
 
     def terms(self):
-        lo = self.lo
-        for i, c in enumerate(zip(*[iter(self._flat)] * self.ring.f)):
-            if any(c):
-                yield lo + i, c
+        """The pairs (exponent, coordinate tuple) of the nonzero
+        coefficients, lowest exponent first."""
+        lo, f, flat = self.lo, self.ring.f, self._flat
+        if f == 1:
+            return ((lo + i, (v,)) for i, v in enumerate(flat) if v)
+        zero = self.ring.zero
+        return ((lo + i, c) for i, c in enumerate(zip(*[iter(flat)] * f))
+                if c != zero)
 
     def unit_degree(self):
         """First exponent whose coefficient is a unit, with the exact pole.
@@ -502,27 +508,44 @@ def _convolve(ring, xs, ys, n, xkept=None, ykept=None):
     packing by a mask.  A list without a store is cut and packed afresh.
     """
     square = xs is ys
-    f, q = ring.f, ring.q
+    f = ring.f
     m = n * f
     lx, ly = min(len(xs), m), min(len(ys), m)
     if n <= 0 or not lx or not ly:
         return [0] * (max(n, 0) * f)
     stride = 2 * f - 1
-    nb = ((min(lx, ly) * (q - 1) ** 2).bit_length() + 7) // 8
-    if nb <= 8:
-        # round up to a machine word of 1, 2, 4 or 8 bytes, so that array
-        # does the packing and unpacking in C
-        nb = 1 << (nb - 1).bit_length()
+    nb = _slot_width(ring, min(lx, ly))
     size = max(n, (lx + ly) // f - 1) * stride * nb
     X = _packed(ring, xs, n, nb, xkept)
     Y = X if square else _packed(ring, ys, n, nb, ykept)
     buf = (X * Y).to_bytes(size, "little")[:n * stride * nb]
+    return _product_coeffs(ring, buf, nb)
+
+
+def _slot_width(ring, products):
+    """The slot width in bytes for slots that each sum at most `products`
+    products of canonical coordinates, so at most products * (q-1)^2: the
+    least whole number of bytes, rounded up to a machine word of 1, 2, 4
+    or 8 bytes so that array does the packing and unpacking in C."""
+    nb = ((products * (ring.q - 1) ** 2).bit_length() + 7) // 8
+    return 1 << (nb - 1).bit_length() if nb <= 8 else nb
+
+
+def _product_coeffs(ring, buf, nb):
+    """The flat coordinate list held by the product slots of buf, nb bytes
+    each, every coefficient in 2f - 1 slots, each coordinate reduced mod q.
+
+    At f = 1 that is `_reduced_slots`.  For f > 1 slot k of a coefficient
+    holds its coordinate x^k; the columns for x^f ... x^(2f-2) are folded
+    back through the modulus rows."""
+    f, q = ring.f, ring.q
     if f == 1:
         return _reduced_slots(buf, nb, q)
+    stride = 2 * f - 1
     slots = _unpack(buf, nb)
     # column k holds coordinate x^k of every output coefficient
     cols = [slots[k::stride] for k in range(stride)]
-    out = [0] * (n * f)
+    out = [0] * (len(slots) // stride * f)
     for k in range(f):
         col = cols[k]
         for row, high in zip(ring._red, cols[f:]):
@@ -729,29 +752,58 @@ def compose(f, g, powers_cache=None):
     Requires unit degree d(g) >= 1 (Divergent otherwise); negative
     exponents of f additionally require g invertible, which d(g) >= 1
     guarantees.  Powers of g are formed by binary powering (and cached in
-    powers_cache when given), each with the documented mul windows; the
-    final window is additionally capped by the tail guard described in
-    the module docstring.
+    powers_cache when given), each with the documented mul windows, in
+    the order of the terms of f, so the first power that raises decides
+    the exception.  The result is known below hi, the least hi(g^n) over
+    the terms of f, further capped by the tail guard described in the
+    module docstring.
+
+    The sum itself is one linear combination in the packed slots of the
+    kernel (see `_convolve`).  Each power g^n is packed below hi through
+    its store, so a power packed at that slot width before is only
+    masked; it is multiplied by the packed coordinates of c_n, reduced
+    mod q, and shifted up by lo(g^n) - lo coefficients, lo the least
+    order among the powers, and the products are added as Python ints.
+    A slot sums at most ring.f coordinate products per term, so at most
+    T * ring.f * (q-1)^2 over T terms, and the slot width is chosen for
+    that bound: no slot carries, and one slot reduction gives the
+    coefficients.
     """
     ring = f.ring
     try:
-        ud = g.unit_degree()
+        d = g.unit_degree().d
     except InsufficientWindow:
         raise NotAUnit("substitution target has no visible unit coefficient")
-    d = ud.d
     if d < 1:
         raise Divergent(f"substitution target has unit degree {d} < 1")
     if powers_cache is None:
         powers_cache = {}
-    tail_guard = d * f.hi - (ring.a - 1) * max(0, d - g.lo)
-    out = LaurentSeries.zero(ring, tail_guard)
+    hi = d * f.hi - (ring.a - 1) * max(0, d - g.lo)
+    terms = []
     for n, c in f.terms():
         if n < 0 and "inv" not in powers_cache:
             powers_cache["inv"] = g.inv()
         base = g if n >= 0 else powers_cache["inv"]
-        gn = _power(base, abs(n), powers_cache, neg=(n < 0))
-        out = out + gn.scale(c)
-    return out
+        gn = _power(base, abs(n), powers_cache, neg=n < 0)
+        if gn.hi < hi:
+            hi = gn.hi
+        terms.append((c, gn))
+    # a power that starts at or above hi adds nothing below it
+    terms = [(c, gn) for c, gn in terms if gn.lo < hi]
+    if not terms:
+        return LaurentSeries.zero(ring, hi)
+    lo = min([gn.lo for _, gn in terms])
+    k, q = ring.f, ring.q
+    nb = _slot_width(ring, len(terms) * k)
+    bits = (2 * k - 1) * nb * 8
+    total = 0
+    for c, gn in terms:
+        G = _packed(ring, gn._flat, hi - gn.lo, nb, _packings(gn))
+        # at f = 1 the packed coefficient is its one coordinate
+        C = c[0] % q if k == 1 else _pack(_as_coords(ring, c), nb)
+        total += C * G << (gn.lo - lo) * bits
+    buf = total.to_bytes((hi - lo) * bits // 8, "little")
+    return _series(ring, lo, hi, _product_coeffs(ring, buf, nb))
 
 
 def _power(base, n, cache, neg=False):

@@ -256,6 +256,11 @@ BAD_PARAMS = [
      "'v_terms' must be an object"),
     ({"task": "height-check", "v_terms": {"1": [1, 2]}},
      "v_terms coefficient [1, 2] must be an integer or a list of 1"),
+    ({"task": "solve-twisted", "count": 1.9}, "'count' must be an integer"),
+    ({"task": "analyze-phi", "max_iter": True},
+     "'max_iter' must be an integer"),
+    ({"task": "analyze-phi", "max_iter": 2.5},
+     "'max_iter' must be an integer"),
 ]
 
 
@@ -269,6 +274,14 @@ class TestTaskParameterErrors:
         assert main([str(cfgfile), "--json"]) == EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == "" and msg in out.err
+
+    def test_integer_string_is_its_integer(self):
+        # floats and bools are refused above, an integer string is not
+        _, as_str = run_config({"task": "analyze-phi", "ring": CYC,
+                                "max_iter": "2"})
+        _, as_int = run_config({"task": "analyze-phi", "ring": CYC,
+                                "max_iter": 2})
+        assert as_str["verdicts"] == as_int["verdicts"]
 
     @pytest.mark.parametrize("max_iter", ["0", "-1"])
     def test_max_iter_below_one(self, max_iter, tmp_path, capsys):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phigamma import laurent
 from phigamma.errors import (BadIndex, Divergent, EmptyWindow,
                              InsufficientWindow, NotAUnit, NotPrincipalForm,
                              PhigammaError)
 from phigamma.galois_ring import make_ring
-from phigamma.laurent import (LaurentSeries, _convolve, _reduced_slots,
-                              compose, eth_root_one_unit, mul_each)
+from phigamma.laurent import (LaurentSeries, _convolve, _power,
+                              _reduced_slots, _slot_width, compose,
+                              eth_root_one_unit, mul_each)
 
 seeds = st.integers(0, 10**9)
 
@@ -493,6 +495,56 @@ def outcome(fn):
         return type(exc).__name__
 
 
+# compose sums its terms c_n g^n in one packed sum; the reference adds
+# them one at a time with the series' own +, scale and powers, which the
+# tests above check, under compose's window rule and errors
+COMPOSE_RINGS = [make_ring(p, a, f) for p, a, f in [
+    (3, 2, 1), (3, 2, 2), (5, 2, 3), (2, 3, 2), (2, 64, 1)]]
+
+
+def ref_compose(f, g):
+    ring = f.ring
+    try:
+        d = g.unit_degree().d
+    except InsufficientWindow:
+        raise NotAUnit("substitution target has no visible unit coefficient")
+    if d < 1:
+        raise Divergent(f"substitution target has unit degree {d} < 1")
+    cache = {}
+    out = LaurentSeries.zero(ring, d * f.hi - (ring.a - 1) * max(0, d - g.lo))
+    for n, c in f.terms():
+        if n < 0 and "inv" not in cache:
+            cache["inv"] = g.inv()
+        base = g if n >= 0 else cache["inv"]
+        gn = _power(base, abs(n), cache, neg=n < 0)
+        out = out + gn.scale(c)
+    return out
+
+
+def compose_outcome(fn):
+    """(lo, hi, flat) of the result, or the class and message raised."""
+    try:
+        return fn().key()
+    except PhigammaError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def compose_target(rng, ring):
+    """g with a unit at degree d (d = 0 at times, which diverges, and at
+    times no unit at all), random terms above d and at times a nilpotent
+    term below it, a pole included."""
+    d = rng.choice((0, 1, 1, 2, 3))
+    hi = rng.randrange(d + 1, 14)
+    unit = rng.random() < 0.9
+    terms = {d: ring.random_unit(rng) if unit else
+             ring.smul(ring.p, ring.random(rng))}
+    for _ in range(rng.randrange(4)):
+        terms[rng.randrange(d + 1, hi + 1)] = ring.random(rng)
+    if rng.random() < 0.5:
+        terms[rng.randrange(-2, d)] = ring.smul(ring.p, ring.random(rng))
+    return LaurentSeries.from_terms(ring, terms, hi)
+
+
 class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(seeds)
@@ -776,6 +828,111 @@ class TestKernel:
                     mul_each(bad, [dense, one])
                 with pytest.raises(error, match=match):
                     mul_each(dense, [one, bad])
+
+    def test_compose_non_canonical(self):
+        # a coefficient of f is reduced mod q before it is packed, as
+        # `scale` reduces it: 17 in two terms at q = 9 would carry out of
+        # its 1-byte slot (2 * 17 * 8 > 255), and -1 cannot be packed
+        g = S({1: 8, 2: 1}, 12)
+        for bad, good in (({1: 17, 2: 17}, {1: 8, 2: 8}),
+                          ({0: -1, 3: 17}, {0: 8, 3: 8})):
+            f = LaurentSeries(R9, 0, 6, [(bad.get(e, 0),) for e in range(6)])
+            want = compose(S(good, 6), g).key()
+            assert compose(f, g).key() == ref_compose(f, g).key() == want
+        # a power of g is packed through its store, so a non-canonical g
+        # raises as in every product it enters
+        f = S({0: 1, 1: 2}, 6)
+        for coord, error, match in ((17, PhigammaError, "not reduced"),
+                                    (-1, OverflowError, "negative")):
+            bad = LaurentSeries(R9, 1, 4, [(1,), (coord,), (0,)])
+            with pytest.raises(error, match=match):
+                compose(f, bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds)
+    def test_compose(self, seed):
+        rng = random.Random(seed)
+        for ring in COMPOSE_RINGS:
+            # negative exponents take the powers of the inverse
+            f = kernel_series(rng, ring, rng.randrange(1, 12),
+                              rng.choice(KINDS), lo_min=-3)
+            g = compose_target(rng, ring)
+            assert compose_outcome(lambda: compose(f, g)) == \
+                compose_outcome(lambda: ref_compose(f, g))
+
+    @pytest.mark.parametrize("n_terms", [3, 4])
+    def test_compose_slot_width_edge(self, n_terms):
+        # each term puts 8 * 8 into the slot of u^7, the most a product
+        # of two coordinates mod 9 can: 3 * 64 fills a byte, 4 * 64 does
+        # not, so the slots grow to 2 bytes at 4 terms
+        assert (_slot_width(R9, 3), _slot_width(R9, 4)) == (1, 2)
+        g = S({1: 8, 3: 7, 4: 7}, 12)
+        for n in (2, 4, 5, 7):
+            assert _power(g, n, {}).coeff(7) == (8,)
+        f = S({n: 8 for n in (2, 4, 5, 7)[:n_terms]}, 12)
+        want = ref_compose(f, g)
+        assert compose(f, g).key() == want.key()
+        assert want.coeff(7) == (n_terms * 64 % 9,)
+
+    # (f terms, f hi, g terms, g hi) -> the outcome, checked against the
+    # reference as well
+    COMPOSE_CASES = [
+        # negative exponents, through the inverse of g and its powers:
+        # g^-1 = 5u^-1 + 6 and g^-2 = 7u^-2 + 6u^-1
+        ({-2: 4, -1: 1, 0: 2, 3: 5}, 6, {1: 2, 2: 3}, 9,
+         (-2, 6, (1, 2, 8, 0, 0, 4, 0, 0))),
+        # the window of g^-1, [-5, -1), decides hi
+        ({-1: 1, 2: 1}, 6, {-1: 3, 2: 1, 3: 1}, 9, (-5, -1, (6, 6, 0, 4))),
+        # the nilpotent pole of g lowers the tail guard to
+        # 2 * 4 - (2 - -1) = 5, below hi(g^n) = 9, 9, 8
+        ({0: 2, 1: 1, 2: 1}, 4, {-1: 3, 2: 1, 3: 1}, 9,
+         (-1, 5, (3, 2, 6, 7, 1, 1))),
+        # g = 3u^-1 + u has g^2 = 6 mod u, so g^4 = 0 mod u: the window
+        # of g^4 decides hi, below the tail guard 6 - 2
+        ({4: 1}, 6, {-1: 3, 1: 1}, 2, (1, 1, ())),
+        # u^10 starts at or above hi = hi(g^0) = 5 and adds nothing
+        ({0: 1, 10: 2}, 12, {1: 1}, 5, (0, 5, (1, 0, 0, 0, 0))),
+        # an empty f: zero at the tail guard 2 * 7 - (2 - 1) * (2 - 1)
+        ({}, 7, {1: 3, 2: 1}, 9, (13, 13, ())),
+        # the tail guard 6 lies below every hi(g^n) >= 40
+        ({0: 1, 1: 2, 2: 1, 5: 7}, 6, {1: 1}, 40,
+         (0, 6, (1, 2, 1, 0, 0, 7))),
+        ({1: 1}, 5, {0: 1, 1: 1}, 9,
+         ("Divergent", "substitution target has unit degree 0 < 1")),
+        ({1: 1}, 5, {1: 3, 2: 6}, 9,
+         ("NotAUnit", "substitution target has no visible unit coefficient")),
+    ]
+
+    @pytest.mark.parametrize("f_terms,f_hi,g_terms,g_hi,want", COMPOSE_CASES)
+    def test_compose_cases(self, f_terms, f_hi, g_terms, g_hi, want):
+        f, g = S(f_terms, f_hi), S(g_terms, g_hi)
+        assert compose_outcome(lambda: compose(f, g)) == want
+        assert compose_outcome(lambda: ref_compose(f, g)) == want
+
+    def test_compose_first_raising_power(self, monkeypatch):
+        # a power of a target with a unit degree never raises, since no
+        # product of nonzero series has an empty window; make the powers
+        # of n >= 3 raise to see that the first of them, in the order of
+        # the terms of f, decides the error, as the reference's does
+        power = laurent._power
+
+        def raising(base, n, cache, neg=False):
+            if n >= 3:
+                raise EmptyWindow(f"power {-n if neg else n}")
+            return power(base, n, cache, neg)
+
+        monkeypatch.setattr(laurent, "_power", raising)
+        f = S({-4: 1, 1: 2, 5: 1, 7: 1}, 9)
+        g = S({1: 1, 2: 1}, 9)
+        cache = {}
+        assert compose_outcome(lambda: compose(f, g, cache)) == \
+            ("EmptyWindow", "power -4")
+        # the powers formed before it stay in the cache
+        assert set(cache) == {"inv"}
+        f = S({1: 2, 5: 1, 7: 1}, 9)
+        assert compose_outcome(lambda: compose(f, g, cache)) == \
+            ("EmptyWindow", "power 5")
+        assert set(cache) == {"inv", (False, 1)}
 
 
 # -- window soundness against adversarial unknown tails --------------------

@@ -303,3 +303,56 @@ def test_ring_json_shape():
     data = r.to_json()
     assert data["p"] == 3 and data["window"] == 16
     assert data["phi"]["kind"] == "phi"
+
+
+# -- operator images against adversarial unknown tails ---------------------
+#
+# As for series (tests/test_laurent.py): an image is exact on its window
+# whatever the unknown coefficients of the input at and above its hi are,
+# so the images of x and of x extended by random coefficients agree
+# wherever both windows reach.  Only the values are asserted: the power
+# windows of an operator's image are not monotone in the exponent (for
+# tame e=2 phi, hi(g^n) = 21, 20, 19 at n = 1, 2, 3), so a tail that
+# brings in a higher power can lower the image's hi (ROADMAP item 1).
+
+TAIL_RINGS = {
+    "cyc-p3-w24": lambda: standard_cyclotomic(3, 2, window=24),
+    "cyc-p3-f2-w16": lambda: standard_cyclotomic(3, 2, f=2, window=16),
+    "cyc-p5-w16": lambda: standard_cyclotomic(5, 2, window=16),
+    "intro-w32": lambda: make_custom_ring(3, 2, 1, 32, {3: 1, -1: 3}),
+    "tame-e2-p3-w16": lambda: tame_extension(
+        standard_cyclotomic(3, 2, window=16), 2),
+}
+
+
+def with_tail(rng, x):
+    """x on a window reaching up to 12 exponents further, with random
+    coefficients where x leaves them unknown."""
+    ring = x.ring
+    hi = x.hi + rng.randrange(1, 13)
+    terms = dict(x.terms())
+    for e in range(x.hi, hi):
+        terms[e] = ring.random(rng)
+    return LaurentSeries.from_terms(ring, terms, hi)
+
+
+class TestAdversarialTails:
+    @pytest.mark.parametrize("name", list(TAIL_RINGS))
+    @settings(max_examples=100, deadline=None)
+    @given(seed=seeds)
+    def test_apply(self, name, seed):
+        ring = TAIL_RINGS[name]()
+        base = ring.base
+        rng = random.Random(seed)
+        hi = rng.randrange(1, ring.window + 1)
+        lo = rng.randrange(-3, min(hi, 4))
+        if rng.random() < 0.5:
+            terms = {rng.randrange(lo, hi): base.random(rng)
+                     for _ in range(rng.randrange(1, 5))}
+        else:
+            terms = {e: base.random(rng) for e in range(lo, hi)}
+        x = LaurentSeries.from_terms(base, terms, hi)
+        xt = with_tail(rng, x)
+        for op in (ring.phi, ring.gamma):
+            small, large = op.apply(x), op.apply(xt)
+            assert large.agrees(small)
