@@ -513,13 +513,20 @@ class TestGoldenBytes:
 
 
 # sha256 of the canonical --json bytes of the Herr search tasks, count 1,
-# on rings where every system is a multi-coordinate or p = 5 one; the
-# kept operator images, Levi complexes and blocks must not move a byte
+# on rings where every system is a multi-coordinate or p = 5 one, and on
+# two rings whose phi image has a pole: the intro ring u^3 + 3u^-1, and
+# u + 3u^-1, where phi(0) is known only below the tail guard W - 2; the
+# kept operator images, Levi complexes and system columns must not move
+# a byte
 SEARCH_GOLDEN_RINGS = {
     "cyclotomic-p5-w16": {"kind": "cyclotomic", "p": 5, "a": 2, "f": 1,
                           "window": 16},
     "cyclotomic-p3-f2-w16": {"kind": "cyclotomic", "p": 3, "a": 2, "f": 2,
                              "window": 16},
+    "intro-w16": {"kind": "custom", "p": 3, "a": 2,
+                  "phi_terms": {"3": 1, "-1": 3}, "window": 16},
+    "custom-u+3u^-1-w12": {"kind": "custom", "p": 3, "a": 2,
+                           "phi_terms": {"1": 1, "-1": 3}, "window": 12},
 }
 SEARCH_GOLDEN = {
     ("cyclotomic-p5-w16", "herr", 0):
@@ -538,6 +545,18 @@ SEARCH_GOLDEN = {
         "3298c8f2a023c327fc82896c35b3fce875e4d81e93c9345d460e6b073e0323fd",
     ("cyclotomic-p3-f2-w16", "cup", 1):
         "a4aba608ae23cde49949693da0e18b548a913b23a873858e79c4100b6fc78fb9",
+    ("intro-w16", "herr", 0):
+        "019cbe7082baf2f2281ecdc57b0d33015b5b50304f5e02594ad285848b725a98",
+    ("intro-w16", "herr", 1):
+        "27a6d4c2a0e61f3fd152bbfa999ec8251de9b9bc5b5abb4472c40d3c61376b91",
+    ("intro-w16", "cup", 0):
+        "e277905393be260df62f59df1d709e31aa5bb3905c1a93b91ffd488c194ed248",
+    ("custom-u+3u^-1-w12", "herr", 0):
+        "d543119c2fc726eb045bfbbf90d11b8041b54a18353d304ce2ae8374152e9764",
+    ("custom-u+3u^-1-w12", "herr", 1):
+        "6b6f02b45b298a76931cdb5d441dbe2f7e90875dd41a9a4d4d2aa7e988155419",
+    ("custom-u+3u^-1-w12", "cup", 0):
+        "bfbd7b1cefa0330418fab8b6724430cd46c85b264f44ba676716cd0b775811de",
 }
 
 

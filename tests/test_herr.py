@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.errors import AveragingUnavailable, NotACocycle, NotALift
+from phigamma.errors import (AveragingUnavailable, EmptyWindow, NotACocycle,
+                             NotALift)
 from phigamma.framed import (Cochain, change_basis, check_invariance,
                              descend_cochain, make_framed, restrict_to_E)
 from phigamma.herr import (DualMatrix, HerrComplex,
@@ -276,7 +277,10 @@ class TestSystemBuilder:
         entries = [e for part in target.parts for row in part.rows
                    for e in row]
         z_lo = min([e.lo for e in entries] + [0]) - 2
-        for z_hi in (min(e.hi for e in entries), ring.window):
+        # up to the window edge: the column of e_s * u^W is the image of
+        # the zero cochain
+        for z_hi in (min(e.hi for e in entries), ring.window,
+                     ring.window + 1):
             keys, hi_map, A, rhs = C._windowed_system(target, z_lo, z_hi)
             ref_images, ref_A, ref_rhs, ref_hi = reference_system(
                 C, target, z_lo, z_hi)
@@ -294,6 +298,18 @@ class TestSystemBuilder:
             assert hi_map == ref_hi
             assert rhs == ref_rhs
             assert A == ref_A
+
+    @pytest.mark.parametrize("degree", (1, 2))
+    @pytest.mark.parametrize("kind", ("plain", "framed", "adjoint"))
+    def test_monomial_past_the_window(self, kind, degree):
+        # e_s * u^(W + 1) has the empty window [W + 1, W)
+        ring = standard_cyclotomic(3, 2, window=10)
+        rng = random.Random(7)
+        C = HerrComplex(rand_module(rng, ring), kind)
+        target = rand_cochain(rng, C, degree)
+        with pytest.raises(EmptyWindow,
+                           match=r"^window \[11, 10\) is empty$"):
+            C._windowed_system(target, -2, ring.window + 2)
 
 
 class TestExtensions:
