@@ -26,9 +26,7 @@ The lift ((1+eps*X)Phi, (1+eps*Y)Gam) is valid iff (X,Y) is an adjoint
 -d1_adjoint(X,Y)*Phi*phi(Gam), an independent oracle.
 """
 
-import math
-
-from .errors import EmptyWindow, NotACocycle, NotALift
+from .errors import NotACocycle, NotALift
 from .framed import Cochain, pattern_ok
 from .laurent import LaurentSeries, mul_each
 from .linalg import solve_mod_prime_power
@@ -55,7 +53,8 @@ class HerrComplex:
         self.kind = kind
         self.n = module.n
         self._ops = {}
-        self._block_pairs = {}
+        self._zero_images = {}
+        self._images = {}
 
     # -- cochain shapes -------------------------------------------------------
 
@@ -127,67 +126,133 @@ class HerrComplex:
 
     # -- windowed coboundary search -------------------------------------------
 
-    def _blocks(self, degree, k_lo, k_hi):
-        """The phi and gamma blocks of the differential out of `degree`
-        (see `_block_ops`), for the monomials e_s * u^k with k in
-        [k_lo, k_hi).
-
-        The complex keeps the blocks per (degree, k_lo, k_hi): a search
-        tries several exponent ranges, and every search on the complex
-        reuses them."""
-        key = (degree, k_lo, k_hi)
-        if key not in self._block_pairs:
-            self._block_pairs[key] = tuple(
-                _Block(self, op, L, R, k_lo, k_hi)
-                for op, L, R in self._block_ops(degree))
-        return self._block_pairs[key]
-
     def _column_images(self, degree, z_lo, z_hi):
         """The images under d of the monomial cochains of `degree` on the
-        exponents [z_lo, z_hi), described without forming them.
+        exponents [z_lo, z_hi).
 
         Returns (keys, images): keys[t] = (part, i, j, k, s) names the
         cochain whose only nonzero entry is e_s * u^k at (i, j) of that
-        part (e_s the s-th power-basis coordinate), and images[t] lists
-        the entries of its image in cochain order (part, row, column).
-        Each entry is a tuple (lo, hi, x_lo, xs, y_lo, ys): the entry is
-        known on [lo, hi) and lo is its lowest nonzero exponent (lo == hi
-        when it is zero); on that window it is x - y, where x and y have
-        the flat coordinates xs and ys from the exponents x_lo and y_lo
-        on (ys is None or empty when y is zero).  In the columns of
-        part 1 of a degree-1 cochain the entry is y - x instead, since
-        d1(x, y) = B_gamma(x) - B_phi(y)."""
+        part (e_s the s-th power-basis coordinate, the monomial known below
+        the ring window as every cochain entry is), and images[t] lists
+        the entries of d of that cochain in cochain order (part, row,
+        column).
+
+        They are formed by the series operations d uses, from one
+        identity.  On a cochain whose only nonzero entry is a monomial m,
+        every sum d forms has at most one term that is not a product with
+        a zero entry, and those zero terms are the ones d forms on the
+        zero cochain.  So d(m) = d(0) + (the terms that involve m), window
+        for window: a zero addend only cuts the sum at its window, and the
+        zero term that a term with m stands in for is known at least as
+        far as that term.  d(0) is formed once per degree (`_zero_image`)
+        and carries the window of every zero term; the terms with m come
+        from `_block_images`.  A monomial past the ring window raises
+        EmptyWindow as its series does, and e_s * u^W is the zero series,
+        whose image is d(0).
+
+        The complex keeps the images per (degree, z_lo, z_hi): a search
+        tries several exponent ranges, and every search on the complex
+        reuses them."""
+        key = (degree, z_lo, z_hi)
+        if key in self._images:
+            return self._images[key]
         ring, f = self.ring, self.ring.base.f
-        W = ring.window
         nr, nc = self.part_shape()
         keys = [(part, i, j, k, s) for part in range(self.n_parts(degree))
                 for i in range(nr) for j in range(nc)
                 for k in range(z_lo, z_hi) for s in range(f)]
-        if not keys:
-            return keys, []
-        phi_b, gam_b = self._blocks(degree, z_lo, min(z_hi, W))
-        if degree == 0:
-            zero_his = phi_b.zero + gam_b.zero
-        else:
-            zero_his = [min(a, b) for a, b in zip(gam_b.zero, phi_b.zero)]
-        if z_hi > W + 1:
-            # the monomial e_s * u^k with k > W has an empty window
-            raise EmptyWindow(f"window [{max(z_lo, W + 1)}, {W}) is empty")
-        zero_image = [(h, h, h, [], 0, None) for h in zero_his]
         images = []
-        for part, i, j, k, s in keys:
-            if k == W:
-                # e_s * u^W lies at the window edge: the zero cochain
-                images.append(zero_image)
-            elif degree == 0:
-                images.append(phi_b.image(i, j, k, s) +
-                              gam_b.image(i, j, k, s))
+        if keys:
+            zero = self._zero_image(degree)
+            units = [tuple(int(t == s) for t in range(f)) for s in range(f)]
+            monos = [ring.series({k: e}) for k in range(z_lo, z_hi)
+                     for e in units]
+            phi_ops, gam_ops = self._block_ops(degree)
+            if degree == 0:
+                # d0(z) = (B_phi(z), B_gamma(z))
+                size = nr * nc
+                images = [x + y for x, y in zip(
+                    self._block_images(phi_ops, 1, zero[:size], monos),
+                    self._block_images(gam_ops, 1, zero[size:], monos))]
             else:
-                block, cuts = (gam_b, phi_b.zero) if part == 0 else \
-                    (phi_b, gam_b.zero)
-                images.append([_clip_entry(e, h) for e, h in
-                               zip(block.image(i, j, k, s), cuts)])
+                # d1(x, y) = B_gamma(x) - B_phi(y)
+                images = (self._block_images(gam_ops, 1, zero, monos) +
+                          self._block_images(phi_ops, -1, zero, monos))
+        self._images[key] = keys, images
         return keys, images
+
+    def _zero_image(self, degree):
+        """The entries of d of the zero cochain of `degree`, in cochain
+        order; the complex keeps them per degree."""
+        image = self._zero_images.get(degree)
+        if image is None:
+            nr, nc = self.part_shape()
+            z = Cochain(degree, tuple(SeriesMatrix.zero(self.ring, nr, nc)
+                                      for _ in range(self.n_parts(degree))))
+            image = self._zero_images[degree] = [
+                e for part in self.d(z).parts for row in part.rows
+                for e in row]
+        return image
+
+    def _block_images(self, ops, sign, zero, monos):
+        """zero + sign * B(c) for the block B with the given (op, L, R)
+        (see `_block_ops`) at every cochain c whose only nonzero entry is
+        a monomial m of monos: the entries of that sum in row-major order,
+        for each position (i, j) of m and each m, in that order.  `zero`
+        lists the entries of d(0) that B contributes to.
+
+        Every entry of B(c) has one term with m, a product that d forms
+        too: F[r][i] * op(m) with F = sign * L in the plain and adjoint
+        kinds, F[r][i] * m with F = -sign * L in the framed kind.  The
+        diagonal entry has one more, -sign * m (sign * op(m) in the
+        framed kind).  So the sign is taken once, on L.  The products
+        with op(m) take one kernel call (`mul_each`) per entry of F; those
+        with m take the product's monomial shortcut.  In the adjoint kind
+        (L * op(c)) * R multiplies by R the entry (L * op(c))[r][j], which
+        is F[r][i] * op(m) plus zero terms; so that product is cut first,
+        by adding (L * op(0))[r][0], as d's sum cuts it."""
+        op, L, R = ops
+        n, T = self.n, len(monos)
+        op_monos = [op.apply(m) for m in monos]
+        if self.kind == "framed":
+            # B(c) = op(c) - L * c
+            F, diag = (-L if sign > 0 else L), op_monos
+            left = [[[F.rows[r][i] * m for m in monos] for r in range(n)]
+                    for i in range(n)]
+        else:
+            # B(c) = (L * op(c)) * R - c
+            F, diag = (L if sign > 0 else -L), monos
+            left = [[mul_each(F.rows[r][i], op_monos) for r in range(n)]
+                    for i in range(n)]
+        # left[i][r][t] = F[r][i] * (m or op(m)) for the monomial t
+        sub = (sign > 0) != (self.kind == "framed")
+        if R is None:
+            nc = 1
+
+            def terms(i, j, t):
+                return [x[t] for x in left[i]]
+        else:
+            nc = n
+            op0 = SeriesMatrix.zero(self.ring, n, 1).apply_op(op)
+            lop0 = (L * op0).rows
+            cut = [lop0[r][0] + x for i in range(n) for r in range(n)
+                   for x in left[i][r]]
+            # right[j][c][(i * n + r) * T + t] = cut[i][r][t] * R[j][c]
+            right = [[mul_each(R.rows[j][c], cut) for c in range(n)]
+                     for j in range(n)]
+
+            def terms(i, j, t):
+                return [right[j][c][(i * n + r) * T + t]
+                        for r in range(n) for c in range(n)]
+        images = []
+        for i in range(n):
+            for j in range(nc):
+                at = i * nc + j
+                for t, m in enumerate(diag):
+                    image = [x + z for z, x in zip(zero, terms(i, j, t))]
+                    image[at] = image[at] - m if sub else image[at] + m
+                    images.append(image)
+        return images
 
     def _windowed_system(self, target, z_lo, z_hi):
         """The linear system d(z) = target for z a combination of the
@@ -196,52 +261,26 @@ class HerrComplex:
         Returns (keys, hi_map, A, rhs): column t of A is the image of the
         monomial cochain keys[t] (see `_column_images`), and the
         equations are the coefficients of each target entry from a common
-        floor up to its cutoff in hi_map.
-
-        The images are built by semilinearity, without forming the
-        cochains or applying d to them.  phi(e_s u^k) is frob(e_s) *
-        phi(u)^k, with the power from the operator's cache, and likewise
-        for gamma; it is formed once per (k, s) for the whole system, and
-        its products with one matrix entry are formed together, in one
-        kernel call (`mul_each`).  Each image entry is x - y: x is the
-        term the operator forms, y the monomial e_s u^k itself or, in the
-        framed kind, L * e_s u^k, a shifted slice of the product of an
-        entry of L with e_s.  Its window is cut at the smallest window of
-        all the terms d forms there, zero terms included, and its lowest
-        exponent follows the rule of series subtraction; both come from
-        the windows and coordinates of x and y alone.  A zero term's
-        window follows from the product rule alone: X * 0 with the zero
-        known below h is known below h + lo(X), and op(0) is known below
-        op's tail guard.  Every product has the factors d multiplies,
-        associated as d does, e.g. (Phi[r][i] * phi(m)) * Phi^-1[j][c] in
-        the adjoint kind; the product and its window rule are symmetric,
-        so the order of the two factors in one product does not matter.
-        So every entry, window and coefficient equals that of d on the
-        monomial cochain.  The columns are then written from coordinate
-        slices of x and y, and A is their transpose."""
+        floor up to its cutoff in hi_map.  The cutoff of an entry is the
+        least window among the target entry and the image entries at its
+        position; the floor is the least nonzero image exponent, or z_lo
+        when that is lower."""
         degree = target.degree - 1
         keys, images = self._column_images(degree, z_lo, z_hi)
         positions = [(p_idx, i, j) for p_idx, part in enumerate(target.parts)
                      for i in range(part.nrows) for j in range(part.ncols)]
-        entries = [_entry(e) for part in target.parts for row in part.rows
+        entries = [e for part in target.parts for row in part.rows
                    for e in row]
-        cuts = [e[1] for e in entries]
+        cuts = [e.hi for e in entries]
         for im in images:
-            cuts = [min(h, e[1]) for h, e in zip(cuts, im)]
+            cuts = [min(h, e.hi) for h, e in zip(cuts, im)]
         hi_map = dict(zip(positions, cuts))
         # the equation floor must cover every exact image coefficient,
         # or a spurious solution can hide uncancelled terms below it
-        eq_lo = min([z_lo] + [e[0] for im in images for e in im
-                              if e[0] < e[1]])
-        base = self.ring.base
-        f, q = base.f, base.q
-        rhs = _window_coords(entries, eq_lo, cuts, f, q)
-        cols = []
-        for key, im in zip(keys, images):
-            col = _window_coords(im, eq_lo, cuts, f, q)
-            if degree == 1 and key[0] == 1:
-                col = [-v % q for v in col]
-            cols.append(col)
+        eq_lo = min([z_lo] + [e.lo for im in images for e in im
+                              if not e.is_zero()])
+        rhs = _window_coords(entries, eq_lo, cuts)
+        cols = [_window_coords(im, eq_lo, cuts) for im in images]
         A = [list(row) for row in zip(*cols)] if cols else [[] for _ in rhs]
         return keys, hi_map, A, rhs
 
@@ -272,7 +311,7 @@ class HerrComplex:
         terms = {}
         for coeff, (part, i, j, k, s) in zip(sol, keys):
             coeff %= q
-            if coeff and k < W:
+            if coeff:
                 terms.setdefault((part, i, j), {}).setdefault(
                     k, [0] * f)[s] = coeff
         nr, nc = self.part_shape()
@@ -313,215 +352,13 @@ class HerrComplex:
         return last
 
 
-def _clip_entry(entry, h):
-    """An image entry (see `HerrComplex._column_images`) with its window
-    cut at h; the lowest exponent moves up to h when the cut leaves no
-    nonzero term."""
-    lo, hi, x_lo, xs, y_lo, ys = entry
-    if hi <= h:
-        return entry
-    return (min(lo, h), h, x_lo, xs, y_lo, ys)
-
-
-def _clip(x, hi):
-    """x with its window cut at hi (x itself when it ends below hi)."""
-    return x if x.hi <= hi else x.truncate(hi)
-
-
-def _entry(x):
-    """The series x as an image entry (see `_column_images`)."""
-    return (x.lo, x.hi, x.lo, x._flat, 0, None)
-
-
-def _difference(f, hi, x_lo, xs, y_lo, ys):
-    """The image entry x - y on the window ending at hi, for x and y
-    given by the exponents of their lowest terms and their flat
-    coordinates, both known at least up to hi.
-
-    Its lowest exponent is the lower of the two lowest terms, unless they
-    sit at one exponent; then the coefficients are compared upwards from
-    there until they differ, as the subtraction of the series would find
-    it."""
-    if not ys:
-        lo = x_lo
-    elif not xs:
-        lo = y_lo
-    elif x_lo != y_lo:
-        lo = min(x_lo, y_lo)
-    else:
-        lo = hi
-        n = (hi - x_lo) * f
-        m = min(n, len(ys))
-        for i in range(0, m, f):
-            if xs[i:i + f] != ys[i:i + f]:
-                lo = x_lo + i // f
-                break
-        else:
-            # y is zero above its last coordinate
-            for i in range(m, n):
-                if xs[i]:
-                    lo = x_lo + i // f
-                    break
-    return (min(lo, hi), hi, x_lo, xs, y_lo, ys)
-
-
-def _window_coords(entries, lo, cuts, f, q):
-    """The flat coordinates of each entry x - y on the exponents
-    [lo, cut), concatenated; zeros below a term's lowest exponent.  The
-    entries are tuples (lo, hi, x_lo, xs, y_lo, ys) as in
-    `HerrComplex._column_images`, each known up to its cut."""
+def _window_coords(entries, lo, cuts):
+    """The flat coordinates of each series of entries on the exponents
+    [lo, cut), concatenated."""
     out = []
-    for (_, _, x_lo, xs, y_lo, ys), h in zip(entries, cuts):
-        if h <= lo:
-            continue
-        if x_lo >= h:
-            seg = [0] * ((h - lo) * f)
-        elif x_lo >= lo:
-            seg = [0] * ((x_lo - lo) * f) + xs[:(h - x_lo) * f]
-        else:
-            seg = xs[(lo - x_lo) * f:(h - x_lo) * f]
-        if ys:
-            a, b = max(y_lo, lo), min(h, y_lo + len(ys) // f)
-            if a < b:
-                i, j, n = (a - lo) * f, (a - y_lo) * f, (b - a) * f
-                seg[i:i + n] = [(u - v) % q for u, v in
-                                zip(seg[i:i + n], ys[j:j + n])]
-        out += seg
+    for x, h in zip(entries, cuts):
+        out += x.span(lo, h)
     return out
-
-
-class _Block:
-    """One semilinear block B of a Herr differential, evaluated on the
-    cochains with a single monomial entry.
-
-    B is given by its (op, L, R) from `HerrComplex._block_ops`.  `zero`
-    lists the window of each entry of B(0), the zero cochain with window
-    the ring's; `image` gives the entries of B at a monomial cochain, as
-    the tuples of `HerrComplex._column_images`.
-    Both follow the series window rules term by term, as the matrix
-    expression does (see HerrComplex._windowed_system).
-
-    The op images of the monomials e_s * u^k, k in [k_lo, k_hi), and
-    their products with the entries of L and R are formed up front, one
-    kernel call (`mul_each`) per matrix entry; in the framed kind the
-    products L[r][i] * e_s are formed once, and L[r][i] * e_s * u^k is
-    their shift by k."""
-
-    def __init__(self, complex_, op, L, R, k_lo, k_hi):
-        ring = complex_.ring
-        self.kind = complex_.kind
-        base = ring.base
-        self.W = W = ring.window
-        self.f = f = base.f
-        self.k_lo = k_lo
-        self.n = n = complex_.n
-        ks = [(k, s) for k in range(k_lo, k_hi) for s in range(f)]
-        # the coordinates of e_s, as the flat list of e_s * u^k from k on
-        self.basis = [list(e) for e in _unit_vectors(f)]
-        # op(0) is known below the tail guard of the substitution, and
-        # op(e_s * u^k) = frob(e_s) * op(u)^k below it and the power's hi
-        self.tg = tg = op.apply(ring.zero()).hi
-        power = op.coeff_frob_power
-        units = [base.frob(e, power) if power % f else e
-                 for e in _unit_vectors(f)]
-        op_images = [_clip(_times_unit(op.image_power(k), units[s]), tg)
-                     for k, s in ks]
-        Llo = [[e.lo for e in row] for row in L.rows]
-        if self.kind == "framed":
-            self.op_images = op_images
-            # L * z with the zero entry of window W: known below W + lo(L)
-            self.cut = [[_min_except([W + x for x in Llo[r]], i)
-                         for i in range(n)] for r in range(n)]
-            self.zero = [min([tg] + [W + x for x in Llo[r]])
-                         for r in range(n)]
-            # Ls[r][i][s] = L[r][i] * e_s
-            self.Ls = [[[_times_unit(L.rows[r][i], e)
-                         for e in _unit_vectors(f)] for i in range(n)]
-                       for r in range(n)]
-            return
-        # L * op(z) with the zero entry op(0): known below tg + lo(L)
-        act = [[tg + x for x in Llo[r]] for r in range(n)]
-        if self.kind == "plain":
-            cut = [[min(W, _min_except(act[r], i)) for i in range(n)]
-                   for r in range(n)]
-            self.zero = [min([W] + act[r]) for r in range(n)]
-        else:
-            cut = [[_min_except(act[r], i) for i in range(n)]
-                   for r in range(n)]
-        # left[i][r][t] = L[r][i] * op(monomial t), cut at row r's zeros
-        left = [[[_clip(x, cut[r][i])
-                  for x in mul_each(L.rows[r][i], op_images)]
-                 for r in range(n)] for i in range(n)]
-        if self.kind == "plain":
-            self.left = [[[_entry(x) for x in row] for row in col]
-                         for col in left]
-            return
-        # adjoint: column l of L * op(z) is zero unless l = j, known
-        # below h1[r] in row r; times R adds lo(R[l][c])
-        h1 = [min(act[r]) for r in range(n)]
-        Rlo = [[e.lo for e in row] for row in R.rows]
-        h2 = [[[h1[r] + Rlo[l][c] for l in range(n)] for c in range(n)]
-              for r in range(n)]
-        self.zero = [min([W] + h2[r][c]) for r in range(n) for c in range(n)]
-        # right[j][c][i][r][t] = left[i][r][t] * R[j][c], cut at the
-        # windows of the zero terms of entry (r, c)
-        self.right = [[None] * n for _ in range(n)]
-        for j in range(n):
-            for c in range(n):
-                cuts = [min(W, _min_except(h2[r][c], j)) for r in range(n)]
-                prods = iter(mul_each(R.rows[j][c], [
-                    x for col in left for row in col for x in row]))
-                self.right[j][c] = [[[_entry(_clip(next(prods), cuts[r]))
-                                      for _ in ks]
-                                     for r in range(n)] for _ in range(n)]
-
-    def image(self, i, j, k, s):
-        """The entries of B at the cochain whose only nonzero entry is the
-        monomial e_s * u^k at (i, j), in row-major order."""
-        n, f = self.n, self.f
-        t = (k - self.k_lo) * f + s
-        if self.kind == "framed":
-            # op(m) in row i, zero elsewhere, minus the column L[., i] * m
-            out = []
-            for r in range(n):
-                cut = self.cut[r][i]
-                if r == i:
-                    x = self.op_images[t]
-                    x_lo, xs, x_hi = x.lo, x._flat, min(x.hi, cut)
-                else:
-                    x_lo = x_hi = min(self.tg, cut)
-                    xs = []
-                y = self.Ls[r][i][s]
-                out.append(_difference(
-                    f, min(x_hi, y.hi + k, self.W + y.lo),
-                    x_lo, xs, y.lo + k, y._flat))
-            return out
-        if self.kind == "plain":
-            out = [row[t] for row in self.left[i]]
-            d = i
-        else:
-            out = [self.right[j][c][i][r][t]
-                   for r in range(n) for c in range(n)]
-            d = i * n + j
-        # minus the monomial itself on the diagonal
-        _, hi, x_lo, xs, _, _ = out[d]
-        out[d] = _difference(f, min(hi, self.W), x_lo, xs, k, self.basis[s])
-        return out
-
-
-def _min_except(values, i):
-    """The least of values other than values[i] (inf when there is none)."""
-    return min(values[:i] + values[i + 1:], default=math.inf)
-
-
-def _times_unit(x, c):
-    """x scaled by the unit c, skipping the copy when c is 1."""
-    return x if c == x.ring.one else x.scale(c)
-
-
-def _unit_vectors(f):
-    """The power-basis coordinate vectors e_0, ..., e_(f-1)."""
-    return [tuple(int(t == s) for t in range(f)) for s in range(f)]
 
 
 # -- extensions by the trivial rank-1 module ----------------------------------

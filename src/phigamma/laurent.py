@@ -209,7 +209,18 @@ class LaurentSeries:
         """Coefficient-wise equality on the common window."""
         hi = min(self.hi, other.hi)
         lo = min(self.lo, other.lo)
-        return hi <= lo or _span(self, lo, hi) == _span(other, lo, hi)
+        return hi <= lo or self.span(lo, hi) == other.span(lo, hi)
+
+    def span(self, lo, hi):
+        """The flat coordinates on the exponents [lo, hi), for
+        hi <= self.hi: zeros below self.lo, and none when hi <= lo."""
+        f = self.ring.f
+        if hi <= lo:
+            return []
+        if lo >= self.lo:
+            return self._flat[(lo - self.lo) * f:(hi - self.lo) * f]
+        return ([0] * ((min(self.lo, hi) - lo) * f)
+                + self._flat[:max(0, hi - self.lo) * f])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -432,14 +443,6 @@ def _as_coords(ring, c):
     if isinstance(c, int):
         return ring.from_int(c)
     return tuple(v % ring.q for v in c)
-
-
-def _span(x, lo, hi):
-    """The flat coordinates of x on the exponents [lo, hi), for
-    lo <= x.lo and lo < hi <= x.hi; zeros below x.lo."""
-    f = x.ring.f
-    return ([0] * ((min(x.lo, hi) - lo) * f)
-            + x._flat[:max(0, hi - x.lo) * f])
 
 
 def _add(x, y, sub):

@@ -16,6 +16,8 @@ from phigamma.laurent import (LaurentSeries, _convolve, _power,
                               _reduced_slots, _slot_width, compose,
                               eth_root_one_unit, mul_each)
 
+from tails import sound, with_tail
+
 seeds = st.integers(0, 10**9)
 
 R9 = make_ring(3, 2, 1)
@@ -944,21 +946,6 @@ class TestKernel:
 
 TAIL_RINGS = [make_ring(p, a, f) for p, a, f in [
     (3, 2, 1), (3, 2, 2), (2, 3, 1), (5, 2, 3)]]
-
-
-def with_tail(rng, x):
-    """x on a window reaching up to 12 exponents further, with random
-    coefficients where x leaves them unknown."""
-    ring = x.ring
-    hi = x.hi + rng.randrange(1, 13)
-    terms = dict(x.terms())
-    for e in range(x.hi, hi):
-        terms[e] = ring.random(rng)
-    return LaurentSeries.from_terms(ring, terms, hi)
-
-
-def sound(small, large):
-    return large.hi >= small.hi and large.agrees(small)
 
 
 class TestAdversarialTails:

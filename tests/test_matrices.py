@@ -15,6 +15,8 @@ from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
 from phigamma.period import make_custom_ring, standard_cyclotomic
 from phigamma.samplers import rand_uni
 
+from tails import sound, with_tail
+
 seeds = st.integers(0, 10**9)
 
 R2 = make_custom_ring(2, 1, 1, 40, {2: 1})
@@ -143,21 +145,6 @@ class TestArithmetic:
 
 TAIL_RINGS = [standard_cyclotomic(p, a, f, 16) for p, a, f in [
     (3, 2, 1), (3, 2, 2), (2, 3, 1), (5, 2, 3)]]
-
-
-def with_tail(rng, x):
-    """x on a window reaching up to 12 exponents further, with random
-    coefficients where x leaves them unknown."""
-    ring = x.ring
-    hi = x.hi + rng.randrange(1, 13)
-    terms = dict(x.terms())
-    for e in range(x.hi, hi):
-        terms[e] = ring.random(rng)
-    return LaurentSeries.from_terms(ring, terms, hi)
-
-
-def sound(small, large):
-    return large.hi >= small.hi and large.agrees(small)
 
 
 def pivot_entry(rng, base):

@@ -15,6 +15,8 @@ from phigamma.period import (OperatorDesc, check_frobenius_contraction,
                              standard_cyclotomic, tame_extension)
 from phigamma.verdicts import FAILS, HOLDS, INCONCLUSIVE
 
+from tails import with_tail
+
 seeds = st.integers(0, 10**9)
 
 
@@ -323,17 +325,6 @@ TAIL_RINGS = {
     "tame-e2-p3-w16": lambda: tame_extension(
         standard_cyclotomic(3, 2, window=16), 2),
 }
-
-
-def with_tail(rng, x):
-    """x on a window reaching up to 12 exponents further, with random
-    coefficients where x leaves them unknown."""
-    ring = x.ring
-    hi = x.hi + rng.randrange(1, 13)
-    terms = dict(x.terms())
-    for e in range(x.hi, hi):
-        terms[e] = ring.random(rng)
-    return LaurentSeries.from_terms(ring, terms, hi)
 
 
 class TestAdversarialTails:
