@@ -435,9 +435,11 @@ class TestShortfallNotFailure:
 # two rings, and of ring-info on rings whose construction takes every
 # root that galois_ring.hensel_root lifts: the Frobenius lift, the
 # embedding of an f = 2 base, e-th roots of unity up to e = 8 and the
-# e-th root of gamma's constant term.  A speed change must leave every
-# witness, window and verdict as it is, so these hashes stay; a change
-# that alters a report on purpose says so and updates them.
+# e-th root of gamma's constant term, and of analyze-phi and
+# solve-twisted on two f = 2 rings, where coefficient inverses run inside
+# every series inversion.  A speed change must leave every witness,
+# window and verdict as it is, so these hashes stay; a change that alters
+# a report on purpose says so and updates them.
 def _cyc(p, a, f, window):
     return {"kind": "cyclotomic", "p": p, "a": a, "f": f, "window": window}
 
@@ -487,10 +489,18 @@ GOLDEN = {
         "173387cc0e79e7a422e05acc567ca25911644d41035c62aa014b3fd5b11e7cc7",
     ("cyclotomic-p2-a3-f2-w16", "ring-info"):
         "31d1f0696a4f05fb0593d3e97e2573b3ea49d41d1d858b26aa4fca42065f1ff2",
+    ("cyclotomic-p2-a3-f2-w16", "analyze-phi"):
+        "581e88d6ca973947dd93b24da12f5f4a4bb2618bac77a9e63121a074ccab54d9",
+    ("cyclotomic-p2-a3-f2-w16", "solve-twisted"):
+        "0643000856a75b4734b1e900da0c66733c8e32a6f2af9000a86773509f65a323",
     ("tame-e4-p5-w16", "ring-info"):
         "3eeb550eeda574fa9404339fd26a8c6def282b2f65b87fcedc197704e4b36f1e",
     ("tame-e2-fext2-p3-w12", "ring-info"):
         "3f0e99f1f31871eb90ca5b4c24b37f9a02f80037928a1295cbd8c5544107b733",
+    ("tame-e2-fext2-p3-w12", "analyze-phi"):
+        "60edab3365e1fb2b5efb56e2089665ff500a3bba8f9750296e2decbd3b37acfb",
+    ("tame-e2-fext2-p3-w12", "solve-twisted"):
+        "c707caa016922dbaa4a38f4de5bdabd38e4c5fa5fc713884117d06ee9a20cfdf",
     ("tame-e2-p3-f2-w12", "ring-info"):
         "11ec9a0c7eb70120627fd418afe998300040d3bb0b36aafe3b246296e9893412",
     ("tame-e8-p3-f2-w8", "ring-info"):
