@@ -437,7 +437,7 @@ def task_cup(ring, cfg, rng):
             a, b = rand_lift(rng, M3, ((0, 1), (1, 2), (0, 2)))
             a_u = d3.qmul(0, phi_l3.inv(), a)
             b_u = d3.qmul(0, gam_l3.inv(), b)
-            lam = lambda_map(ring, a, b, d3, 0)
+            lam = lambda_map(a, b, d3, 0)
             rhs = d3.qmul(0, d3.qinv(0, a_u.apply_gamma()), d3.qmul(
                 0, ad(phi_l3.apply_gamma().inv(), d3.qinv(0, b_u)),
                 d3.qmul(0, ad(gam_l3.apply_phi().inv(), a_u),
@@ -447,8 +447,8 @@ def task_cup(ring, cfg, rng):
             # lambda identity 2: lambda = 1 + gamma(a)^-1 b^-1 residual
             pred = (SeriesMatrix.identity(ring, 3) +
                     a.apply_gamma().inv() * b.inv() *
-                    commutation_residual(ring, a, b))
-            if not (lambda_map(ring, a, b) - pred).truncate(
+                    commutation_residual(a, b))
+            if not (lambda_map(a, b) - pred).truncate(
                     check_hi).is_zero():
                 lam_bad += 1
         except SHORTFALLS as exc:

@@ -44,7 +44,7 @@ from .matrices import SeriesMatrix
 from .verdicts import holds, inconclusive
 
 
-def _mask_mul(mask_a, mask_b, n):
+def _mask_mul(mask_a, mask_b):
     out = set()
     by_row = {}
     for (r, c) in mask_b:
@@ -107,7 +107,7 @@ class ParabolicData:
         full = self.u_mask(self.k - 1)
         for i in range(1, self.k):
             ui = self.u_mask(i)
-            comm = _mask_mul(ui, full, self.n) | _mask_mul(full, ui, self.n)
+            comm = _mask_mul(ui, full) | _mask_mul(full, ui)
             if not comm <= self.u_mask(i - 1):
                 raise BadComposition(
                     f"U_{i}/U_{i - 1} is not central in U/U_{i - 1}")
@@ -167,7 +167,7 @@ def parabolic_data(n, blocks):
     return ParabolicData(n, blocks)
 
 
-def lambda_map(ring, alpha, beta, data=None, j=None):
+def lambda_map(alpha, beta, data=None, j=None):
     """gamma(alpha)^-1 * beta^-1 * alpha * phi(beta), optionally computed
     in the quotient P/U_j."""
     if data is None:
@@ -236,11 +236,11 @@ def mu(data, i, M_i, Phi_lift, Gam_lift):
     kept = M_i.levi_complexes
     key = (data, i, a_l.key(), b_l.key())
     if key not in kept:
-        if not (lambda_map(ring, a_l, b_l) -
+        if not (lambda_map(a_l, b_l) -
                 SeriesMatrix.identity(ring, data.n)).is_zero():
             raise LeviNotCommuting("lambda of the Levi parts is not 1")
         kept[key] = None
-    lam = lambda_map(ring, Phi_lift, Gam_lift, data, j)
+    lam = lambda_map(Phi_lift, Gam_lift, data, j)
     log = lam - SeriesMatrix.identity(ring, data.n, lam.hi)
     central = data.central_mask(i)
     for r in range(data.n):
@@ -314,7 +314,7 @@ def lift_step(cls, witness, sub_window=None):
     Zy = I + data.unvectorize_central(i, y)
     Phi2 = data.qmul(j, cls.Phi_lift, Zx)
     Gam2 = data.qmul(j, cls.Gam_lift, Zy)
-    resid = data.qreduce(commutation_residual(ring, Phi2, Gam2), j)
+    resid = data.qreduce(commutation_residual(Phi2, Gam2), j)
     _check_vanishes(resid, certified,
                     "corrected pair fails commutation mod U_{i-1}")
     if not (data.qreduce(Phi2, i) - data.qreduce(cls.Phi_lift, i)).is_zero():

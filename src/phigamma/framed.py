@@ -18,8 +18,9 @@ from .period import project_to_base
 from .verdicts import fails, holds
 
 
-def commutation_residual(ring, Phi, Gam):
-    """Phi*phi(Gam) - Gam*gamma(Phi); zero iff the pair is valid."""
+def commutation_residual(Phi, Gam):
+    """Phi*phi(Gam) - Gam*gamma(Phi); zero iff the pair is valid.  Phi and
+    Gam are SeriesMatrix or DualMatrix pairs."""
     return Phi * Gam.apply_phi() - Gam * Phi.apply_gamma()
 
 
@@ -50,7 +51,7 @@ class FramedModule:
         # raises when one has no inverse; the inverses stay on Phi and Gam
         Phi_inv = self.Phi.inv()
         Gam_inv = self.Gam.inv()
-        resid = commutation_residual(self.ring, self.Phi, self.Gam)
+        resid = commutation_residual(self.Phi, self.Gam)
         if not resid.is_zero():
             raise CommutationFails("Phi*phi(Gam) != Gam*gamma(Phi)",
                                    residual=resid)

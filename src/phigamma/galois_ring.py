@@ -34,16 +34,6 @@ def _poly_trim(c):
     return c
 
 
-def _poly_mul_mod_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_divmod_p(a, b, p):
     # b must be nonzero; works over the field F_p
     a = list(a)
@@ -191,39 +181,17 @@ class CoeffRing:
         return all(x % p == 0 for x in c)
 
     def inv(self, c):
-        """Multiplicative inverse via a field inverse mod p lifted by Newton."""
+        """Multiplicative inverse, c^-1 = c^(n-1) with n = (p^f - 1) p^(a-1).
+
+        The unit group is the Teichmueller group, of order p^f - 1, times
+        1 + pR; and x = 1 mod p^j gives x^p = 1 mod p^(j+1), so x^(p^(a-1))
+        = 1 on 1 + pR, and c^n = 1 for every unit c."""
         if not self.is_unit(c):
             raise NotAUnit(f"{c} is not a unit in GR({self.p}^{self.a}, {self.f})")
-        p = self.p
         if self.f == 1:
             return (pow(c[0], -1, self.q),)
-        # inverse in F_{p^f} by extended Euclid on polynomials
-        y = self._field_inv([x % p for x in c])
-        y = tuple(y[i] if i < len(y) else 0 for i in range(self.f))
-        # Newton: y <- y(2 - cy), doubles p-adic accuracy each step
-        steps = max(1, (self.a - 1).bit_length())
-        two = self.from_int(2)
-        for _ in range(steps):
-            y = self.mul(y, self.sub(two, self.mul(c, y)))
-        return y
-
-    def _field_inv(self, c):
         p = self.p
-        m = list(self.modulus)
-        m = [x % p for x in m]
-        r0, r1 = m, _poly_trim(c)
-        s0, s1 = [], [1]
-        while True:
-            q_, r = _poly_divmod_p(r0, r1, p)
-            if not r:
-                break
-            s = [(x - y) % p for x, y in
-                 itertools.zip_longest(s0, _poly_mul_mod_p(q_, s1, p), fillvalue=0)]
-            r0, r1, s0, s1 = r1, r, s1, s
-        lead_inv = pow(r1[-1], -1, p)
-        if len(r1) != 1:
-            raise NotAUnit("element is a zero divisor mod p")
-        return [(x * lead_inv) % p for x in s1]
+        return self.pow(c, (p ** self.f - 1) * p ** (self.a - 1) - 1)
 
     # -- Frobenius --------------------------------------------------------
 

@@ -27,7 +27,7 @@ The lift ((1+eps*X)Phi, (1+eps*Y)Gam) is valid iff (X,Y) is an adjoint
 """
 
 from .errors import NotACocycle, NotALift
-from .framed import Cochain, pattern_ok
+from .framed import Cochain, commutation_residual, pattern_ok
 from .laurent import LaurentSeries, mul_each
 from .linalg import solve_mod_prime_power
 from .matrices import SeriesMatrix
@@ -428,10 +428,6 @@ class DualMatrix:
         return self.main.is_zero() and self.eps.is_zero()
 
 
-def dual_commutation_residual(Phi, Gam):
-    return Phi * Gam.apply_phi() - Gam * Phi.apply_gamma()
-
-
 def lift_dual_numbers(M, xy, require_cocycle=True):
     """The lift ((1 + eps*X)Phi, (1 + eps*Y)Gam) over A[eps].
 
@@ -442,7 +438,7 @@ def lift_dual_numbers(M, xy, require_cocycle=True):
     Phi_t = DualMatrix(M.Phi, x * M.Phi)
     Gam_t = DualMatrix(M.Gam, y * M.Gam)
     if require_cocycle:
-        resid = dual_commutation_residual(Phi_t, Gam_t)
+        resid = commutation_residual(Phi_t, Gam_t)
         if not resid.is_zero():
             raise NotACocycle("(X, Y) is not an adjoint 1-cocycle",)
     return Phi_t, Gam_t

@@ -55,28 +55,29 @@ packed as it is; for f > 1 the coordinates of a coefficient are spread
 to stride 2f - 1 and the slots of x^f ... x^(2f-2) are folded back
 through the modulus rows, one column of coordinates at a time.
 `__mul__`, `mul_each` (many products with one common factor, laid out
-in one list), `scale` and the power loops of `inv` and
-`eth_root_one_unit` all use it, and `compose` forms its whole sum
-c_n * g^n in the same packed slots: one shifted product per term, every
-product added as a Python int, and one slot reduction for the sum.
+in one list), `scale` and `_power_sum` all use it.  `_power_sum` is the
+one power loop of the module: `inv` sums (-w)^k and `eth_root_one_unit`
+sums C(1/e, k) h^k through it.  `compose` forms its whole sum c_n * g^n
+in the same packed slots: one shifted product per term, every product
+added as a Python int, and one slot reduction for the sum.
 
 A series packs its list once per slot width: the packed int is kept in
 the series (its `_packed` store, keyed by slot width) from its first
 product on, and a product that needs only a prefix of the list masks it
-off that int.  The power loops of `inv` and `eth_root_one_unit` keep
-the packing of their fixed factor (-w, h) the same way for one call.
-The invariant above is checked once per series, when its store is made
-before its first product, monomial products included: a product with a
-coordinate of q or more raises PhigammaError (a negative one,
-OverflowError) rather than let that coordinate carry into its
-neighbour's slot.  A series that fails the check keeps no store, so it
-raises again on every product it enters; lists without a store (the
-running powers of the loops, the factors laid out by `mul_each`) are
-checked each time they are packed.  At f = 1 the product slots are
-reduced mod q through byte tables when nb * (q-1) <= 255, nb the slot
-width in bytes: byte k of every slot is mapped to b * 256^k mod q by one
-`bytes.translate`, the translated strings are summed as ints and
-translated once more.  Other rings reduce each slot with `% q`.
+off that int.  `_power_sum` keeps the packing of its fixed factor
+(-w or h) the same way for one call.  The invariant above is checked
+once per series, when its store is made before its first product,
+monomial products included: a product with a coordinate of q or more
+raises PhigammaError (a negative one, OverflowError) rather than let
+that coordinate carry into its neighbour's slot.  A series that fails
+the check keeps no store, so it raises again on every product it
+enters; lists without a store (the running powers of `_power_sum`, the
+factors laid out by `mul_each`) are checked each time they are packed.
+At f = 1 the product slots are reduced mod q through byte tables when
+nb * (q-1) <= 255, nb the slot width in bytes: byte k of every slot is
+mapped to b * 256^k mod q by one `bytes.translate`, the translated
+strings are summed as ints and translated once more.  Other rings
+reduce each slot with `% q`.
 
 The kernel changes how a product is computed, not what it is: the
 window rules above are unchanged.  A product with a monomial, a factor
@@ -319,27 +320,18 @@ class LaurentSeries:
                 return LaurentSeries.zero(ring, hi)
             return _series(ring, -d, hi,
                            list(cd_inv) + [0] * ((hi + d - 1) * f))
-        # m = c_d^{-1} u^{-d}; w = m*x - 1 has positive or nilpotent terms.
-        # The loop multiplies by -w, so acc runs through (-w)^k.
+        # m = c_d^{-1} u^{-d}; w = m*x - 1 has positive or nilpotent terms,
+        # and the inverse of m*x is the geometric series sum (-w)^k
         neg_w = _scale(ring, ring.neg(cd_inv), self._flat)
         i = (d - self.lo) * f
         neg_w[i:i + f] = ring.zero
         w_lo, neg_w = _strip(f, self.lo - d, neg_w)
-        kept = _store(neg_w, ring.q)
-        # truncated geometric series sum (-w)^k, exact on the padded window
-        acc_lo, acc = 0, list(ring.one)
-        res_lo, res = 0, list(ring.one) + [0] * ((work_hi - 1) * f)
         kmax = work_hi + (a - 1) * (spread + 1) + 1
-        for _ in range(kmax):
-            acc_lo, acc = _dense_mul(ring, acc_lo, acc, w_lo, neg_w, work_hi,
-                                     kept)
-            if not acc:
-                break
-            res_lo, res = _accumulate(ring, res_lo, res, acc_lo, acc)
+        res_lo, res = _power_sum(ring, w_lo, neg_w, work_hi, kmax,
+                                 lambda k: 1)
         # shift by -d onto [lo, work_hi), lo the lowest nonzero term: cut
         # at work_hi or padded with zeros up to it (EmptyWindow when the
         # padded window ends below lo)
-        res_lo, res = _strip(f, res_lo, res)
         lo = res_lo - d
         n = (work_hi - lo) * f
         out = _scale(ring, cd_inv, res)
@@ -665,23 +657,35 @@ def _strip(f, lo, flat):
     return lo + len(flat) // f, []
 
 
-def _dense_mul(ring, x_lo, xs, y_lo, ys, hi, ykept):
-    """Product of two dense (lo, flat list) pairs, dropping exponents >= hi;
-    ykept is the store of the packings of ys."""
-    lo = x_lo + y_lo
-    return _strip(ring.f, lo, _convolve(ring, xs, ys, hi - lo, None, ykept))
+def _power_sum(ring, h_lo, hs, hi, kmax, coeff):
+    """sum coeff(k) h^k over 0 <= k <= kmax, below u^hi, as the pair (lo,
+    flat list) with lo its lowest nonzero exponent; h is the flat list hs
+    at order h_lo, and coeff(0) is taken to be 1.
 
-
-def _accumulate(ring, res_lo, res, acc_lo, acc):
-    """Add the dense pair (acc_lo, acc) into (res_lo, res), which reaches at
-    least as high; res is extended downwards when acc starts lower."""
-    f = ring.f
-    if acc_lo < res_lo:
-        res = [0] * ((res_lo - acc_lo) * f) + res
-        res_lo = acc_lo
-    i = (acc_lo - res_lo) * f
-    res[i:i + len(acc)] = _coeff_sum(ring.q, res[i:i + len(acc)], acc)
-    return res_lo, res
+    The running power h^k is one product with h per step, cut at hi; the
+    sum stops early once that power is zero below hi.  The packing of hs
+    is kept for the whole loop."""
+    f, q = ring.f, ring.q
+    kept = _store(hs, q)
+    acc_lo, acc = 0, list(ring.one)
+    res_lo, res = 0, list(ring.one) + [0] * ((hi - 1) * f)
+    for k in range(1, kmax + 1):
+        lo = acc_lo + h_lo
+        acc_lo, acc = _strip(f, lo, _convolve(ring, acc, hs, hi - lo, None,
+                                              kept))
+        if not acc:
+            break
+        b = coeff(k) % q
+        if b == 0:
+            continue
+        term = acc if b == 1 else _scale(ring, ring.from_int(b), acc)
+        # res reaches hi; it is extended downwards when the term starts lower
+        if acc_lo < res_lo:
+            res = [0] * ((res_lo - acc_lo) * f) + res
+            res_lo = acc_lo
+        i = (acc_lo - res_lo) * f
+        res[i:i + len(term)] = _coeff_sum(q, res[i:i + len(term)], term)
+    return _strip(f, res_lo, res)
 
 
 def eth_root_one_unit(w, e):
@@ -717,24 +721,14 @@ def eth_root_one_unit(w, e):
     h_lo, hs = _strip(f, w.lo, hs)
     if not hs:
         return LaurentSeries.constant(ring, 1, w.hi)
-    kept = _store(hs, q)
     pad = (a + 1) * (m + 2) + 2
     work_hi = w.hi + pad
     kmax = work_hi + (a - 1) * (m + 1) + 1
     # integer stand-in for 1/e, accurate enough for all binomials used
     vK = _legendre_val_factorial(kmax, p)
     c_int = pow(e, -1, p ** (a + vK))
-    acc_lo, acc = 0, list(ring.one)
-    res_lo, res = 0, list(ring.one) + [0] * ((work_hi - 1) * f)
-    for k in range(1, kmax + 1):
-        acc_lo, acc = _dense_mul(ring, acc_lo, acc, h_lo, hs, work_hi, kept)
-        if not acc:
-            break
-        b = math.comb(c_int, k) % q
-        if b == 0:
-            continue
-        res_lo, res = _accumulate(ring, res_lo, res, acc_lo,
-                                  _scale(ring, ring.from_int(b), acc))
+    res_lo, res = _power_sum(ring, h_lo, hs, work_hi, kmax,
+                             lambda k: math.comb(c_int, k))
     raw = _series(ring, res_lo, work_hi, res)
     winv = w.inv()
     hi = min(w.hi, w.hi + raw.lo + winv.lo)
@@ -754,7 +748,7 @@ def compose(f, g, powers_cache=None):
 
     Requires unit degree d(g) >= 1 (Divergent otherwise); negative
     exponents of f additionally require g invertible, which d(g) >= 1
-    guarantees.  Powers of g are formed by binary powering (and cached in
+    guarantees.  Powers of g are formed by `_power` (and cached in
     powers_cache when given), each with the documented mul windows, in
     the order of the terms of f, so the first power that raises decides
     the exception.  The result is known below hi, the least hi(g^n) over
@@ -784,10 +778,7 @@ def compose(f, g, powers_cache=None):
     hi = d * f.hi - (ring.a - 1) * max(0, d - g.lo)
     terms = []
     for n, c in f.terms():
-        if n < 0 and "inv" not in powers_cache:
-            powers_cache["inv"] = g.inv()
-        base = g if n >= 0 else powers_cache["inv"]
-        gn = _power(base, abs(n), powers_cache, neg=n < 0)
+        gn = _power(g, n, powers_cache)
         if gn.hi < hi:
             hi = gn.hi
         terms.append((c, gn))
@@ -809,19 +800,23 @@ def compose(f, g, powers_cache=None):
     return _series(ring, lo, hi, _product_coeffs(ring, buf, nb))
 
 
-def _power(base, n, cache, neg=False):
-    """Binary powering with memoization; cache key is (neg, n)."""
-    key = (neg, n)
-    if key in cache:
-        return cache[key]
+def _power(g, n, cache):
+    """g^n for any integer n, by binary powering on |n| with memoization
+    in cache, keyed by n; g^-1 is g.inv(), so a negative n powers the
+    inverse of g, and g^0 is 1 on the window of g."""
+    if n in cache:
+        return cache[n]
     if n == 0:
-        val = LaurentSeries.constant(base.ring, 1, base.hi)
+        val = LaurentSeries.constant(g.ring, 1, g.hi)
     elif n == 1:
-        val = base
+        val = g
+    elif n == -1:
+        val = g.inv()
     else:
-        half = _power(base, n // 2, cache, neg)
+        sign = 1 if n > 0 else -1
+        half = _power(g, sign * (abs(n) // 2), cache)
         val = half * half
         if n % 2:
-            val = val * base
-    cache[key] = val
+            val = val * _power(g, sign, cache)
+    cache[n] = val
     return val

@@ -54,11 +54,7 @@ class OperatorDesc:
 
     def image_power(self, n):
         """Cached n-th power of the variable image (n may be negative)."""
-        if n >= 0:
-            return _power(self.image, n, self._cache)
-        if "inv" not in self._cache:
-            self._cache["inv"] = self.image.inv()
-        return _power(self._cache["inv"], -n, self._cache, neg=True)
+        return _power(self.image, n, self._cache)
 
     def to_json(self):
         return {"kind": self.kind, "label": self.label,
@@ -196,18 +192,9 @@ class PeriodRing:
 
 
 def one_plus_var_pow(base, c, window):
-    """(1 + T)^c - 1 by binary exponentiation in the truncated ring."""
+    """(1 + T)^c - 1 by binary powering in the truncated ring."""
     t = LaurentSeries.from_terms(base, {0: 1, 1: 1}, window)
-    acc = LaurentSeries.constant(base, 1, window)
-    b = t
-    n = c
-    while n:
-        if n & 1:
-            acc = acc * b
-        n >>= 1
-        if n:
-            b = b * b
-    return acc - LaurentSeries.constant(base, 1, window)
+    return _power(t, c, {}) - LaurentSeries.constant(base, 1, window)
 
 
 def standard_cyclotomic(p, a, f=1, window=32, c=None):

@@ -32,6 +32,8 @@ from phigamma.samplers import (diag_const, rand_lift, rand_module, rand_uni,
                                rand_vec)
 from phigamma.verdicts import FAILS, HOLDS
 
+from tails import rand_cochain, rand_mat, truncated_zero
+
 HOLD, FAIL, INC = "holds", "fails", "inconclusive"
 
 # scale-1 statuses, filled in by the per-criterion tests and reused by
@@ -47,25 +49,6 @@ def report(num, ok, elapsed, budget, extra=""):
     verdict = "PASS" if ok else "FAIL"
     tail = f" {extra}" if extra else ""
     print(f"criterion {num}: {verdict} ({elapsed:.2f}s, budget {budget}s){tail}")
-
-
-def rand_mat(rng, ring, n=2, lo=-1, spread=6):
-    q = ring.base.q
-    return SeriesMatrix(ring, [
-        [ring.series({rng.randrange(lo, lo + spread): rng.randrange(q)
-                      for _ in range(2)}) for _ in range(n)]
-        for _ in range(n)])
-
-
-def rand_cochain(rng, C, degree):
-    make = rand_mat if C.kind == "adjoint" else rand_vec
-    return Cochain(degree, tuple(
-        make(rng, C.ring, C.n) for _ in range(C.n_parts(degree))))
-
-
-def trunc_zero(mat, h):
-    return all(e.truncate(min(e.hi, h)).is_zero()
-               for row in mat.rows for e in row)
 
 
 # -- criterion 1: height-theory worked family ----------------------------------
@@ -270,7 +253,7 @@ def crit_dual(s):
         try:
             Pt, Gt = lift_dual_numbers(M, xy0)
             o1 = obstruction(M, Pt, Gt)
-            ok = trunc_zero(o1, h)
+            ok = truncated_zero(o1, h)
         except Exception:
             ok = False
             statuses[f"dual-{i}"] = mark(ok)
@@ -280,7 +263,7 @@ def crit_dual(s):
         P2, G2 = lift_dual_numbers(M, xy2, require_cocycle=False)
         o2 = obstruction(M, P2, G2)
         # adjusting the lift by (U, V) shifts the obstruction by -d1(U, V)
-        ok = ok and trunc_zero(o2 - o1 + C.d1(uv).parts[0], h)
+        ok = ok and truncated_zero(o2 - o1 + C.d1(uv).parts[0], h)
         statuses[f"dual-{i}"] = mark(ok)
     for i in range(10):
         rng = random.Random(16500 + i)
@@ -358,10 +341,10 @@ def crit_cup(s):
         else:
             a, b = rand_lift(rng, M3, CELLS3)
             I = I3
-        lam = lambda_map(ring, a, b)
+        lam = lambda_map(a, b)
         pred = I + a.apply_gamma().inv() * b.inv() * \
-            commutation_residual(ring, a, b)
-        ok = trunc_zero(lam - pred, h)
+            commutation_residual(a, b)
+        ok = truncated_zero(lam - pred, h)
         if i % 2 == 1:
             # second identity: factorization through the Levi adjoints
             PL, GL = M3.Phi, M3.Gam
@@ -374,8 +357,8 @@ def crit_cup(s):
                   D3.qmul(0, ad(PL.apply_gamma().inv(), D3.qinv(0, b_u)),
                   D3.qmul(0, ad(GL.apply_phi().inv(), a_u),
                           D3.qreduce(b_u.apply_phi(), 0))))
-            lamq = lambda_map(ring, a, b, D3, 0)
-            ok = ok and trunc_zero(lamq - rhs, h)
+            lamq = lambda_map(a, b, D3, 0)
+            ok = ok and truncated_zero(lamq - rhs, h)
         statuses[f"cup-lambda-{i}"] = mark(ok)
     for i in range(100):
         rng = random.Random(17500 + i)

@@ -82,7 +82,7 @@ class TestParabolicData:
 class TestLambda:
     def test_identity_pair(self):
         I = SeriesMatrix.identity(R, 2)
-        assert (lambda_map(R, I, I) - I).is_zero()
+        assert (lambda_map(I, I) - I).is_zero()
 
     def test_constant_case_is_commutator(self):
         A = SeriesMatrix(R, [[R.constant(2), R.constant(1)],
@@ -90,7 +90,7 @@ class TestLambda:
         B = SeriesMatrix(R, [[R.constant(1), R.constant(2)],
                              [R.constant(0), R.constant(1)]])
         comm = A.inv() * B.inv() * A * B
-        assert (lambda_map(R, A, B) - comm).is_zero()
+        assert (lambda_map(A, B) - comm).is_zero()
 
     @settings(max_examples=15, deadline=None)
     @given(seeds)
@@ -98,8 +98,8 @@ class TestLambda:
         # lambda(a, b) = 1 + gamma(a)^-1 b^-1 (a phi(b) - b gamma(a))
         rng = random.Random(seed)
         a, b = rand_lift(rng, M3, CELLS3)
-        lam = lambda_map(R, a, b)
-        resid = commutation_residual(R, a, b)
+        lam = lambda_map(a, b)
+        resid = commutation_residual(a, b)
         pred = (SeriesMatrix.identity(R, 3) +
                 a.apply_gamma().inv() * b.inv() * resid)
         d = lam - pred
@@ -120,7 +120,7 @@ class TestLambda:
         a, b = rand_lift(rng, M3, ((0, 1), (1, 2), (0, 2)))
         a_u = D3.qmul(0, PHI_L3.inv(), a)
         b_u = D3.qmul(0, GAM_L3.inv(), b)
-        lam = lambda_map(R, a, b, D3, 0)
+        lam = lambda_map(a, b, D3, 0)
         rhs = D3.qmul(0, D3.qinv(0, a_u.apply_gamma()),
               D3.qmul(0, ad(PHI_L3.apply_gamma().inv(), D3.qinv(0, b_u)),
               D3.qmul(0, ad(GAM_L3.apply_phi().inv(), a_u),
@@ -235,7 +235,7 @@ class TestMu:
         P1, G1 = rand_lift(rng, M3, CELLS3)
         M1 = FramedModule(R, P1, G1, pattern=D3.quotient_pattern(1),
                           validate=False)
-        lam = lambda_map(R, P1, G1, D3, 1)
+        lam = lambda_map(P1, G1, D3, 1)
         assert not (lam - SeriesMatrix.identity(R, 3)).is_zero()
         lift_P = SeriesMatrix(R, [list(r) for r in P1.rows])
         with pytest.raises(NotCentralValued):

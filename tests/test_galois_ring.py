@@ -122,7 +122,10 @@ def test_frobenius_order_f():
     assert R.frob(x) != x
 
 
-@pytest.mark.parametrize("p,a,f", [(2, 2, 2), (3, 2, 1), (3, 1, 2), (5, 2, 1)])
+# (2, 3, 2) and (3, 2, 2) have units outside the Teichmueller group: at
+# p = 2 with a >= 3 the exponent of 1 + 2R is 2^(a-1), which inv relies on
+@pytest.mark.parametrize("p,a,f", [(2, 2, 2), (3, 2, 1), (3, 1, 2), (5, 2, 1),
+                                   (2, 3, 2), (3, 2, 2)])
 def test_inverse_round_trip_exhaustive_units(p, a, f):
     R = make_ring(p, a, f)
     count = 0

@@ -515,12 +515,29 @@ def ref_compose(f, g):
     cache = {}
     out = LaurentSeries.zero(ring, d * f.hi - (ring.a - 1) * max(0, d - g.lo))
     for n, c in f.terms():
-        if n < 0 and "inv" not in cache:
-            cache["inv"] = g.inv()
-        base = g if n >= 0 else cache["inv"]
-        gn = _power(base, abs(n), cache, neg=n < 0)
-        out = out + gn.scale(c)
+        out = out + _power(g, n, cache).scale(c)
     return out
+
+
+def ref_power(g, n):
+    """g^n the way powers were formed before `_power` took a signed n:
+    g.inv() first when n < 0, then binary powering on |n| of that base,
+    with its own memo."""
+    base = g if n >= 0 else g.inv()
+    cache = {}
+
+    def power(k):
+        if k not in cache:
+            if k == 0:
+                cache[k] = LaurentSeries.constant(base.ring, 1, base.hi)
+            elif k == 1:
+                cache[k] = base
+            else:
+                half = power(k // 2)
+                val = half * half
+                cache[k] = val * base if k % 2 else val
+        return cache[k]
+    return power(abs(n))
 
 
 def compose_outcome(fn):
@@ -918,10 +935,10 @@ class TestKernel:
         # the terms of f, decides the error, as the reference's does
         power = laurent._power
 
-        def raising(base, n, cache, neg=False):
-            if n >= 3:
-                raise EmptyWindow(f"power {-n if neg else n}")
-            return power(base, n, cache, neg)
+        def raising(g, n, cache):
+            if abs(n) >= 3:
+                raise EmptyWindow(f"power {n}")
+            return power(g, n, cache)
 
         monkeypatch.setattr(laurent, "_power", raising)
         f = S({-4: 1, 1: 2, 5: 1, 7: 1}, 9)
@@ -929,12 +946,28 @@ class TestKernel:
         cache = {}
         assert compose_outcome(lambda: compose(f, g, cache)) == \
             ("EmptyWindow", "power -4")
-        # the powers formed before it stay in the cache
-        assert set(cache) == {"inv"}
+        # g^-4 is the first power, so nothing was formed before it
+        assert set(cache) == set()
         f = S({1: 2, 5: 1, 7: 1}, 9)
         assert compose_outcome(lambda: compose(f, g, cache)) == \
             ("EmptyWindow", "power 5")
-        assert set(cache) == {"inv", (False, 1)}
+        # the powers formed before it stay in the cache
+        assert set(cache) == {1}
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds)
+    def test_signed_power(self, seed):
+        # every power in [-8, 8], from a fresh cache and from one cache
+        # shared by all of them, against the powers of g.inv()
+        rng = random.Random(seed)
+        for ring in ROOT_RINGS:
+            hi = rng.randrange(1, 16 if ring.a < 21 else 8)
+            g = kernel_series(rng, ring, hi, rng.choice(KINDS), lo_min=-2)
+            shared = {}
+            for n in rng.sample(range(-8, 9), 17):
+                want = compose_outcome(lambda: ref_power(g, n))
+                assert compose_outcome(lambda: _power(g, n, {})) == want
+                assert compose_outcome(lambda: _power(g, n, shared)) == want
 
 
 # -- window soundness against adversarial unknown tails --------------------
