@@ -400,16 +400,16 @@ def _check_cup_ring(ring):
 
 
 def task_cup(ring, cfg, rng):
-    from .cup import check_mu_well_defined, lambda_map, lift_step, mu, \
-        parabolic_data
+    from .cup import ParabolicData, check_mu_well_defined, lambda_map, \
+        lift_step, mu
     from .framed import commutation_residual, make_framed
     from .matrices import SeriesMatrix
     from .samplers import diag_const, rand_lift
     _check_cup_ring(ring)
     count = _param(cfg, "count", 10, least=1)
     depth = _param(cfg, "depth", 4, least=0)
-    d2 = parabolic_data(2, (1, 1))
-    d3 = parabolic_data(3, (1, 1, 1))
+    d2 = ParabolicData(2, (1, 1))
+    d3 = ParabolicData(3, (1, 1, 1))
     phi_l3 = diag_const(ring, (2, 1, 2))
     gam_l3 = diag_const(ring, (1, 2, 1))
     M2 = make_framed(ring, diag_const(ring, (2, 1)),
@@ -418,7 +418,7 @@ def task_cup(ring, cfg, rng):
     M3 = make_framed(ring, phi_l3, gam_l3, pattern=d3.quotient_pattern(2))
 
     def ad(g, x):
-        return d3.qmul(0, d3.qmul(0, g, x), d3.qinv(0, g))
+        return g * x * g.inv()
 
     lam_bad = 0
     lam_short = []  # precision shortfalls of the lambda identities
@@ -433,23 +433,22 @@ def task_cup(ring, cfg, rng):
         # the random lifts have terms up to u^7, so a small window can end
         # below them
         try:
-            # lambda identity 1: factorization with commuting Levi parts
+            # lambda identity 1: factorization with commuting Levi parts,
+            # in P/U_0 = P
             a, b = rand_lift(rng, M3, ((0, 1), (1, 2), (0, 2)))
-            a_u = d3.qmul(0, phi_l3.inv(), a)
-            b_u = d3.qmul(0, gam_l3.inv(), b)
-            lam = lambda_map(a, b, d3, 0)
-            rhs = d3.qmul(0, d3.qinv(0, a_u.apply_gamma()), d3.qmul(
-                0, ad(phi_l3.apply_gamma().inv(), d3.qinv(0, b_u)),
-                d3.qmul(0, ad(gam_l3.apply_phi().inv(), a_u),
-                        d3.qreduce(b_u.apply_phi(), 0))))
+            a_u = phi_l3.inv() * a
+            b_u = gam_l3.inv() * b
+            lam = lambda_map(a, b)
+            rhs = a_u.apply_gamma().inv() * (
+                ad(phi_l3.apply_gamma().inv(), b_u.inv()) *
+                (ad(gam_l3.apply_phi().inv(), a_u) * b_u.apply_phi()))
             if not (lam - rhs).truncate(check_hi).is_zero():
                 lam_bad += 1
             # lambda identity 2: lambda = 1 + gamma(a)^-1 b^-1 residual
             pred = (SeriesMatrix.identity(ring, 3) +
                     a.apply_gamma().inv() * b.inv() *
                     commutation_residual(a, b))
-            if not (lambda_map(a, b) - pred).truncate(
-                    check_hi).is_zero():
+            if not (lam - pred).truncate(check_hi).is_zero():
                 lam_bad += 1
         except SHORTFALLS as exc:
             lam_short.append(type(exc).__name__)
@@ -561,7 +560,6 @@ def task_descent_check(ring, cfg, rng):
                              window=ring.window, e=e, error=name)]
     I = SeriesMatrix.identity(ext, 1)
     M = make_framed(ext, I, I)
-    out = []
     try:
         check_descent(M, DescentDatum.canonical(ext, 1))
         h = SeriesMatrix(ext, [[ext.series({-1: 1})]])
@@ -569,7 +567,6 @@ def task_descent_check(ring, cfg, rng):
         D2 = descent_datum_after_change_basis(
             M, DescentDatum.canonical(ext, 1), h)
         check_descent(M2, D2)
-        descent_ok = True
     except PhigammaError as exc:
         return [fails("descent-check", f"descent equations fail: {exc}",
                       window=ring.window)]
@@ -581,15 +578,12 @@ def task_descent_check(ring, cfg, rng):
     down = descend_cochain(ext, up)
     round_ok = all((pu - pd).is_zero()
                    for pu, pd in zip(c.parts, down.parts))
-    if descent_ok and inv_ok and round_ok:
-        out.append(holds("descent-check",
-                         "descent equations, invariance, and averaging "
-                         "round trip verified",
-                         window=ring.window, e=e))
-    else:
-        out.append(fails("descent-check", "restriction round trip failed",
-                         window=ring.window, e=e))
-    return out
+    if inv_ok and round_ok:
+        return [holds("descent-check",
+                      "descent equations, invariance, and averaging "
+                      "round trip verified", window=ring.window, e=e)]
+    return [fails("descent-check", "restriction round trip failed",
+                  window=ring.window, e=e)]
 
 
 def task_suite(ring, cfg, rng):

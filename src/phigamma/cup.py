@@ -44,21 +44,21 @@ from .matrices import SeriesMatrix
 from .verdicts import holds, inconclusive
 
 
-def _mask_mul(mask_a, mask_b):
-    out = set()
-    by_row = {}
-    for (r, c) in mask_b:
-        by_row.setdefault(r, []).append(c)
-    for (r, m) in mask_a:
-        for c in by_row.get(m, ()):
-            out.add((r, c))
-    return frozenset(out)
-
-
 class ParabolicData:
     """Block-parabolic mask data: the upper central series of the
     unipotent radical and the Levi adjoint representations on its
-    graded pieces."""
+    graded pieces.
+
+    The block distance delta(r, c) = block(c) - block(r) is stored once,
+    and every mask is one band lo <= delta < hi of it: the Levi part is
+    [0, 1), U_i is [k - i, k), its central level U_i/U_{i-1} is
+    [k - i, k - i + 1), and the pattern of P/U_j is [0, k - j).
+
+    U_i/U_{i-1} is central in U/U_{i-1} for every composition: delta is
+    additive, so a product of an entry (r, m) of U_i with an entry (m, c)
+    of U = U_{k-1} (or the other way round) lands at delta(r, c) =
+    delta(r, m) + delta(m, c) >= (k - i) + 1, inside U_{i-1}.
+    """
 
     def __init__(self, n, blocks):
         blocks = tuple(blocks)
@@ -68,60 +68,51 @@ class ParabolicData:
         self.n = n
         self.blocks = blocks
         self.k = len(blocks)
-        self.block_of = []
-        for b, size in enumerate(blocks):
-            self.block_of.extend([b] * size)
-        self._verify_centrality()
+        block = [b for b, size in enumerate(blocks) for _ in range(size)]
+        self._delta = {(r, c): block[c] - block[r]
+                       for r in range(n) for c in range(n)}
 
-    def delta(self, r, c):
-        return self.block_of[c] - self.block_of[r]
+    def _band(self, lo, hi):
+        """The entries (r, c) with lo <= delta(r, c) < hi."""
+        return frozenset(rc for rc, d in self._delta.items() if lo <= d < hi)
 
-    def levi_mask(self):
-        return frozenset((r, c) for r in range(self.n) for c in range(self.n)
-                         if self.delta(r, c) == 0)
+    def _distance(self, i, least=0):
+        """k - i, the block distance where level i starts."""
+        if not least <= i <= self.k - 1:
+            raise BadComposition(
+                f"level {i} out of range {least}..{self.k - 1}")
+        return self.k - i
 
     def u_mask(self, i):
         """Entry mask of U_i: block distance >= k - i.  U_0 is empty."""
-        if not 0 <= i <= self.k - 1:
-            raise BadComposition(f"level {i} out of range 0..{self.k - 1}")
-        return frozenset((r, c) for r in range(self.n) for c in range(self.n)
-                         if self.delta(r, c) >= self.k - i)
+        return self._band(self._distance(i), self.k)
 
     def central_mask(self, i):
         """Coordinates of U_i/U_{i-1}: block distance exactly k - i."""
-        if not 1 <= i <= self.k - 1:
-            raise BadComposition(f"level {i} out of range 1..{self.k - 1}")
-        return frozenset((r, c) for r in range(self.n) for c in range(self.n)
-                         if self.delta(r, c) == self.k - i)
+        d = self._distance(i, 1)
+        return self._band(d, d + 1)
 
     def quotient_pattern(self, j):
-        """Allowed entries of P/U_j: the parabolic minus the U_j mask."""
-        killed = self.u_mask(j)
-        return frozenset((r, c) for r in range(self.n) for c in range(self.n)
-                         if self.delta(r, c) >= 0 and (r, c) not in killed)
+        """Allowed entries of P/U_j: the parabolic minus the U_j mask,
+        block distance 0 to k - j - 1."""
+        return self._band(0, self._distance(j))
 
     def central_coords(self, i):
         return sorted(self.central_mask(i))
 
-    def _verify_centrality(self):
-        full = self.u_mask(self.k - 1)
-        for i in range(1, self.k):
-            ui = self.u_mask(i)
-            comm = _mask_mul(ui, full) | _mask_mul(full, ui)
-            if not comm <= self.u_mask(i - 1):
-                raise BadComposition(
-                    f"U_{i}/U_{i - 1} is not central in U/U_{i - 1}")
-
     # -- quotient arithmetic ------------------------------------------------
+
+    def _keep(self, mat, cells):
+        """mat with every entry outside `cells` replaced by a zero of its
+        window."""
+        ring = mat.ring
+        return SeriesMatrix(ring, [
+            [e if (r, c) in cells else ring.zero(e.hi)
+             for c, e in enumerate(row)] for r, row in enumerate(mat.rows)])
 
     def qreduce(self, mat, j):
         """Kill the U_j mask: the canonical representative in P/U_j."""
-        killed = self.u_mask(j)
-        ring = mat.ring
-        return SeriesMatrix(ring, [
-            [ring.zero(mat.rows[r][c].hi) if (r, c) in killed
-             else mat.rows[r][c]
-             for c in range(mat.ncols)] for r in range(mat.nrows)])
+        return self._keep(mat, self._delta.keys() - self.u_mask(j))
 
     def qmul(self, j, a, b):
         return self.qreduce(a * b, j)
@@ -132,11 +123,7 @@ class ParabolicData:
     # -- Levi adjoint action on a central level ------------------------------
 
     def levi_part(self, mat):
-        ring = mat.ring
-        keep = self.levi_mask()
-        return SeriesMatrix(ring, [
-            [mat.rows[r][c] if (r, c) in keep else ring.zero(mat.rows[r][c].hi)
-             for c in range(mat.ncols)] for r in range(mat.nrows)])
+        return self._keep(mat, self._band(0, 1))
 
     def ad_rep(self, i, L):
         """Matrix of z -> L*z*L^-1 on the level-i central coordinates:
@@ -161,10 +148,6 @@ class ParabolicData:
 
     def __repr__(self):
         return f"ParabolicData(n={self.n}, blocks={self.blocks})"
-
-
-def parabolic_data(n, blocks):
-    return ParabolicData(n, blocks)
 
 
 def lambda_map(alpha, beta, data=None, j=None):

@@ -161,9 +161,6 @@ class Cochain:
         self.degree = degree
         self.parts = parts
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def to_json(self):
         return {"degree": self.degree,
                 "parts": [p.to_json() for p in self.parts]}

@@ -79,7 +79,7 @@ def _first_irreducible(p, f):
 class CoeffRing:
     """The Galois ring GR(p^a, f) with a deterministic modulus choice."""
 
-    def __init__(self, p, a, f, modulus=None):
+    def __init__(self, p, a, f):
         if not _is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if a < 1 or f < 1:
@@ -88,9 +88,7 @@ class CoeffRing:
         self.a = a
         self.f = f
         self.q = p ** a
-        self.modulus = tuple(modulus) if modulus else _first_irreducible(p, f)
-        if len(self.modulus) != f + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree f")
+        self.modulus = _first_irreducible(p, f)
         self.zero = (0,) * f
         self.one = ((1,) + (0,) * (f - 1)) if f >= 1 else ()
         self._red = self._reduction_rows()
@@ -247,21 +245,6 @@ class CoeffRing:
             c = self.random(rng)
             if self.is_unit(c):
                 return c
-
-    def to_json(self):
-        return {"p": self.p, "a": self.a, "f": self.f, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["p"], data["a"], data["f"], modulus=data.get("modulus"))
-
-    def __eq__(self, other):
-        return (isinstance(other, CoeffRing)
-                and (self.p, self.a, self.f, self.modulus)
-                == (other.p, other.a, other.f, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.a, self.f, self.modulus))
 
     def __repr__(self):
         return f"CoeffRing(p={self.p}, a={self.a}, f={self.f})"

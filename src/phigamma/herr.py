@@ -53,7 +53,6 @@ class HerrComplex:
         self.kind = kind
         self.n = module.n
         self._ops = {}
-        self._zero_images = {}
         self._images = {}
 
     # -- cochain shapes -------------------------------------------------------
@@ -144,9 +143,9 @@ class HerrComplex:
         zero cochain.  So d(m) = d(0) + (the terms that involve m), window
         for window: a zero addend only cuts the sum at its window, and the
         zero term that a term with m stands in for is known at least as
-        far as that term.  d(0) is formed once per degree (`_zero_image`)
-        and carries the window of every zero term; the terms with m come
-        from `_block_images`.  A monomial past the ring window raises
+        far as that term.  d(0) is formed by `_zero_image` and carries
+        the window of every zero term; the terms with m come from
+        `_block_images`.  A monomial past the ring window raises
         EmptyWindow as its series does, and e_s * u^W is the zero series,
         whose image is d(0).
 
@@ -183,16 +182,12 @@ class HerrComplex:
 
     def _zero_image(self, degree):
         """The entries of d of the zero cochain of `degree`, in cochain
-        order; the complex keeps them per degree."""
-        image = self._zero_images.get(degree)
-        if image is None:
-            nr, nc = self.part_shape()
-            z = Cochain(degree, tuple(SeriesMatrix.zero(self.ring, nr, nc)
-                                      for _ in range(self.n_parts(degree))))
-            image = self._zero_images[degree] = [
-                e for part in self.d(z).parts for row in part.rows
+        order."""
+        nr, nc = self.part_shape()
+        z = Cochain(degree, tuple(SeriesMatrix.zero(self.ring, nr, nc)
+                                  for _ in range(self.n_parts(degree))))
+        return [e for part in self.d(z).parts for row in part.rows
                 for e in row]
-        return image
 
     def _block_images(self, ops, sign, zero, monos):
         """zero + sign * B(c) for the block B with the given (op, L, R)

@@ -8,7 +8,7 @@ is raised when the window cannot decide.
 
 A matrix is a value: its rows are tuples of series, fixed at
 construction, so `inv` computes the inverse of each matrix value once
-per ring and keeps it on the matrix and on the ring.
+per ring and keeps it on the ring.
 """
 
 from .errors import (InsufficientWindow, NoConvergence, NotAUnit,
@@ -22,7 +22,6 @@ class SeriesMatrix:
     def __init__(self, ring, rows):
         self.ring = ring
         self.rows = tuple(tuple(r) for r in rows)
-        self._inv = None
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for r in self.rows:
@@ -115,27 +114,24 @@ class SeriesMatrix:
     def inv(self):
         """Gauss-Jordan inverse; pivots need a visible unit degree.
 
-        The inverse is computed on the first call and kept on the matrix.
-        The ring keeps it too, in `PeriodRing._inverses`, keyed by the
-        matrix's value (the `key()` of every entry, windows included), so
-        an equal matrix built separately gets the same inverse back.  A
-        library error (NotInvertible, EmptyWindow) is kept there as its
-        class and message, and every later call for that value raises a
-        fresh instance of it."""
-        if self._inv is None:
-            memo = self.ring._inverses
-            key = self.key()
-            got = memo.get(key)
-            if got is None:
-                try:
-                    got = memo[key] = self._gauss_jordan()
-                except PhigammaError as exc:
-                    memo[key] = (type(exc), str(exc))
-                    raise
-            if type(got) is tuple:
-                raise got[0](got[1])
-            self._inv = got
-        return self._inv
+        The ring keeps every inverse in `PeriodRing._inverses`, keyed by
+        the matrix's value (the `key()` of every entry, windows included),
+        so an equal matrix, the same one or one built separately, gets the
+        same inverse back.  A library error (NotInvertible, EmptyWindow) is
+        kept there as its class and message, and every later call for that
+        value raises a fresh instance of it."""
+        memo = self.ring._inverses
+        key = self.key()
+        got = memo.get(key)
+        if got is None:
+            try:
+                got = memo[key] = self._gauss_jordan()
+            except PhigammaError as exc:
+                memo[key] = (type(exc), str(exc))
+                raise
+        if type(got) is tuple:
+            raise got[0](got[1])
+        return got
 
     def _gauss_jordan(self):
         n = self.n

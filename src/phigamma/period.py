@@ -330,19 +330,16 @@ def tame_extension(base_ring, e, f_ext=1):
     root_series = eth_root_one_unit(w_gam.scale(ext.inv(c0)), e)
     zeta = _residue_field_root_of_unity(ext, e)
     phi_op = OperatorDesc("phi", phi_v, phi_frob, label="phi")
-    gam_v = None
     zmult = z0
     for _ in range(e):
         cand = LaurentSeries.monomial(ext, 1, zmult, window_v) * root_series
-        cand_op = OperatorDesc("gamma", cand, 0, label=base_ring.gamma.label)
-        if phi_op.apply(cand).agrees(cand_op.apply(phi_v)):
-            gam_v = cand
+        gam_op = OperatorDesc("gamma", cand, 0, label=base_ring.gamma.label)
+        if phi_op.apply(cand).agrees(gam_op.apply(phi_v)):
             break
         zmult = ext.mul(zmult, zeta)
-    if gam_v is None:
+    else:
         raise NotGaloisCompatible(
             "no root choice makes gamma(v) commute with phi(v)")
-    gam_op = OperatorDesc("gamma", gam_v, 0, label=base_ring.gamma.label)
 
     gens = []
     if e > 1:

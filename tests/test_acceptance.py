@@ -12,8 +12,8 @@ import random
 import time
 from fractions import Fraction
 
-from phigamma.cup import (check_mu_well_defined, lambda_map, lift_step, mu,
-                          parabolic_data)
+from phigamma.cup import (ParabolicData, check_mu_well_defined, lambda_map,
+                          lift_step, mu)
 from phigamma.framed import (Cochain, DescentDatum, change_basis,
                              check_descent, check_invariance,
                              commutation_residual, descend_cochain,
@@ -326,8 +326,8 @@ def _borel3(ring, D3):
 def crit_cup(s):
     ring = standard_cyclotomic(3, 1, window=40 * s)
     h = 30 * s
-    D2 = parabolic_data(2, (1, 1))
-    D3 = parabolic_data(3, (1, 1, 1))
+    D2 = ParabolicData(2, (1, 1))
+    D3 = ParabolicData(3, (1, 1, 1))
     M2 = _borel2(ring, D2)
     M3 = _borel3(ring, D3)
     statuses = {}

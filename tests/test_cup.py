@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.cup import (check_mu_well_defined, lambda_map, lift_step, mu,
-                          parabolic_data)
+from phigamma.cup import (ParabolicData, check_mu_well_defined, lambda_map,
+                          lift_step, mu)
 from phigamma.errors import (BadComposition, BadWitness, InsufficientWindow,
                              LeviNotCommuting, NotALift, NotCentralValued)
 from phigamma.framed import (Cochain, FramedModule, commutation_residual,
@@ -22,8 +22,8 @@ from phigamma.verdicts import HOLDS, INCONCLUSIVE
 seeds = st.integers(0, 10**9)
 
 R = standard_cyclotomic(3, 1, window=40)
-D2 = parabolic_data(2, (1, 1))
-D3 = parabolic_data(3, (1, 1, 1))
+D2 = ParabolicData(2, (1, 1))
+D3 = ParabolicData(3, (1, 1, 1))
 
 
 PHI_L3 = diag_const(R, (2, 1, 2))
@@ -59,17 +59,61 @@ class TestParabolicData:
         assert D3.u_mask(1) < D3.u_mask(2)
 
     def test_abelian_radical(self):
-        d = parabolic_data(3, (2, 1))
+        d = ParabolicData(3, (2, 1))
         assert d.k == 2
         assert sorted(d.u_mask(1)) == [(0, 2), (1, 2)]
 
+    def test_quotient_patterns(self):
+        # P/U_j keeps block distances 0 to k - j - 1
+        diag2 = [(0, 0), (1, 1)]
+        assert sorted(D2.quotient_pattern(0)) == [(0, 0), (0, 1), (1, 1)]
+        assert sorted(D2.quotient_pattern(1)) == diag2
+        diag3 = [(0, 0), (1, 1), (2, 2)]
+        assert sorted(D3.quotient_pattern(0)) == sorted(
+            diag3 + [(0, 1), (1, 2), (0, 2)])
+        assert sorted(D3.quotient_pattern(1)) == sorted(
+            diag3 + [(0, 1), (1, 2)])
+        assert sorted(D3.quotient_pattern(2)) == diag3
+        d = ParabolicData(3, (2, 1))
+        levi = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+        assert sorted(d.quotient_pattern(0)) == sorted(
+            levi + [(0, 2), (1, 2)])
+        assert sorted(d.quotient_pattern(1)) == levi
+        for data in (D2, D3, d):
+            for j in (-1, data.k):
+                with pytest.raises(BadComposition):
+                    data.quotient_pattern(j)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_central_levels_are_central(self, n):
+        # U_i U and U U_i lie in U_{i-1} for every composition of n into
+        # at least two parts and every level i
+        def mask_mul(a, b):
+            return {(r, c) for (r, m) in a for (m2, c) in b if m == m2}
+
+        def compositions(n):
+            yield (n,)
+            for first in range(1, n):
+                for rest in compositions(n - first):
+                    yield (first,) + rest
+
+        for blocks in compositions(n):
+            if len(blocks) < 2:
+                continue
+            d = ParabolicData(n, blocks)
+            full = d.u_mask(d.k - 1)
+            for i in range(1, d.k):
+                ui = d.u_mask(i)
+                assert mask_mul(ui, full) | mask_mul(full, ui) <= \
+                    d.u_mask(i - 1)
+
     def test_bad_compositions(self):
         with pytest.raises(BadComposition):
-            parabolic_data(3, (3,))
+            ParabolicData(3, (3,))
         with pytest.raises(BadComposition):
-            parabolic_data(3, (2, 2))
+            ParabolicData(3, (2, 2))
         with pytest.raises(BadComposition):
-            parabolic_data(3, (3, 0))
+            ParabolicData(3, (3, 0))
 
     def test_ad_rep_is_conjugation(self):
         L = PHI_L3
@@ -215,9 +259,22 @@ class TestMu:
         with pytest.raises(NotALift):
             mu(D2, 1, M, P + low, G)
 
+    def test_entry_in_u_j_is_not_a_lift(self):
+        # a lift to P/U_1 of a GL_3 Borel module must vanish on U_1, the
+        # corner (0, 2)
+        rng = random.Random(4)
+        P, G = rand_lift(rng, M3, CELLS3)
+        corner = SeriesMatrix(R, [[R.zero(), R.zero(), R.series({1: 1})],
+                                  [R.zero(), R.zero(), R.zero()],
+                                  [R.zero(), R.zero(), R.zero()]])
+        with pytest.raises(NotALift):
+            mu(D3, 2, M3, P + corner, G)
+        with pytest.raises(NotALift):
+            mu(D3, 2, M3, P, G + corner)
+
     def test_levi_not_commuting(self):
         # non-commuting constant Levi blocks for the (2,1) parabolic
-        d = parabolic_data(3, (2, 1))
+        d = ParabolicData(3, (2, 1))
         A = SeriesMatrix(R, [[R.constant(1), R.constant(1), R.zero()],
                              [R.zero(), R.constant(1), R.zero()],
                              [R.zero(), R.zero(), R.constant(1)]])

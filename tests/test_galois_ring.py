@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phigamma.errors import NoRootOfUnity, NotAUnit, NotPrime, NotPrincipalForm
-from phigamma.galois_ring import (CoeffRing, _poly_irreducible_p, hensel_root,
-                                  make_ring, residue_root)
+from phigamma.galois_ring import (_poly_irreducible_p, hensel_root, make_ring,
+                                  residue_root)
 from phigamma.laurent import LaurentSeries
 from phigamma.period import standard_cyclotomic, tame_extension
 
@@ -178,13 +178,10 @@ def test_coordinate_tuple_arithmetic():
 
 def test_json_round_trip():
     R = make_ring(5, 2, 2)
-    data = R.to_json()
-    R2 = CoeffRing.from_json(data)
-    assert R2 == R
     # an element travels in JSON as its coordinate list
     e = (3, 17)
     s = LaurentSeries.constant(R, e, 1)
-    assert LaurentSeries.from_json(R2, s.to_json()).coeff(0) == e
+    assert LaurentSeries.from_json(R, s.to_json()).coeff(0) == e
 
 
 def test_irreducibility_helper_matches_oracle():
