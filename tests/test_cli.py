@@ -438,9 +438,10 @@ class TestShortfallNotFailure:
 # e-th root of gamma's constant term, and of analyze-phi and
 # solve-twisted on two f = 2 rings, where coefficient inverses run inside
 # every series inversion, and of descent-check on two tame rings, where
-# the tame gamma operator and the descent equations run.  A speed change must leave every witness,
-# window and verdict as it is, so these hashes stay; a change that alters
-# a report on purpose says so and updates them.
+# the tame gamma operator and the descent equations run.  A speed change
+# must leave every witness, window and verdict as it is, so these hashes
+# stay; a change that alters a report on purpose says so and updates
+# them.
 def _cyc(p, a, f, window):
     return {"kind": "cyclotomic", "p": p, "a": a, "f": f, "window": window}
 
