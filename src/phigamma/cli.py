@@ -370,12 +370,12 @@ def task_herr(ring, cfg, rng):
 def revalidate_witness(ring, blob):
     """Recheck an emitted coboundary witness: d(witness) must agree with
     the stored cochain on the recorded sub-window."""
-    from .framed import Cochain, make_framed
+    from .framed import Cochain, FramedModule
     from .herr import HerrComplex
     from .matrices import SeriesMatrix
-    M = make_framed(ring,
-                    SeriesMatrix.from_json(ring, blob["module"]["Phi"]),
-                    SeriesMatrix.from_json(ring, blob["module"]["Gam"]))
+    M = FramedModule(ring,
+                     SeriesMatrix.from_json(ring, blob["module"]["Phi"]),
+                     SeriesMatrix.from_json(ring, blob["module"]["Gam"]))
     C = HerrComplex(M, blob["kind"])
     cochain = Cochain(blob["cochain"]["degree"], tuple(
         SeriesMatrix.from_json(ring, p) for p in blob["cochain"]["parts"]))
@@ -402,7 +402,7 @@ def _check_cup_ring(ring):
 def task_cup(ring, cfg, rng):
     from .cup import ParabolicData, check_mu_well_defined, lambda_map, \
         lift_step, mu
-    from .framed import commutation_residual, make_framed
+    from .framed import FramedModule, commutation_residual
     from .matrices import SeriesMatrix
     from .samplers import diag_const, rand_lift
     _check_cup_ring(ring)
@@ -412,10 +412,10 @@ def task_cup(ring, cfg, rng):
     d3 = ParabolicData(3, (1, 1, 1))
     phi_l3 = diag_const(ring, (2, 1, 2))
     gam_l3 = diag_const(ring, (1, 2, 1))
-    M2 = make_framed(ring, diag_const(ring, (2, 1)),
-                     diag_const(ring, (1, 1)),
-                     pattern=d2.quotient_pattern(1))
-    M3 = make_framed(ring, phi_l3, gam_l3, pattern=d3.quotient_pattern(2))
+    M2 = FramedModule(ring, diag_const(ring, (2, 1)),
+                      diag_const(ring, (1, 1)),
+                      pattern=d2.quotient_pattern(1))
+    M3 = FramedModule(ring, phi_l3, gam_l3, pattern=d3.quotient_pattern(2))
 
     def ad(g, x):
         return g * x * g.inv()
@@ -537,9 +537,9 @@ def task_cup(ring, cfg, rng):
 
 
 def task_descent_check(ring, cfg, rng):
-    from .framed import Cochain, DescentDatum, change_basis, \
-        check_descent, check_invariance, descend_cochain, \
-        descent_datum_after_change_basis, make_framed, restrict_to_E
+    from .framed import Cochain, DescentDatum, FramedModule, \
+        change_basis, check_descent, check_invariance, descend_cochain, \
+        descent_datum_after_change_basis, restrict_to_E
     from .matrices import SeriesMatrix
     e = _param(cfg, "e", 2, least=1)
     base = ring
@@ -559,7 +559,7 @@ def task_descent_check(ring, cfg, rng):
                              f"{e} within the window: {name}: {exc}",
                              window=ring.window, e=e, error=name)]
     I = SeriesMatrix.identity(ext, 1)
-    M = make_framed(ext, I, I)
+    M = FramedModule(ext, I, I)
     try:
         check_descent(M, DescentDatum.canonical(ext, 1))
         h = SeriesMatrix(ext, [[ext.series({-1: 1})]])

@@ -176,9 +176,6 @@ class Cup2Class:
         self.Phi_lift = Phi_lift
         self.Gam_lift = Gam_lift
 
-    def is_zero(self):
-        return all(p.is_zero() for p in self.rep.parts)
-
 
 def _adjoint_complex(data, i, M_levi_phi, M_levi_gam):
     ring = M_levi_phi.ring

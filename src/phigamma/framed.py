@@ -65,10 +65,6 @@ class FramedModule:
         return f"FramedModule(n={self.n} over {self.ring!r})"
 
 
-def make_framed(ring, Phi, Gam, pattern=None):
-    return FramedModule(ring, Phi, Gam, pattern)
-
-
 def change_basis(M, h):
     """New coordinates: (h*Phi*phi(h)^-1, h*Gam*gamma(h)^-1)."""
     h_inv = h.inv()

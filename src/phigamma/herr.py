@@ -28,7 +28,7 @@ The lift ((1+eps*X)Phi, (1+eps*Y)Gam) is valid iff (X,Y) is an adjoint
 
 from .errors import NotACocycle, NotALift
 from .framed import Cochain, commutation_residual, pattern_ok
-from .laurent import LaurentSeries, mul_each
+from .laurent import LaurentSeries
 from .linalg import solve_mod_prime_power
 from .matrices import SeriesMatrix
 from .verdicts import fails, holds
@@ -72,9 +72,10 @@ class HerrComplex:
         with B(z) = (L * op(z)) * R - z in the plain (R is None) and
         adjoint kinds, and B(z) = op(z) - L * z in the framed kind.
 
-        The complex keeps them per degree.  The inverses are taken in one
-        order, Phi^-1 before Gam^-1 and phi(Gam)^-1 before gamma(Phi)^-1,
-        so the first one that fails is the error raised."""
+        The complex keeps them per degree; forming them on each call cost
+        the Herr search about 1%.  The inverses are taken in one order,
+        Phi^-1 before Gam^-1 and phi(Gam)^-1 before gamma(Phi)^-1, so the
+        first one that fails is the error raised."""
         ops = self._ops.get(degree)
         if ops is None:
             M = self.module
@@ -99,13 +100,12 @@ class HerrComplex:
         return (x if R is None else x * R) - z
 
     def d0(self, z):
-        if isinstance(z, Cochain):
-            (z,) = z.parts
+        (z,) = z.parts
         return Cochain(1, tuple(self._block(ops, z)
                                 for ops in self._block_ops(0)))
 
     def d1(self, xy):
-        x, y = xy.parts if isinstance(xy, Cochain) else xy
+        x, y = xy.parts
         phi_ops, gam_ops = self._block_ops(1)
         return Cochain(2, (self._block(gam_ops, x) -
                            self._block(phi_ops, y),))
@@ -200,26 +200,24 @@ class HerrComplex:
         too: F[r][i] * op(m) with F = sign * L in the plain and adjoint
         kinds, F[r][i] * m with F = -sign * L in the framed kind.  The
         diagonal entry has one more, -sign * m (sign * op(m) in the
-        framed kind).  So the sign is taken once, on L.  The products
-        with op(m) take one kernel call (`mul_each`) per entry of F; those
-        with m take the product's monomial shortcut.  In the adjoint kind
-        (L * op(c)) * R multiplies by R the entry (L * op(c))[r][j], which
-        is F[r][i] * op(m) plus zero terms; so that product is cut first,
-        by adding (L * op(0))[r][0], as d's sum cuts it."""
+        framed kind).  So the sign is taken once, on L.  Every product is
+        formed by the series product, as d forms it; those with m take its
+        monomial shortcut.  In the adjoint kind (L * op(c)) * R multiplies
+        by R the entry (L * op(c))[r][j], which is F[r][i] * op(m) plus
+        zero terms; so that product is cut first, by adding
+        (L * op(0))[r][0], as d's sum cuts it."""
         op, L, R = ops
         n, T = self.n, len(monos)
         op_monos = [op.apply(m) for m in monos]
         if self.kind == "framed":
             # B(c) = op(c) - L * c
-            F, diag = (-L if sign > 0 else L), op_monos
-            left = [[[F.rows[r][i] * m for m in monos] for r in range(n)]
-                    for i in range(n)]
+            F, diag, ms = (-L if sign > 0 else L), op_monos, monos
         else:
             # B(c) = (L * op(c)) * R - c
-            F, diag = (L if sign > 0 else -L), monos
-            left = [[mul_each(F.rows[r][i], op_monos) for r in range(n)]
-                    for i in range(n)]
-        # left[i][r][t] = F[r][i] * (m or op(m)) for the monomial t
+            F, diag, ms = (L if sign > 0 else -L), monos, op_monos
+        # left[i][r][t] = F[r][i] * ms[t]
+        left = [[[F.rows[r][i] * m for m in ms] for r in range(n)]
+                for i in range(n)]
         sub = (sign > 0) != (self.kind == "framed")
         if R is None:
             nc = 1
@@ -233,7 +231,7 @@ class HerrComplex:
             cut = [lop0[r][0] + x for i in range(n) for r in range(n)
                    for x in left[i][r]]
             # right[j][c][(i * n + r) * T + t] = cut[i][r][t] * R[j][c]
-            right = [[mul_each(R.rows[j][c], cut) for c in range(n)]
+            right = [[[x * R.rows[j][c] for x in cut] for c in range(n)]
                      for j in range(n)]
 
             def terms(i, j, t):
@@ -361,8 +359,8 @@ def _window_coords(entries, lo, cuts):
 
 def _ext_blocks(complex_, xy):
     """X = [[Phi, Phi*x],[0,1]] and Y = [[Gam, Gam*y],[0,1]] for the
-    pair xy = (x, y) of columns."""
-    x, y = xy.parts if isinstance(xy, Cochain) else xy
+    cochain xy = (x, y) of columns."""
+    x, y = xy.parts
     M, ring, n = complex_.module, complex_.ring, complex_.n
     blocks = []
     for L, v in ((M.Phi, M.Phi * x), (M.Gam, M.Gam * y)):
@@ -377,8 +375,7 @@ def ext_from_cocycle(complex_, xy):
     the framed 1-cocycle xy (see `_ext_blocks`)."""
     if complex_.kind != "framed":
         raise ValueError("extensions live over the framed complex")
-    check = complex_.is_cocycle(
-        xy if isinstance(xy, Cochain) else Cochain(1, tuple(xy)))
+    check = complex_.is_cocycle(xy)
     if check.status != "holds":
         raise NotACocycle("the pair (x, y) is not a framed 1-cocycle")
     return _ext_blocks(complex_, xy)
@@ -429,7 +426,7 @@ def lift_dual_numbers(M, xy, require_cocycle=True):
     Valid iff (X, Y) is an adjoint 1-cocycle; the commutation residual's
     eps-part equals -d1_adjoint(X, Y) * Phi * phi(Gam).
     """
-    x, y = xy.parts if isinstance(xy, Cochain) else xy
+    x, y = xy.parts
     Phi_t = DualMatrix(M.Phi, x * M.Phi)
     Gam_t = DualMatrix(M.Gam, y * M.Gam)
     if require_cocycle:

@@ -54,8 +54,7 @@ hold, so slots never carry into each other.  At f = 1 the flat list is
 packed as it is; for f > 1 the coordinates of a coefficient are spread
 to stride 2f - 1 and the slots of x^f ... x^(2f-2) are folded back
 through the modulus rows, one column of coordinates at a time.
-`__mul__`, `mul_each` (many products with one common factor, laid out
-in one list), `scale` and `_power_sum` all use it.  `_power_sum` is the
+`__mul__`, `scale` and `_power_sum` all use it.  `_power_sum` is the
 one power loop of the module: `inv` sums (-w)^k and `eth_root_one_unit`
 sums C(1/e, k) h^k through it.  `compose` forms its whole sum c_n * g^n
 in the same packed slots: one shifted product per term, every product
@@ -71,8 +70,8 @@ monomial products included: a product with a coordinate of q or more
 raises PhigammaError (a negative one, OverflowError) rather than let
 that coordinate carry into its neighbour's slot.  A series that fails
 the check keeps no store, so it raises again on every product it
-enters; lists without a store (the running powers of `_power_sum`, the
-factors laid out by `mul_each`) are checked each time they are packed.
+enters; lists without a store (the running powers of `_power_sum`) are
+checked each time they are packed.
 At f = 1 the product slots are reduced mod q through byte tables when
 nb * (q-1) <= 255, nb the slot width in bytes: byte k of every slot is
 mapped to b * 256^k mod q by one `bytes.translate`, the translated
@@ -354,39 +353,6 @@ class LaurentSeries:
         parts = [f"{c}*u^{e}" for e, c in self.terms()]
         body = " + ".join(parts) if parts else "0"
         return f"<{body} mod u^{self.hi}>"
-
-
-def mul_each(x, ys):
-    """The products x * y for y in ys, with the windows and errors of
-    `__mul__`, from one kernel call.
-
-    The nonzero factors ys are laid out in one flat list, each followed
-    by len(x) - 1 zero coefficients, so the products of x with two
-    neighbours never overlap; one `_convolve` then forms them all."""
-    ring = x.ring
-    f = ring.f
-    out = []
-    spans = []
-    flat = []
-    gap = [0] * (len(x._flat) - f)
-    for y in ys:
-        hi = min(x.hi + y.lo, y.hi + x.lo)
-        if x.is_zero() or y.is_zero():
-            out.append(LaurentSeries.zero(ring, hi))
-            continue
-        lo = x.lo + y.lo
-        if hi <= lo:
-            raise EmptyWindow("product window retains no exponent")
-        spans.append((len(out), lo, hi, len(flat)))
-        out.append(None)
-        flat += y._flat
-        flat += gap
-    if spans:
-        prod = _convolve(ring, x._flat, flat, len(flat) // f, _packings(x))
-        for t, lo, hi, start in spans:
-            out[t] = _series(ring, lo, hi,
-                             prod[start:start + (hi - lo) * f])
-    return out
 
 
 # makes a bare series, whose slots the constructors set themselves
@@ -743,17 +709,17 @@ def _legendre_val_factorial(k, p):
     return v
 
 
-def compose(f, g, powers_cache=None):
+def compose(f, g, powers_cache):
     """Substitute g into f: sum of c_n * g^n over the window of f.
 
     Requires unit degree d(g) >= 1 (Divergent otherwise); negative
     exponents of f additionally require g invertible, which d(g) >= 1
-    guarantees.  Powers of g are formed by `_power` (and cached in
-    powers_cache when given), each with the documented mul windows, in
-    the order of the terms of f, so the first power that raises decides
-    the exception.  The result is known below hi, the least hi(g^n) over
-    the terms of f, further capped by the tail guard described in the
-    module docstring.
+    guarantees.  Powers of g are formed by `_power` and kept in
+    powers_cache, keyed by exponent, each with the documented mul
+    windows, in the order of the terms of f, so the first power that
+    raises decides the exception.  The result is known below hi, the
+    least hi(g^n) over the terms of f, further capped by the tail guard
+    described in the module docstring.
 
     The sum itself is one linear combination in the packed slots of the
     kernel (see `_convolve`).  Each power g^n is packed below hi through
@@ -773,8 +739,6 @@ def compose(f, g, powers_cache=None):
         raise NotAUnit("substitution target has no visible unit coefficient")
     if d < 1:
         raise Divergent(f"substitution target has unit degree {d} < 1")
-    if powers_cache is None:
-        powers_cache = {}
     hi = d * f.hi - (ring.a - 1) * max(0, d - g.lo)
     terms = []
     for n, c in f.terms():

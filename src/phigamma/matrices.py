@@ -70,8 +70,6 @@ class SeriesMatrix:
         return self.map(lambda e: -e)
 
     def __mul__(self, other):
-        if isinstance(other, LaurentSeries):
-            return self.map(lambda e: e * other)
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
@@ -89,8 +87,6 @@ class SeriesMatrix:
 
     def scale(self, c):
         """Multiply every entry by a coefficient-ring constant."""
-        if isinstance(c, int):
-            c = self.ring.base.from_int(c)
         return self.map(lambda e: e.scale(c))
 
     def truncate(self, hi):
@@ -173,7 +169,7 @@ class SeriesMatrix:
         return self.apply_op(self.ring.gamma)
 
     def apply_galois(self, word):
-        return self.map(lambda e: self.ring.apply_galois(word, e))
+        return self.map(lambda e: self.ring.galois.apply_word(word, e))
 
     # -- filtration membership --------------------------------------------
 
@@ -194,9 +190,6 @@ class SeriesMatrix:
         return (all(e.in_lattice(m) for r in self.rows for e in r) and
                 all(e.in_lattice(m) for r in self.inv().rows for e in r))
 
-    def in_Lm(self, m):
-        return self.in_Vm(m)
-
     def in_Lm_phi(self, m, c_phi=None):
         """The Frobenius-stabilized filtration: p^(a-i)*X and p^(a-i)*X^-1
         lie in u^(-m - c_phi*i) * Mat(power series) for 0 <= i <= a."""
@@ -207,7 +200,7 @@ class SeriesMatrix:
         for i in range(a + 1):
             bound = m + c_phi * i
             for mat in (self, self.inv()):
-                scaled = mat.scale(p ** (a - i))
+                scaled = mat.scale(self.ring.base.from_int(p ** (a - i)))
                 if not all(e.in_lattice(bound) for r in scaled.rows for e in r):
                     return False
         return True

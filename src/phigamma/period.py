@@ -136,17 +136,6 @@ class PeriodRing:
     def variable(self, k=1, hi=None):
         return LaurentSeries.monomial(self.base, k, 1, self.window if hi is None else hi)
 
-    # -- operator application -------------------------------------------------
-
-    def apply_phi(self, x):
-        return self.phi.apply(x)
-
-    def apply_gamma(self, x):
-        return self.gamma.apply(x)
-
-    def apply_galois(self, word, x):
-        return self.galois.apply_word(word, x)
-
     # -- validation -----------------------------------------------------------
 
     def validate(self):
@@ -476,7 +465,7 @@ def check_frobenius_contraction(ring, max_iter=4):
     p, f = base.p, base.f
     x = ring.variable()
     for N in range(1, max_iter + 1):
-        x = ring.apply_phi(x)
+        x = ring.phi.apply(x)
         if (N * ring.phi.coeff_frob_power) % f:
             continue
         q_exp = None
@@ -570,7 +559,7 @@ def check_height_theory(ring, v, expected_expansion=None):
         return _height_verdict(ring, verdicts, k)
 
     # each step cancels the lowest term of t, so the exponents rise
-    phi_v = t = ring.apply_phi(v)
+    phi_v = t = ring.phi.apply(v)
     expansion, cache = {}, {}
     while not t.is_zero():
         d0 = t.lo

@@ -26,9 +26,9 @@ def rand_uni(rng, ring, n, depth=1, spread=4):
 def rand_module(rng, ring, n=2):
     """The trivial rank-n framed module after a random change of basis
     by rand_uni at depth 1."""
-    from .framed import change_basis, make_framed
+    from .framed import FramedModule, change_basis
     I = SeriesMatrix.identity(ring, n)
-    return change_basis(make_framed(ring, I, I), rand_uni(rng, ring, n))
+    return change_basis(FramedModule(ring, I, I), rand_uni(rng, ring, n))
 
 
 def rand_vec(rng, ring, n=2, lo=-2, spread=8):

@@ -16,6 +16,17 @@ from phigamma.errors import ConfigError
 CYC = {"kind": "cyclotomic", "p": 3, "a": 1, "window": 24}
 
 
+def run_cli(tmp_path, cfg):
+    """Write cfg as a job file under tmp_path and run the command line on
+    it with --json in a fresh interpreter; the finished process, with its
+    output captured as text."""
+    cfgfile = tmp_path / "job.json"
+    cfgfile.write_text(json.dumps(cfg))
+    return subprocess.run(
+        [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
+        capture_output=True, text=True)
+
+
 class TestConfig:
     def test_unknown_task(self):
         with pytest.raises(ConfigError):
@@ -171,12 +182,8 @@ class TestMainEntry:
         assert rep["task"] == "ring-info" and rep["window"] == 24
 
     def test_console_script_json_stable(self, tmp_path):
-        cfgfile = tmp_path / "job.json"
-        cfgfile.write_text(json.dumps(
-            {"task": "analyze-phi", "ring": CYC, "seed": 1}))
-        runs = [subprocess.run(
-            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
-            capture_output=True, text=True) for _ in range(2)]
+        cfg = {"task": "analyze-phi", "ring": CYC, "seed": 1}
+        runs = [run_cli(tmp_path, cfg) for _ in range(2)]
         assert runs[0].returncode == EXIT_HOLDS
         assert runs[0].stdout == runs[1].stdout
 
@@ -216,12 +223,8 @@ class TestRingConstructionErrors:
         assert out.out == "" and name in out.err
 
     def test_console_script_exits_3(self, tmp_path):
-        cfgfile = tmp_path / "job.json"
-        cfgfile.write_text(json.dumps(
-            {"task": "ring-info", "ring": BAD_RINGS[1][0]}))
-        run = subprocess.run(
-            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
-            capture_output=True, text=True)
+        run = run_cli(tmp_path,
+                      {"task": "ring-info", "ring": BAD_RINGS[1][0]})
         assert run.returncode == EXIT_USAGE
         assert "Traceback" not in run.stderr and run.stdout == ""
 
@@ -294,11 +297,7 @@ class TestTaskParameterErrors:
         assert out.out == "" and "--max-iter must be at least 1" in out.err
 
     def test_console_script_exits_3(self, tmp_path):
-        cfgfile = tmp_path / "job.json"
-        cfgfile.write_text(json.dumps(dict(BAD_PARAMS[0][0], ring=CYC_P3)))
-        run = subprocess.run(
-            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
-            capture_output=True, text=True)
+        run = run_cli(tmp_path, dict(BAD_PARAMS[0][0], ring=CYC_P3))
         assert run.returncode == EXIT_USAGE
         assert "Traceback" not in run.stderr and run.stdout == ""
 
@@ -315,11 +314,7 @@ class TestUnvalidatedModule:
                              "window": 24}}}
 
     def test_exits_2_without_traceback(self, tmp_path):
-        cfgfile = tmp_path / "job.json"
-        cfgfile.write_text(json.dumps(self.CFG))
-        run = subprocess.run(
-            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
-            capture_output=True, text=True)
+        run = run_cli(tmp_path, self.CFG)
         assert run.returncode == EXIT_INCONCLUSIVE
         assert "Traceback" not in run.stderr
         (v,) = json.loads(run.stdout)["verdicts"]
@@ -385,12 +380,8 @@ class TestTameWindowShortfall:
         ("descent-check", 0, EXIT_INCONCLUSIVE),
         ("descent-check", 1, EXIT_INCONCLUSIVE)])
     def test_verdict_without_traceback(self, task, seed, code, tmp_path):
-        cfgfile = tmp_path / "job.json"
-        cfgfile.write_text(json.dumps({"task": task, "count": 1,
-                                       "seed": seed, "ring": TAME_E4_P5}))
-        run = subprocess.run(
-            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
-            capture_output=True, text=True)
+        run = run_cli(tmp_path, {"task": task, "count": 1,
+                                 "seed": seed, "ring": TAME_E4_P5})
         assert run.returncode == code
         assert run.stderr == ""
         v = {x["name"]: x for x in json.loads(run.stdout)["verdicts"]}
@@ -412,12 +403,8 @@ class TestShortfallNotFailure:
 
     @pytest.mark.parametrize("task", ["cup", "solve-twisted"])
     def test_inconclusive_naming_the_error(self, task, tmp_path):
-        cfgfile = tmp_path / "job.json"
-        cfgfile.write_text(json.dumps({"task": task, "count": 1, "seed": 0,
-                                       "ring": TAME_E4_P5}))
-        run = subprocess.run(
-            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
-            capture_output=True, text=True)
+        run = run_cli(tmp_path, {"task": task, "count": 1, "seed": 0,
+                                 "ring": TAME_E4_P5})
         assert run.returncode == EXIT_INCONCLUSIVE
         assert run.stderr == ""
         v = {x["name"]: x for x in json.loads(run.stdout)["verdicts"]}
@@ -647,11 +634,7 @@ class TestSuite:
            "ring": CYC_P3}
 
     def test_console_script_matches_run_config(self, tmp_path):
-        cfgfile = tmp_path / "job.json"
-        cfgfile.write_text(json.dumps(self.CFG))
-        run = subprocess.run(
-            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
-            capture_output=True, text=True)
+        run = run_cli(tmp_path, self.CFG)
         code, rep = run_config(self.CFG)
         assert run.returncode == code == EXIT_HOLDS
         assert run.stderr == ""
@@ -675,12 +658,8 @@ class TestCupNeedsOddPrime:
     @pytest.mark.parametrize("task", ["cup", "suite"])
     @pytest.mark.parametrize("f", [1, 2])
     def test_console_script_exits_3(self, task, f, tmp_path):
-        cfgfile = tmp_path / "job.json"
-        cfgfile.write_text(json.dumps({"task": task, "count": 1,
-                                       "ring": dict(P2, f=f)}))
-        run = subprocess.run(
-            [sys.executable, "-m", "phigamma.cli", str(cfgfile), "--json"],
-            capture_output=True, text=True)
+        run = run_cli(tmp_path, {"task": task, "count": 1,
+                                 "ring": dict(P2, f=f)})
         assert run.returncode == EXIT_USAGE
         assert run.stdout == ""
         assert "Traceback" not in run.stderr

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phigamma.errors import CocycleFails, CommutationFails, DescentEqFails
-from phigamma.framed import (DescentDatum, change_basis, check_descent,
-                             descent_datum_after_change_basis, make_framed)
+from phigamma.framed import (DescentDatum, FramedModule, change_basis,
+                             check_descent, descent_datum_after_change_basis)
 from phigamma.matrices import SeriesMatrix
 from phigamma.period import standard_cyclotomic, tame_extension
 from phigamma.samplers import rand_uni
@@ -22,38 +22,38 @@ RC = standard_cyclotomic(3, 1, window=20)
 class TestValidation:
     def test_trivial_module(self):
         I = SeriesMatrix.identity(RC, 2)
-        make_framed(RC, I, I)
+        FramedModule(RC, I, I)
 
     def test_variable_phi_fails(self):
         # Phi = u*I, Gam = I: commutation needs gamma(u) = u, false here
         with pytest.raises(CommutationFails) as exc:
-            make_framed(RC, SeriesMatrix(RC, [[RC.variable()]]),
-                        SeriesMatrix(RC, [[RC.one()]]))
+            FramedModule(RC, SeriesMatrix(RC, [[RC.variable()]]),
+                         SeriesMatrix(RC, [[RC.one()]]))
         assert not exc.value.residual.is_zero()
 
     def test_rank1_unit_pair(self):
         # alpha = beta = 1+T: valid exactly when the gamma exponent is p
         a = SeriesMatrix(RC, [[RC.series({0: 1, 1: 1})]])
         with pytest.raises(CommutationFails):
-            make_framed(RC, a, a)
+            FramedModule(RC, a, a)
         rp = standard_cyclotomic(3, 1, window=20, c=3)
         ap = SeriesMatrix(rp, [[rp.series({0: 1, 1: 1})]])
-        make_framed(rp, ap, ap)
+        FramedModule(rp, ap, ap)
 
     def test_pattern_enforced(self):
         upper = frozenset({(0, 0), (0, 1), (1, 1)})
         I = SeriesMatrix.identity(RC, 2)
-        make_framed(RC, I, I, pattern=upper)
+        FramedModule(RC, I, I, pattern=upper)
         low = SeriesMatrix(RC, [[RC.one(), RC.zero()],
                                 [RC.series({1: 1}), RC.one()]])
         with pytest.raises(CommutationFails):
-            make_framed(RC, low, I, pattern=upper)
+            FramedModule(RC, low, I, pattern=upper)
 
 
 class TestChangeBasis:
     def test_identity(self):
         I = SeriesMatrix.identity(RC, 2)
-        M = make_framed(RC, I, I)
+        M = FramedModule(RC, I, I)
         M2 = change_basis(M, I)
         assert (M2.Phi - M.Phi).is_zero() and (M2.Gam - M.Gam).is_zero()
 
@@ -62,7 +62,7 @@ class TestChangeBasis:
     def test_round_trip_and_validity(self, seed):
         rng = random.Random(seed)
         I = SeriesMatrix.identity(RC, 2)
-        M = make_framed(RC, I, I)
+        M = FramedModule(RC, I, I)
         h = rand_uni(rng, RC, 2)
         M2 = change_basis(M, h)  # validates internally
         M3 = change_basis(M2, h.inv())
@@ -74,8 +74,8 @@ class TestChangeBasis:
 class TestNilpotency:
     def test_cyclotomic_variable_cochain(self):
         # (gamma-1)(T) = (1+T)^4 - 1 - T gains u-valuation under iteration
-        M = make_framed(RC, SeriesMatrix(RC, [[RC.one()]]),
-                        SeriesMatrix(RC, [[RC.one()]]))
+        M = FramedModule(RC, SeriesMatrix(RC, [[RC.one()]]),
+                         SeriesMatrix(RC, [[RC.one()]]))
         ring = M.ring
         z = SeriesMatrix(ring, [[ring.variable()]])
         for _ in range(12):
@@ -89,14 +89,14 @@ EXT = tame_extension(standard_cyclotomic(3, 1, window=12), 2)
 class TestDescent:
     def test_canonical_datum(self):
         I = SeriesMatrix.identity(EXT, 1)
-        M = make_framed(EXT, I, I)
+        M = FramedModule(EXT, I, I)
         assert check_descent(M, DescentDatum.canonical(EXT, 1)).status == HOLDS
 
     def test_base_change_datum(self):
         # h = v^-1 turns the trivial module into Phi' = v^2 with
         # descent matrix phi_sigma = -1
         I = SeriesMatrix.identity(EXT, 1)
-        M = make_framed(EXT, I, I)
+        M = FramedModule(EXT, I, I)
         h = SeriesMatrix(EXT, [[EXT.series({-1: 1})]])
         M2 = change_basis(M, h)
         assert dict(M2.Phi.entry(0, 0).terms()) == {2: (1,)}
@@ -106,7 +106,7 @@ class TestDescent:
 
     def test_broken_datum(self):
         I = SeriesMatrix.identity(EXT, 1)
-        M = make_framed(EXT, I, I)
+        M = FramedModule(EXT, I, I)
         bad = DescentDatum(EXT, {
             "sigma_ram": SeriesMatrix(EXT, [[EXT.one() + EXT.series({1: 1})]])})
         with pytest.raises((DescentEqFails, CocycleFails)):
@@ -119,5 +119,5 @@ class TestDescent:
     def test_two_generator_canonical(self):
         ext2 = tame_extension(standard_cyclotomic(3, 1, window=10), 2, 2)
         I = SeriesMatrix.identity(ext2, 2)
-        M = make_framed(ext2, I, I)
+        M = FramedModule(ext2, I, I)
         assert check_descent(M, DescentDatum.canonical(ext2, 2)).status == HOLDS

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from phigamma.errors import (AveragingUnavailable, EmptyWindow, NotACocycle,
                              NotALift)
-from phigamma.framed import (Cochain, change_basis, check_invariance,
-                             commutation_residual, descend_cochain,
-                             make_framed, restrict_to_E)
+from phigamma.framed import (Cochain, FramedModule, change_basis,
+                             check_invariance, commutation_residual,
+                             descend_cochain, restrict_to_E)
 from phigamma.herr import (DualMatrix, HerrComplex, ext_from_cocycle,
                            ext_residual, lift_dual_numbers, obstruction)
 from phigamma.matrices import SeriesMatrix
@@ -42,14 +42,14 @@ class TestDifferentials:
 
     def test_trivial_module_plain_kernel(self):
         I = SeriesMatrix.identity(R, 1)
-        C = HerrComplex(make_framed(R, I, I), "plain")
+        C = HerrComplex(FramedModule(R, I, I), "plain")
         one = Cochain(0, (SeriesMatrix(R, [[R.one()]]),))
         assert all(p.is_zero() for p in C.d0(one).parts)
 
     def test_unramified_class_is_cocycle(self):
         # (1, 0) over the trivial rank-1 module: a 1-cocycle in every kind
         I = SeriesMatrix.identity(R, 1)
-        M = make_framed(R, I, I)
+        M = FramedModule(R, I, I)
         for kind in ("plain", "framed"):
             C = HerrComplex(M, kind)
             c = Cochain(1, (SeriesMatrix(R, [[R.one()]]),
@@ -58,7 +58,7 @@ class TestDifferentials:
 
     def test_non_cocycle_detected(self):
         I = SeriesMatrix.identity(R, 1)
-        C = HerrComplex(make_framed(R, I, I), "plain")
+        C = HerrComplex(FramedModule(R, I, I), "plain")
         c = Cochain(1, (SeriesMatrix(R, [[R.variable()]]),
                         SeriesMatrix.zero(R, 1, 1)))
         assert C.is_cocycle(c).status == FAILS
@@ -98,7 +98,7 @@ class TestCoboundarySearch:
 
     def test_unramified_class_not_coboundary(self):
         I = SeriesMatrix.identity(R, 1)
-        C = HerrComplex(make_framed(R, I, I), "framed")
+        C = HerrComplex(FramedModule(R, I, I), "framed")
         c = Cochain(1, (SeriesMatrix(R, [[R.one()]]),
                         SeriesMatrix.zero(R, 1, 1)))
         res = C.try_coboundary(c)
@@ -106,7 +106,7 @@ class TestCoboundarySearch:
 
     def test_zero_is_coboundary(self):
         I = SeriesMatrix.identity(R, 1)
-        C = HerrComplex(make_framed(R, I, I), "plain")
+        C = HerrComplex(FramedModule(R, I, I), "plain")
         zero = SeriesMatrix.zero(R, 1, 1)
         res = C.try_coboundary(Cochain(1, (zero, zero)))
         assert res.found
@@ -159,7 +159,7 @@ def pole_module(rng, ring):
     one, zero = ring.one(), ring.zero()
     h = SeriesMatrix(ring, [[ring.variable(), zero], [zero, one]])
     I = SeriesMatrix.identity(ring, 2)
-    return change_basis(make_framed(ring, I, I), h * rand_uni(rng, ring, 2))
+    return change_basis(FramedModule(ring, I, I), h * rand_uni(rng, ring, 2))
 
 
 def gamma_pole_module(rng, ring):
@@ -170,7 +170,7 @@ def gamma_pole_module(rng, ring):
         [one, ring.series({-1: 1 + rng.randrange(ring.base.q - 1)})],
         [zero, one]])
     I = SeriesMatrix.identity(ring, 2)
-    return change_basis(make_framed(ring, I, I), h)
+    return change_basis(FramedModule(ring, I, I), h)
 
 
 BUILDER_CASES = {

@@ -9,7 +9,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.framed import Cochain, make_framed
+from phigamma.framed import Cochain, FramedModule
 from phigamma.herr import HerrComplex
 from phigamma.linalg import (length_of_row_space, reduce_mod_prime_power,
                              solve_mod_prime_power)
@@ -278,7 +278,7 @@ def test_large_q_coboundary_round_trip():
     for p, a, window in [(3, 21, 24), (2, 64, 96)]:
         R = standard_cyclotomic(p, a, window=window)
         I = SeriesMatrix.identity(R, 1)
-        C = HerrComplex(make_framed(R, I, I), "plain")
+        C = HerrComplex(FramedModule(R, I, I), "plain")
         rng = random.Random(1)
         q = R.base.q
         z = SeriesMatrix(R, [[R.series({rng.randrange(0, 4): rng.randrange(q)

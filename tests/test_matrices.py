@@ -252,9 +252,9 @@ class TestFiltrations:
         m = 2
         X = SeriesMatrix(R9, [[R9.one(), R9.series({-(m + 1): 3})],
                               [R9.zero(), R9.one()]])
-        assert not X.in_Lm(m)
+        assert not X.in_Vm(m)
         assert X.in_Lm_phi(m)
-        assert X.in_Lm(m + 2 * R9.c_phi())
+        assert X.in_Vm(m + 2 * R9.c_phi())
 
     @settings(max_examples=30, deadline=None)
     @given(seeds)
@@ -267,10 +267,10 @@ class TestFiltrations:
             [R9.one() + R9.series({rng.randrange(1, 4): rng.randrange(9)}),
              R9.series({-rng.randrange(0, m + 1): 3 * rng.randrange(3)})],
             [R9.zero(), R9.one()]])
-        if x.in_Lm(m):
+        if x.in_Vm(m):
             assert x.in_Lm_phi(m)
         if x.in_Lm_phi(m):
-            assert x.in_Lm(m + a * c)
+            assert x.in_Vm(m + a * c)
 
     @settings(max_examples=20, deadline=None)
     @given(seeds)
