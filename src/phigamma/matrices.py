@@ -232,12 +232,19 @@ class FiltrationParams:
         self.N = N
 
     def check(self):
-        from fractions import Fraction
+        """PreconditionViolated unless m >= 0, n_cong >= 1, lam > 1 and
+        n_cong > max(2m/(lam - 1), N), tested exactly for an int or a
+        Fraction lam; `fractions` is imported only to format the error."""
         if self.m < 0 or self.n_cong < 1:
             raise PreconditionViolated("need m >= 0 and n_cong >= 1")
-        lam = Fraction(self.lam)
-        threshold = max(Fraction(2 * self.m, 1) / (lam - 1), Fraction(self.N))
-        if self.n_cong <= threshold:
+        # with n_cong >= 1 and m >= 0 the second test also rejects lam <= 1
+        if self.n_cong <= self.N or \
+                self.n_cong * (self.lam - 1) <= 2 * self.m:
+            if self.lam <= 1:
+                raise PreconditionViolated(f"need lam > 1, got {self.lam}")
+            from fractions import Fraction
+            threshold = max(Fraction(2 * self.m) / (self.lam - 1),
+                            Fraction(self.N))
             raise PreconditionViolated(
                 f"need n > max(2m/(lam-1), N) = {threshold}, got {self.n_cong}")
 

@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+from phigamma.analyzers import check_height_theory, check_local_contraction
 from phigamma.cup import (ParabolicData, check_mu_well_defined, lambda_map,
                           lift_step, mu)
 from phigamma.framed import (Cochain, DescentDatum, FramedModule,
@@ -25,8 +26,7 @@ from phigamma.herr import (HerrComplex, ext_from_cocycle, ext_residual,
 from phigamma.laurent import LaurentSeries, compose, eth_root_one_unit
 from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
                                solve_h, twisted_conj)
-from phigamma.period import (check_height_theory, check_local_contraction,
-                             make_custom_ring, one_plus_var_pow,
+from phigamma.period import (make_custom_ring, one_plus_var_pow,
                              standard_cyclotomic, tame_extension)
 from phigamma.samplers import (diag_const, rand_lift, rand_module, rand_uni,
                                rand_vec)

@@ -15,7 +15,8 @@ import pytest
 from phigamma.cli import TASKS, main, run_config
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phigamma"
-MODULES = sorted(PACKAGE.glob("*.py"))
+# subpackages too: the task bodies live in phigamma/tasks
+MODULES = sorted(PACKAGE.rglob("*.py"))
 BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
 
 # definitions that only the tests call, or that a run of every task on
@@ -82,7 +83,8 @@ def test_finds_an_unused_import():
         "b", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[
+    p.relative_to(PACKAGE).as_posix() for p in MODULES])
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
 

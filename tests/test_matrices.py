@@ -350,6 +350,32 @@ class TestSolvers:
         with pytest.raises(PreconditionViolated):
             FiltrationParams(m=1, n_cong=2, lam=Fraction(2), N=1).check()
 
+    @pytest.mark.parametrize("lam", [2, 3, Fraction(3, 2), Fraction(7, 3)])
+    def test_precondition_is_exact(self, lam):
+        """check() admits exactly n_cong > max(2m/(lam - 1), N), with the
+        threshold as a Fraction in its message, for an int lam as for
+        the equal Fraction."""
+        for m in range(4):
+            for N in range(1, 5):
+                threshold = max(Fraction(2 * m) / (Fraction(lam) - 1),
+                                Fraction(N))
+                for n_cong in range(1, 10):
+                    for x in (lam, Fraction(lam)):
+                        params = FiltrationParams(m, n_cong, x, N)
+                        if n_cong > threshold:
+                            params.check()
+                            continue
+                        with pytest.raises(PreconditionViolated) as exc:
+                            params.check()
+                        assert str(exc.value) == (
+                            f"need n > max(2m/(lam-1), N) = {threshold}, "
+                            f"got {n_cong}")
+
+    @pytest.mark.parametrize("lam", [1, Fraction(1, 2), 0])
+    def test_lam_at_most_one_rejected(self, lam):
+        with pytest.raises(PreconditionViolated, match="need lam > 1"):
+            FiltrationParams(m=1, n_cong=9, lam=lam, N=1).check()
+
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_round_trip_random(self, seed):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phigamma.analyzers import (check_frobenius_contraction,
+                                check_height_theory, check_local_contraction,
+                                contraction_constants)
 from phigamma.errors import NoRootOfUnity, NotGaloisCompatible
 from phigamma.laurent import LaurentSeries, compose
-from phigamma.period import (OperatorDesc, check_frobenius_contraction,
-                             check_height_theory, check_local_contraction,
-                             contraction_constants, make_custom_ring,
-                             one_plus_var_pow, project_to_base,
-                             standard_cyclotomic, tame_extension)
+from phigamma.period import (OperatorDesc, make_custom_ring, one_plus_var_pow,
+                             project_to_base, standard_cyclotomic,
+                             tame_extension)
 from phigamma.verdicts import FAILS, HOLDS, INCONCLUSIVE
 
 from tails import with_tail
