@@ -56,9 +56,16 @@ to stride 2f - 1 and the slots of x^f ... x^(2f-2) are folded back
 through the modulus rows, one column of coordinates at a time.
 `__mul__`, `scale` and `_power_sum` all use it.  `_power_sum` is the
 one power loop of the module: `inv` sums (-w)^k and `eth_root_one_unit`
-sums C(1/e, k) h^k through it.  `compose` forms its whole sum c_n * g^n
-in the same packed slots: one shifted product per term, every product
-added as a Python int, and one slot reduction for the sum.
+sums C(1/e, k) h^k through it.  Sums of products have one packed-sum
+kernel, `_packed_sum`: one packed product per term, each shifted to its
+own order, every product added as a Python int, the sum masked at its
+window and its slots reduced once.  `compose` forms its whole sum
+c_n * g^n through it, and so does `_dot`, the dot product
+x_0*y_0 + x_1*y_1 + ... that each entry of a matrix product is, under
+the window of the chain of products and sums: the least product window,
+zero products included.  When only one product of a dot product is
+nonzero below that window, the sum is that series product, cut to the
+window, so a monomial factor keeps its shortcut.
 
 A series packs its list once per slot width: the packed int is kept in
 the series (its `_packed` store, keyed by slot width) from its first
@@ -240,9 +247,8 @@ class LaurentSeries:
         hi = min(self.hi + other.lo, other.hi + self.lo)
         if self.is_zero() or other.is_zero():
             return LaurentSeries.zero(ring, hi)
+        # two nonzero factors have lo < hi, so the window is not empty
         lo = self.lo + other.lo
-        if hi <= lo:
-            raise EmptyWindow("product window retains no exponent")
         f = ring.f
         # checks both factors on their first product, monomials included
         xkept, ykept = _packings(self), _packings(other)
@@ -721,16 +727,12 @@ def compose(f, g, powers_cache):
     least hi(g^n) over the terms of f, further capped by the tail guard
     described in the module docstring.
 
-    The sum itself is one linear combination in the packed slots of the
-    kernel (see `_convolve`).  Each power g^n is packed below hi through
-    its store, so a power packed at that slot width before is only
-    masked; it is multiplied by the packed coordinates of c_n, reduced
-    mod q, and shifted up by lo(g^n) - lo coefficients, lo the least
-    order among the powers, and the products are added as Python ints.
-    A slot sums at most ring.f coordinate products per term, so at most
-    T * ring.f * (q-1)^2 over T terms, and the slot width is chosen for
-    that bound: no slot carries, and one slot reduction gives the
-    coefficients.
+    The sum itself is one packed sum (`_packed_sum`): each power g^n is
+    packed below hi through its store, so a power packed at that slot
+    width before is only masked, and multiplied by the packed
+    coordinates of c_n, reduced mod q.  A slot sums at most ring.f
+    coordinate products per term, so the slot width is chosen for
+    T * ring.f * (q-1)^2 over T terms: no slot carries.
     """
     ring = f.ring
     try:
@@ -750,17 +752,63 @@ def compose(f, g, powers_cache):
     terms = [(c, gn) for c, gn in terms if gn.lo < hi]
     if not terms:
         return LaurentSeries.zero(ring, hi)
-    lo = min([gn.lo for _, gn in terms])
     k, q = ring.f, ring.q
     nb = _slot_width(ring, len(terms) * k)
-    bits = (2 * k - 1) * nb * 8
+    # at f = 1 the packed coefficient is its one coordinate
+    return _packed_sum(ring, [
+        (gn.lo, (c[0] % q if k == 1 else _pack(_as_coords(ring, c), nb)) *
+         _packed(ring, gn._flat, hi - gn.lo, nb, _packings(gn)))
+        for c, gn in terms], hi, nb)
+
+
+def _dot(xs, ys):
+    """The sum of the products x * y over the pairs of xs and ys: the
+    value, window and error of the chain x_0*y_0 + x_1*y_1 + ... of
+    series products and sums.
+
+    The window is the least product window, zero products included.
+    Every nonzero product has its factors checked in chain order, so the
+    same coordinate error comes out first.  One product alone nonzero
+    below the window is the sum, cut to the window, so a monomial factor
+    keeps its shortcut.  Otherwise each product is one int product of
+    its factors' kept packings, cut to the window, at a slot width for
+    the coordinate products of all terms, and `_packed_sum` adds them.
+    """
+    hi = min([min(x.hi + y.lo, y.hi + x.lo) for x, y in zip(xs, ys)])
+    live = []
+    for x, y in zip(xs, ys):
+        if x.lo < x.hi and y.lo < y.hi:
+            _packings(x)
+            _packings(y)
+            if x.lo + y.lo < hi:
+                live.append((x.lo + y.lo, x, y))
+    if len(live) == 1:
+        xy = live[0][1] * live[0][2]
+        return xy if xy.hi == hi else xy.truncate(hi)
+    ring = xs[0].ring
+    if not live:
+        return LaurentSeries.zero(ring, hi)
+    nb = _slot_width(ring, sum([min(len(x._flat), len(y._flat),
+                                    (hi - lo) * ring.f) for lo, x, y in live]))
+    return _packed_sum(ring, [
+        (lo, _packed(ring, x._flat, hi - lo, nb, x._packed) *
+         _packed(ring, y._flat, hi - lo, nb, y._packed))
+        for lo, x, y in live], hi, nb)
+
+
+def _packed_sum(ring, packed, hi, nb):
+    """The series below u^hi that sums the packed products of `packed`:
+    pairs (lo, P), P in the kernel's slots (nb bytes each, 2f - 1 per
+    coefficient) from u^lo on.  Each P is shifted up to its lo, the sum
+    is masked at hi and its slots are reduced once; the caller picks nb
+    so that no slot of the sum carries."""
+    lo = min([at for at, _ in packed])
+    bits = (2 * ring.f - 1) * nb * 8
     total = 0
-    for c, gn in terms:
-        G = _packed(ring, gn._flat, hi - gn.lo, nb, _packings(gn))
-        # at f = 1 the packed coefficient is its one coordinate
-        C = c[0] % q if k == 1 else _pack(_as_coords(ring, c), nb)
-        total += C * G << (gn.lo - lo) * bits
-    buf = total.to_bytes((hi - lo) * bits // 8, "little")
+    for at, P in packed:
+        total += P << (at - lo) * bits
+    size = (hi - lo) * bits
+    buf = (total & ((1 << size) - 1)).to_bytes(size // 8, "little")
     return _series(ring, lo, hi, _product_coeffs(ring, buf, nb))
 
 

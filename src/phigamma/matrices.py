@@ -9,11 +9,17 @@ is raised when the window cannot decide.
 A matrix is a value: its rows are tuples of series, fixed at
 construction, so `inv` computes the inverse of each matrix value once
 per ring and keeps it on the ring.
+
+Each entry of a product is one packed dot product (`laurent._dot`), with
+the value, window and error of the chain of series products and sums.
+Gauss-Jordan forms only the entries that a later step or the inverse
+reads: a column is dropped from every row once it is cleared, so the
+rows end as the inverse.
 """
 
 from .errors import (InsufficientWindow, NoConvergence, NotAUnit,
                      NotInvertible, PhigammaError, PreconditionViolated)
-from .laurent import LaurentSeries
+from .laurent import LaurentSeries, _dot
 
 
 class SeriesMatrix:
@@ -74,16 +80,9 @@ class SeriesMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(self.ring, out)
+        cols = list(zip(*other.rows))
+        return SeriesMatrix(self.ring, [[_dot(r, c) for c in cols]
+                                        for r in self.rows])
 
     def scale(self, c):
         """Multiply every entry by a coefficient-ring constant."""
@@ -130,16 +129,27 @@ class SeriesMatrix:
         return got
 
     def _gauss_jordan(self):
+        """The inverse by Gauss-Jordan elimination on [self | I], forming
+        only the entries that a later step or the result reads.
+
+        Column col takes as pivot the entry of least unit degree visible
+        within its window among rows col..n-1, the first of them on a tie;
+        NotInvertible when none has a unit.  No step reads a column once
+        it is cleared, so each step drops it from every row: the pivot row
+        is scaled by the pivot's inverse beyond the pivot, every other row
+        is updated beyond its entry in column col, and after n steps the
+        rows are the right half, the inverse."""
         n = self.n
         if not n:
             return SeriesMatrix(self.ring, [])
         identity = SeriesMatrix.identity(self.ring, n, self.hi).rows
+        # aug[r][0] is the entry of row r in the column being cleared
         aug = [row + one for row, one in zip(self.rows, identity)]
         for col in range(n):
             best = None
             for r in range(col, n):
                 try:
-                    d = aug[r][col].unit_degree().d
+                    d = aug[r][0].unit_degree().d
                 except (NotAUnit, InsufficientWindow):
                     continue
                 if best is None or d < best[1]:
@@ -148,14 +158,15 @@ class SeriesMatrix:
                 raise NotInvertible(f"no unit pivot in column {col}")
             r = best[0]
             aug[col], aug[r] = aug[r], aug[col]
-            piv_inv = aug[col][col].inv()
-            aug[col] = [e * piv_inv for e in aug[col]]
+            piv_inv = aug[col][0].inv()
+            pivot = [e * piv_inv for e in aug[col][1:]]
             for r2 in range(n):
                 if r2 == col:
+                    aug[r2] = pivot
                     continue
-                c = aug[r2][col]
-                aug[r2] = [e - c * q for e, q in zip(aug[r2], aug[col])]
-        return SeriesMatrix(self.ring, [row[n:] for row in aug])
+                c = aug[r2][0]
+                aug[r2] = [e - c * q for e, q in zip(aug[r2][1:], pivot)]
+        return SeriesMatrix(self.ring, aug)
 
     # -- operator application --------------------------------------------
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.errors import (EmptyWindow, NotInvertible, PhigammaError,
+from phigamma.errors import (EmptyWindow, InsufficientWindow, NotAUnit,
+                             NotInvertible, PhigammaError,
                              PreconditionViolated)
 from phigamma.laurent import LaurentSeries
 from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
@@ -213,6 +214,217 @@ class TestAdversarialTails:
             for rs, rl in zip(small.rows, large.rows):
                 for s, l in zip(rs, rl):
                     assert sound(s, l)
+
+
+# -- the product and Gauss-Jordan against the plain chains ------------------
+#
+# A matrix product forms each entry as one packed sum, and Gauss-Jordan
+# drops each column once it is cleared.  Both must give what the plain
+# chains below give: every entry with the same value and window, or the
+# same error class and message first.
+
+ORACLE_RINGS = [standard_cyclotomic(p, a, f, 16) for p, a, f in [
+    (3, 2, 1), (3, 2, 2), (5, 2, 3), (3, 21, 1)]]
+
+# (rows of a, columns of a, columns of b)
+PRODUCT_SHAPES = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 3, 1)]
+
+
+def chain_product(a, b):
+    """a * b with each entry the chain x_0*y_0 + x_1*y_1 + ... of series
+    products and sums."""
+    out = []
+    for ra in a.rows:
+        row = []
+        for j in range(b.ncols):
+            acc = ra[0] * b.rows[0][j]
+            for k in range(1, a.ncols):
+                acc = acc + ra[k] * b.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return SeriesMatrix(a.ring, out)
+
+
+def full_row_inverse(m):
+    """Gauss-Jordan on [m | I] that scales and updates every entry of
+    every row, cleared columns included."""
+    n = m.n
+    if not n:
+        return SeriesMatrix(m.ring, [])
+    identity = SeriesMatrix.identity(m.ring, n, m.hi).rows
+    aug = [row + one for row, one in zip(m.rows, identity)]
+    for col in range(n):
+        best = None
+        for r in range(col, n):
+            try:
+                d = aug[r][col].unit_degree().d
+            except (NotAUnit, InsufficientWindow):
+                continue
+            if best is None or d < best[1]:
+                best = (r, d)
+        if best is None:
+            raise NotInvertible(f"no unit pivot in column {col}")
+        r = best[0]
+        aug[col], aug[r] = aug[r], aug[col]
+        piv_inv = aug[col][col].inv()
+        aug[col] = [e * piv_inv for e in aug[col]]
+        for r2 in range(n):
+            if r2 == col:
+                continue
+            c = aug[r2][col]
+            aug[r2] = [e - c * q for e, q in zip(aug[r2], aug[col])]
+    return SeriesMatrix(m.ring, [row[n:] for row in aug])
+
+
+def outcome(fn, *args):
+    """The key of fn(*args), or the class and message of its error."""
+    try:
+        return fn(*args).key()
+    except (PhigammaError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def oracle_entry(rng, base):
+    """A zero on a short or a long window, a monomial, a series with a
+    pole, a dense or a sparse series."""
+    kind = rng.choice(("zero", "zero", "monomial", "pole", "dense",
+                       "sparse"))
+    if kind == "zero":
+        return LaurentSeries.zero(base, rng.choice((rng.randrange(-3, 3),
+                                                    rng.randrange(12, 24))))
+    lo = rng.randrange(-4, 0) if kind == "pole" else rng.randrange(0, 4)
+    hi = rng.randrange(lo + 1, lo + 20)
+    if kind == "monomial":
+        terms = {lo: base.random(rng)}
+    elif kind == "sparse":
+        terms = {rng.randrange(lo, hi): base.random(rng) for _ in range(3)}
+    else:
+        terms = {e: base.random(rng) for e in range(lo, hi)}
+        terms[lo] = base.random_unit(rng)
+    return LaurentSeries.from_terms(base, terms, hi)
+
+
+def oracle_matrix(rng, ring, nrows, ncols):
+    """A random matrix of `oracle_entry` entries; a third of the time
+    every row has one entry that is not zero, so most entries of a
+    product are a single product."""
+    sparse = rng.random() < 1 / 3
+    rows = []
+    for _ in range(nrows):
+        keep = rng.randrange(ncols)
+        rows.append([oracle_entry(rng, ring.base) if not sparse or j == keep
+                     else LaurentSeries.zero(ring.base, rng.randrange(2, 20))
+                     for j in range(ncols)])
+    return SeriesMatrix(ring, rows)
+
+
+def unreduced(rng, base, bad):
+    """A dense series on [0, 6) whose coordinate at a random place is bad,
+    built without reduction."""
+    coords = [list(base.random_unit(rng))] + [list(base.random(rng))
+                                              for _ in range(5)]
+    coords[rng.randrange(6)][rng.randrange(base.f)] = bad
+    return LaurentSeries(base, 0, 6, [tuple(c) for c in coords])
+
+
+class TestProductOracle:
+    """SeriesMatrix.__mul__ against the chain of series products and
+    sums; each side gets matrices of its own, built from the same seed,
+    so neither sees the packings the other made."""
+
+    @pytest.mark.parametrize("shape", PRODUCT_SHAPES)
+    @pytest.mark.parametrize("ring", ORACLE_RINGS,
+                             ids=lambda r: f"q{r.base.q}-f{r.base.f}")
+    def test_matches_the_chain(self, ring, shape):
+        n, k, m = shape
+        for seed in range(40):
+            def build():
+                rng = random.Random(seed)
+                return (oracle_matrix(rng, ring, n, k),
+                        oracle_matrix(rng, ring, k, m))
+            assert outcome(SeriesMatrix.__mul__, *build()) == \
+                outcome(chain_product, *build())
+
+    @pytest.mark.parametrize("ring", ORACLE_RINGS,
+                             ids=lambda r: f"q{r.base.q}-f{r.base.f}")
+    def test_full_slots(self, ring):
+        # every coordinate q - 1, so the middle slots of each product are
+        # as full as the slot width allows: a width that counts less than
+        # every term's products carries into the next slot
+        base = ring.base
+        top = (base.q - 1,) * base.f
+        for k in (2, 3, 5):
+            for length in range(1, 9):
+                x = LaurentSeries(base, 0, length, [top] * length)
+                a = SeriesMatrix(ring, [[x] * k])
+                b = SeriesMatrix(ring, [[x]] * k)
+                assert (a * b).key() == chain_product(a, b).key()
+
+    def test_single_term_entry_is_the_product(self):
+        # one nonzero product below the window: a monomial times a dense
+        # series, cut at the window of the zero product beside it
+        R = ORACLE_RINGS[0]
+        dense = R.series({e: 1 + e % 8 for e in range(12)}, 12)
+        a = SeriesMatrix(R, [[R.series({1: 3}), R.zero(9)]])
+        b = SeriesMatrix(R, [[dense], [dense]])
+        got = (a * b).entry(0, 0)
+        assert got.key() == (R.series({1: 3}) * dense).truncate(9).key()
+        assert got.key() == chain_product(a, b).entry(0, 0).key()
+        assert got.lo == 1 and got.hi == 9
+
+    @pytest.mark.parametrize("ring", ORACLE_RINGS,
+                             ids=lambda r: f"q{r.base.q}-f{r.base.f}")
+    def test_unreduced_coordinate_raises(self, ring):
+        q = ring.base.q
+        for seed in range(24):
+            def build():
+                # a bad entry in a, and half the time one in b as well,
+                # so the order of the checks decides the error
+                rng = random.Random(seed)
+                pair = []
+                for bad in (1, rng.randrange(2)):
+                    rows = [list(r) for r in
+                            oracle_matrix(rng, ring, 2, 2).rows]
+                    if bad:
+                        rows[rng.randrange(2)][rng.randrange(2)] = \
+                            unreduced(rng, ring.base,
+                                      rng.choice((q, q + 1, -1)))
+                    pair.append(SeriesMatrix(ring, rows))
+                return pair
+            assert outcome(SeriesMatrix.__mul__, *build()) == \
+                outcome(chain_product, *build())
+        # a dense partner: the entry is packed, so it must raise
+        for bad, error in ((q, PhigammaError), (-1, OverflowError)):
+            x = unreduced(random.Random(1), ring.base, bad)
+            a = SeriesMatrix(ring, [[ring.one(), x]])
+            b = SeriesMatrix(ring, [[ring.variable()], [ring.variable()]])
+            with pytest.raises(error):
+                a * b
+
+
+class TestGaussJordanOracle:
+    """_gauss_jordan, called directly so the ring's memo is bypassed,
+    against the full-row elimination."""
+
+    @pytest.mark.parametrize("ring", TAIL_RINGS,
+                             ids=lambda r: f"q{r.base.q}-f{r.base.f}")
+    def test_matches_full_rows(self, ring):
+        errors = set()
+        for seed in range(60):
+            def build():
+                rng = random.Random(seed)
+                n = rng.randrange(1, 5)
+                if rng.random() < 0.5:
+                    return oracle_matrix(rng, ring, n, n)
+                return SeriesMatrix(ring, [
+                    [pivot_entry(rng, ring.base) if i == j else
+                     off_pivot_entry(rng, ring.base, i > j)
+                     for j in range(n)] for i in range(n)])
+            got = outcome(SeriesMatrix._gauss_jordan, build())
+            assert got == outcome(full_row_inverse, build())
+            if isinstance(got[0], type):
+                errors.add(got[0])
+        assert NotInvertible in errors
 
 
 class TestOperators:

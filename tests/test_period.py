@@ -316,7 +316,7 @@ def test_ring_json_shape():
 # wherever both windows reach.  Only the values are asserted: the power
 # windows of an operator's image are not monotone in the exponent (for
 # tame e=2 phi, hi(g^n) = 21, 20, 19 at n = 1, 2, 3), so a tail that
-# brings in a higher power can lower the image's hi (ROADMAP item 1).
+# brings in a higher power can lower the image's hi (ROADMAP item 2).
 
 TAIL_RINGS = {
     "cyc-p3-w24": lambda: standard_cyclotomic(3, 2, window=24),
