@@ -866,3 +866,59 @@ class TestNoTraceback:
             return
         code, _ = run_config(cfg, window=12)
         assert code in (EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE)
+
+
+# sha256, one per ring, of the canonical --json reports of solve-twisted,
+# count 1, at windows 6, 7, 8, 9 and 16 and seeds 0-4, joined by newlines
+# in (window, seed) order; a window too small to build the ring (tame
+# e=2 below 8, tame e=4 below 14) contributes its config error instead.
+# The small windows are where the solvers run
+# out of window and where ROADMAP item 1's false Fails sit; the mend of
+# item 1 changes these hashes on purpose, and no speed change may.
+SOLVE_GOLDEN_RINGS = dict(BATTERY_RINGS, **{
+    "cyclotomic-p5": {"kind": "cyclotomic", "p": 5, "a": 2},
+    "cyclotomic-p3-f2": {"kind": "cyclotomic", "p": 3, "a": 2, "f": 2},
+    "custom-u+3u^-1": {"kind": "custom", "p": 3, "a": 2,
+                       "phi_terms": {"1": 1, "-1": 3}},
+    "tame-e4-p5": {"kind": "tame", "e": 4,
+                   "base": {"kind": "cyclotomic", "p": 5, "a": 2}},
+})
+SOLVE_GOLDEN = {
+    "custom-u+3u^-1":
+        "a1383131d369adcf5614db397919d612a1f7a40da942505eb15227a324dd95e7",
+    "cyclotomic-p2-a3":
+        "2a6c9f8b6f401a7f7ba2c46f906abf814fbca62b04d0d0304a379cadc0357950",
+    "cyclotomic-p3":
+        "4e71bb04a49a1aa4fd4a7be6db358de6b79764493b92f08394b147f2f4eb779d",
+    "cyclotomic-p3-f2":
+        "157f5201987427245db21dac58b7d0ba8f724322a2066bf8e115bdead3b0b856",
+    "cyclotomic-p5":
+        "6643ccc355a58ba7886e98e678cbc9fc6af3c8a2f0ecd47be3dcd6c14871c25b",
+    "cyclotomic-p5-f2":
+        "9d3254ddcd2d2cf88d3f5315ea9d956baca6fc5f93899730a9c68f8acf540912",
+    "intro":
+        "dd2e454a6597c8edd115de38b09971d3b86622536772094c78f15ffa1e6390a2",
+    "tame-e2-p3":
+        "ef0c199295553d9a19a9fe4a57f8b16954bdacbe6e75872a77e0dc710ca7635b",
+    "tame-e4-p5":
+        "f00d3f4593baca1a08e398f0b8d012fb6ae6ce1b56758fe6dbe64bff4569437b",
+}
+
+
+class TestSolveTwistedGoldenBytes:
+    @pytest.mark.parametrize("ring", sorted(SOLVE_GOLDEN))
+    def test_report_hash(self, ring):
+        cfg = {"task": "solve-twisted", "ring": SOLVE_GOLDEN_RINGS[ring],
+               "count": 1}
+        reports = []
+        for window in (6, 7, 8, 9, 16):
+            for seed in range(5):
+                try:
+                    _, rep = run_config(cfg, window=window, seed=seed)
+                except ConfigError as exc:
+                    reports.append(f"ConfigError: {exc}")
+                    continue
+                reports.append(json.dumps(rep, sort_keys=True,
+                                          separators=(",", ":")))
+        assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == \
+            SOLVE_GOLDEN[ring]
