@@ -14,7 +14,8 @@ Each entry of a product is one packed dot product (`laurent._dot`), with
 the value, window and error of the chain of series products and sums.
 Gauss-Jordan forms only the entries that a later step or the inverse
 reads: a column is dropped from every row once it is cleared, so the
-rows end as the inverse.
+rows end as the inverse.  `solve_g` inverts x and h once each and no
+correction: each step is a product with y = h^-1 x.
 """
 
 from .errors import (InsufficientWindow, NoConvergence, NotAUnit,
@@ -291,11 +292,17 @@ def solve_g(h, x, params, max_iter=64):
     residual is one contraction step deeper; g = h_0 h_1 h_2 ... and
     each h_i must sink strictly deeper into the congruence filtration
     or NoConvergence is raised (h_0 = h itself).
+
+    The step is taken as that product, with y formed once, so no inverse
+    is formed per correction: only x and h are inverted.  The tests
+    compare it by key(), windows included, with the loop that takes
+    twisted_conj(x_i, h_i) instead.
     """
     params.check()
     if not h.in_Un(params.n_cong):
         raise PreconditionViolated("h is not in U_n")
     target_inv = x.inv() * h
+    y = h.inv() * x
     g = SeriesMatrix.identity(x.ring, x.n, x.hi)
     xi = x
     depth = params.n_cong - 1
@@ -309,5 +316,5 @@ def solve_g(h, x, params, max_iter=64):
                 f"correction depth {d} did not grow past {depth}")
         depth = d
         g = g * hi_corr
-        xi = twisted_conj(xi, hi_corr)
+        xi = y * hi_corr.apply_phi()
     raise NoConvergence(f"no fixed point within {max_iter} iterations")

@@ -1,5 +1,15 @@
 """The `solve-twisted` task: round trips through the twisted-conjugation
-solvers `solve_h` and `solve_g`, and the uniqueness of their answer."""
+solvers `solve_h` and `solve_g`, and the uniqueness of their answer.
+
+Both checks compare against y = h^-1 x, formed once per instance.  The
+uniqueness check conjugates by g0 * pert through the identity
+
+    twisted_conj(x, g0 * pert) = pert^-1 * twisted_conj(x, g0) * phi(pert),
+
+which holds because phi is multiplicative and (g0 pert)^-1 =
+pert^-1 g0^-1.  pert is unipotent with one monomial entry, so its
+inverse is cheap, and g0's inverse and phi image are those that `solve_h`
+already formed and the ring keeps."""
 
 from . import SHORTFALLS, _filtration_params, _param, _shortfalls
 
@@ -28,7 +38,8 @@ def run_solve_twisted(ring, cfg, rng, max_iter=64):
             g0 = rand_uni(rng, ring, n, params.n_cong, spread=3)
             h = solve_h(g0, x, params)
             g2 = solve_g(h, x, params, max_iter=max_iter)
-            resid = twisted_conj(x, g2) - h.inv() * x
+            y = h.inv() * x
+            resid = twisted_conj(x, g2) - y
             good = resid.is_zero()
             t = min(g2.hi, g0.hi)
             good = good and g2.truncate(t).agrees(g0.truncate(t))
@@ -38,8 +49,8 @@ def run_solve_twisted(ring, cfg, rng, max_iter=64):
                     {params.n_cong + rng.randrange(4): 1 + rng.randrange(
                         ring.base.q - 1)})
                 pert = SeriesMatrix(ring, rows)
-                unique = not (twisted_conj(x, g0 * pert) -
-                              h.inv() * x).is_zero()
+                unique = not (pert.inv() * twisted_conj(x, g0) *
+                              pert.apply_phi() - y).is_zero()
         except SHORTFALLS as exc:
             shortfalls.append({"instance": idx, "error": str(exc),
                                "class": type(exc).__name__})

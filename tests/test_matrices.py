@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.errors import (EmptyWindow, InsufficientWindow, NotAUnit,
-                             NotInvertible, PhigammaError,
+from phigamma.errors import (EmptyWindow, InsufficientWindow, NoConvergence,
+                             NotAUnit, NotInvertible, PhigammaError,
                              PreconditionViolated)
 from phigamma.laurent import LaurentSeries
 from phigamma.matrices import (FiltrationParams, SeriesMatrix, solve_g,
                                solve_h, twisted_conj)
-from phigamma.period import make_custom_ring, standard_cyclotomic
+from phigamma.period import (make_custom_ring, standard_cyclotomic,
+                             tame_extension)
 from phigamma.samplers import rand_uni
 
 from tails import sound, with_tail
@@ -614,6 +615,130 @@ class TestSolvers:
             [R9.series({PARAMS9.n_cong + rng.randrange(5): 1 + rng.randrange(8)}),
              R9.one()]])
         assert not (twisted_conj(x, g0 * pert) - h.inv() * x).is_zero()
+
+
+
+def conj_each_solve_g(h, x, params, max_iter=64):
+    """solve_g with each step taken as twisted_conj(x_i, h_i), which
+    inverts every correction h_i: the reference for solve_g's step
+    x_{i+1} = y * phi(h_i)."""
+    params.check()
+    if not h.in_Un(params.n_cong):
+        raise PreconditionViolated("h is not in U_n")
+    target_inv = x.inv() * h
+    g = SeriesMatrix.identity(x.ring, x.n, x.hi)
+    xi = x
+    depth = params.n_cong - 1
+    for _ in range(max_iter):
+        hi_corr = xi * target_inv
+        d = hi_corr.congruence_depth()
+        if d is None:
+            return g
+        if d <= depth:
+            raise NoConvergence(
+                f"correction depth {d} did not grow past {depth}")
+        depth = d
+        g = g * hi_corr
+        xi = twisted_conj(xi, hi_corr)
+    raise NoConvergence(f"no fixed point within {max_iter} iterations")
+
+
+def identity_ring(name, window):
+    """Cyclotomic p=3, the intro ring u^3 + 3u^-1, or tame e=2 over
+    cyclotomic p=3, all at a = 2."""
+    if name == "cyclotomic-p3":
+        return standard_cyclotomic(3, 2, 1, window)
+    if name == "intro":
+        return make_custom_ring(3, 2, 1, window, {3: 1, -1: 3})
+    return tame_extension(standard_cyclotomic(3, 2, 1, window), 2)
+
+
+IDENTITY_RINGS = ["cyclotomic-p3", "intro", "tame-e2-p3"]
+
+
+class TestConjugationIdentities:
+    """The two identities solve-twisted uses in place of a matrix inverse.
+    With y = h^-1 x and h_i = x_i x^-1 h, h_i^-1 x_i = y, so
+    twisted_conj(x_i, h_i) = y * phi(h_i); and since phi is multiplicative,
+    twisted_conj(x, g0 * pert) = pert^-1 * twisted_conj(x, g0) *
+    phi(pert).  Each side is compared on the common window, which must
+    reach past the perturbation's exponent."""
+
+    @pytest.mark.parametrize("name", IDENTITY_RINGS)
+    def test_correction_step(self, name):
+        ring = identity_ring(name, 32)
+        for seed in range(6):
+            rng = random.Random(seed)
+            x = diag_x(ring, rng)
+            g0 = rand_uni(rng, ring, 2, PARAMS9.n_cong, spread=3)
+            h = solve_h(g0, x, PARAMS9)
+            y = h.inv() * x
+            xi = twisted_conj(x, rand_uni(rng, ring, 2, PARAMS9.n_cong,
+                                          spread=3))
+            hi_corr = xi * (x.inv() * h)
+            lhs = y * hi_corr.apply_phi()
+            rhs = twisted_conj(xi, hi_corr)
+            t = min(lhs.hi, rhs.hi)
+            assert t > PARAMS9.n_cong + 4
+            assert lhs.truncate(t).agrees(rhs.truncate(t))
+
+    @pytest.mark.parametrize("name", IDENTITY_RINGS)
+    def test_perturbed_conjugate(self, name):
+        ring = identity_ring(name, 32)
+        for seed in range(6):
+            rng = random.Random(seed)
+            x = diag_x(ring, rng)
+            g0 = rand_uni(rng, ring, 2, PARAMS9.n_cong, spread=3)
+            # solve-twisted's perturbation: u^(n_cong + k), k < 4, below
+            # the diagonal
+            pert = SeriesMatrix(ring, [
+                [ring.one(), ring.zero()],
+                [ring.series({PARAMS9.n_cong + rng.randrange(4):
+                              1 + rng.randrange(ring.base.q - 1)}),
+                 ring.one()]])
+            lhs = pert.inv() * twisted_conj(x, g0) * pert.apply_phi()
+            rhs = twisted_conj(x, g0 * pert)
+            t = min(lhs.hi, rhs.hi)
+            assert t > PARAMS9.n_cong + 4
+            assert lhs.truncate(t).agrees(rhs.truncate(t))
+
+    @pytest.mark.parametrize("window", [8, 9, 12, 32])
+    @pytest.mark.parametrize("name", IDENTITY_RINGS)
+    def test_solve_g_matches_conj_each(self, name, window):
+        """solve_g gives the key (windows included), or the error, of the
+        loop that inverts every correction."""
+        ring = identity_ring(name, window)
+        for seed in range(8):
+            rng = random.Random(seed)
+            x = diag_x(ring, rng)
+            try:
+                h = solve_h(rand_uni(rng, ring, 2, PARAMS9.n_cong,
+                                     spread=3), x, PARAMS9)
+            except PhigammaError:
+                continue
+            assert outcome(solve_g, h, x, PARAMS9) == \
+                outcome(conj_each_solve_g, h, x, PARAMS9)
+
+    def test_solve_g_inverts_only_x_and_h(self, monkeypatch):
+        """However many corrections it takes, solve_g runs Gauss-Jordan on
+        x and on h at most, never on a correction."""
+        rng = random.Random(0)
+        x = diag_x(R9, rng)
+        h = solve_h(rand_uni(rng, R9, 2, PARAMS9.n_cong, spread=3), x,
+                    PARAMS9)
+        monkeypatch.setattr(R9, "_inverses", {})
+        depths = []
+        depth = SeriesMatrix.congruence_depth
+
+        def recorded(m):
+            depths.append(depth(m))
+            return depths[-1]
+        monkeypatch.setattr(SeriesMatrix, "congruence_depth", recorded)
+        calls = count_gauss_jordan(monkeypatch)
+        solve_g(h, x, PARAMS9)
+        assert len([d for d in depths if d is not None]) >= 2
+        assert len(calls) <= 2
+        assert {m.key() for m in calls} <= {x.key(), h.key()}
 
 
 def test_normality_of_Un():
