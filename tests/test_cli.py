@@ -922,3 +922,42 @@ class TestSolveTwistedGoldenBytes:
                                           separators=(",", ":")))
         assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == \
             SOLVE_GOLDEN[ring]
+
+
+# sha256, one per ring of the series-wide benchmark, of the canonical
+# --json reports of solve-twisted, count 1, rank 2, at windows 32, 40, 48
+# and 56 and seeds 0-4, joined by newlines in (window, seed) order, and
+# of analyze-phi on the intro ring at window 128: the wide windows where
+# the series kernel does most of its work.  A speed change leaves them.
+WIDE_SOLVE_GOLDEN = {
+    "cyclotomic-p3":
+        "2f4f6d2d7e06c6ae828ff8bbaeb43a3607a5183b96307e9693dd1920a710be46",
+    "cyclotomic-p3-f2":
+        "876730e239427730c056e149cd9095dc0cbe1fbcedf4cbc70ca2986b13ec9c97",
+    "intro":
+        "155bbcf24f8d56259a9eb4c234241f6d3dd895df5981fe57dbcef31eb52cc984",
+}
+WIDE_ANALYZE_GOLDEN = \
+    "1597cd503196154e8b4d891f74c430d9525c62d589e9e74d4d207d70fe1f1b1a"
+
+
+def canonical(rep):
+    return json.dumps(rep, sort_keys=True, separators=(",", ":"))
+
+
+class TestWideWindowGoldenBytes:
+    @pytest.mark.parametrize("ring", sorted(WIDE_SOLVE_GOLDEN))
+    def test_solve_twisted(self, ring):
+        cfg = {"task": "solve-twisted", "ring": SOLVE_GOLDEN_RINGS[ring],
+               "count": 1, "rank": 2}
+        reports = [canonical(run_config(cfg, window=window, seed=seed)[1])
+                   for window in (32, 40, 48, 56) for seed in range(5)]
+        assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == \
+            WIDE_SOLVE_GOLDEN[ring]
+
+    def test_analyze_phi(self):
+        cfg = {"task": "analyze-phi", "ring": SOLVE_GOLDEN_RINGS["intro"],
+               "seed": 0, "lam": 2, "N": 4, "n_max": 200}
+        rep = run_config(cfg, window=128)[1]
+        assert hashlib.sha256(canonical(rep).encode()).hexdigest() == \
+            WIDE_ANALYZE_GOLDEN
