@@ -72,13 +72,21 @@ the series (its `_packed` store, keyed by slot width) from its first
 product on, and a product that needs only a prefix of the list masks it
 off that int.  `_power_sum` keeps the packing of its fixed factor
 (-w or h) the same way for one call.  The invariant above is checked
-once per series, when its store is made before its first product,
-monomial products included: a product with a coordinate of q or more
-raises PhigammaError (a negative one, OverflowError) rather than let
-that coordinate carry into its neighbour's slot.  A series that fails
-the check keeps no store, so it raises again on every product it
-enters; lists without a store (the running powers of `_power_sum`) are
-checked each time they are packed.
+where a list can enter unreduced, and only there.  A list the module
+reduces itself (every product, sum body, `scale`, negation, `inv`,
+`eth_root_one_unit`, `compose`, `from_terms` and `from_json` output)
+is reduced by construction: its series starts with an empty store and
+is never scanned.  `shift` and `truncate` keep their source's state,
+and a sum is checked when both addends are, since its head is a slice
+of one of them.  Every other list (the public constructor's, and so
+`map_coeffs`'s) is checked once, when its store is made before its
+first product, monomial products included: a product with a
+coordinate of q or more raises PhigammaError (a negative one,
+OverflowError) rather than let that coordinate carry into its
+neighbour's slot.  A series that fails the check keeps no store, so it
+raises again on every product it enters.  The running powers of
+`_power_sum` are kernel output and are packed unchecked; its fixed
+factor is checked once per call.
 At f = 1 the product slots are reduced mod q through byte tables when
 nb * (q-1) <= 255, nb the slot width in bytes: byte k of every slot is
 mapped to b * 256^k mod q by one `bytes.translate`, the translated
@@ -103,6 +111,7 @@ import math
 import sys
 from array import array
 from collections import namedtuple
+from itertools import islice
 
 from .errors import (BadIndex, Divergent, EmptyWindow, InsufficientWindow,
                      NotAUnit, NotPrincipalForm, PhigammaError)
@@ -119,7 +128,7 @@ class LaurentSeries:
         """The series with coordinate tuples coeffs on the window [lo, hi)."""
         if hi >= lo and len(coeffs) != hi - lo:
             raise ValueError("coefficient list does not match window")
-        s = _series(ring, lo, hi, [v for c in coeffs for v in c])
+        s = _series(ring, lo, hi, [v for c in coeffs for v in c], False)
         self.ring, self.lo, self.hi = ring, s.lo, s.hi
         self._flat, self._packed = s._flat, None
 
@@ -146,7 +155,7 @@ class LaurentSeries:
             if e < hi:
                 i = (e - lo) * f
                 flat[i:i + f] = _as_coords(ring, c)
-        return _series(ring, lo, hi, flat)
+        return _series(ring, lo, hi, flat, True)
 
     @classmethod
     def constant(cls, ring, c, hi):
@@ -240,7 +249,7 @@ class LaurentSeries:
     def __neg__(self):
         q = self.ring.q
         return _series(self.ring, self.lo, self.hi,
-                       [-v % q for v in self._flat])
+                       [-v % q for v in self._flat], True)
 
     def __mul__(self, other):
         ring = self.ring
@@ -250,28 +259,31 @@ class LaurentSeries:
         # two nonzero factors have lo < hi, so the window is not empty
         lo = self.lo + other.lo
         f = ring.f
-        # checks both factors on their first product, monomials included
+        # checks a factor not reduced by construction on its first
+        # product, monomials included
         xkept, ykept = _packings(self), _packings(other)
         for x, y in ((self, other), (other, self)):
-            if not any(x._flat[f:]):
+            if not any(islice(x._flat, f, None)):
                 # x = c * u^lo(x): the product is y scaled by c
                 c, ys = x._flat[:f], y._flat[:(hi - lo) * f]
                 if c[0] != 1 or any(c[1:]):
-                    ys = _scale(ring, c, ys)
-                return _series(ring, lo, hi, ys)
+                    ys = _scale(ring, c, ys, True)
+                return _series(ring, lo, hi, ys, True)
         return _series(ring, lo, hi,
                        _convolve(ring, self._flat, other._flat, hi - lo,
-                                 xkept, ykept))
+                                 xkept, ykept), True)
 
     def scale(self, c):
         """Multiply by an exactly known ring constant; window unchanged."""
         ring = self.ring
         return _series(ring, self.lo, self.hi,
-                       _scale(ring, _as_coords(ring, c), self._flat))
+                       _scale(ring, _as_coords(ring, c), self._flat,
+                              self._packed is not None), True)
 
     def shift(self, k):
         """Multiply by u^k."""
-        return _series(self.ring, self.lo + k, self.hi + k, self._flat)
+        return _series(self.ring, self.lo + k, self.hi + k, self._flat,
+                       self._packed is not None)
 
     def truncate(self, hi):
         """Forget coefficients at and above hi (hi must not exceed self.hi)."""
@@ -280,7 +292,8 @@ class LaurentSeries:
         if hi <= self.lo:
             return LaurentSeries.zero(self.ring, hi)
         return _series(self.ring, self.lo, hi,
-                       self._flat[:(hi - self.lo) * self.ring.f])
+                       self._flat[:(hi - self.lo) * self.ring.f],
+                       self._packed is not None)
 
     def map_coeffs(self, fn):
         return LaurentSeries(self.ring, self.lo, self.hi,
@@ -315,7 +328,7 @@ class LaurentSeries:
         pad = (a + 1) * (spread + 1) + 2
         work_hi = self.hi + pad
         cd_inv = ring.inv(self.coeff(d))
-        if not any(self._flat[f:]):
+        if not any(islice(self._flat, f, None)):
             # x = c_d u^d: the sum below is c_d^{-1} u^{-d} alone, on
             # [-d, work_hi), clamped as the docstring says
             if -d > work_hi:
@@ -324,10 +337,11 @@ class LaurentSeries:
             if hi <= -d:
                 return LaurentSeries.zero(ring, hi)
             return _series(ring, -d, hi,
-                           list(cd_inv) + [0] * ((hi + d - 1) * f))
+                           list(cd_inv) + [0] * ((hi + d - 1) * f), True)
         # m = c_d^{-1} u^{-d}; w = m*x - 1 has positive or nilpotent terms,
         # and the inverse of m*x is the geometric series sum (-w)^k
-        neg_w = _scale(ring, ring.neg(cd_inv), self._flat)
+        neg_w = _scale(ring, ring.neg(cd_inv), self._flat,
+                       self._packed is not None)
         i = (d - self.lo) * f
         neg_w[i:i + f] = ring.zero
         w_lo, neg_w = _strip(f, self.lo - d, neg_w)
@@ -339,8 +353,8 @@ class LaurentSeries:
         # padded window ends below lo)
         lo = res_lo - d
         n = (work_hi - lo) * f
-        out = _scale(ring, cd_inv, res)
-        raw = _series(ring, lo, work_hi, (out + [0] * n)[:n])
+        out = _scale(ring, cd_inv, res, True)
+        raw = _series(ring, lo, work_hi, (out + [0] * n)[:n], True)
         hi = min(self.hi, self.hi + 2 * raw.lo)
         return raw.truncate(hi)
 
@@ -353,7 +367,7 @@ class LaurentSeries:
     def from_json(cls, ring, data):
         q = ring.q
         return _series(ring, data["lo"], data["hi"],
-                       [v % q for c in data["coeffs"] for v in c])
+                       [v % q for c in data["coeffs"] for v in c], True)
 
     def __repr__(self):
         parts = [f"{c}*u^{e}" for e, c in self.terms()]
@@ -365,10 +379,16 @@ class LaurentSeries:
 _new = object.__new__
 
 
-def _series(ring, lo, hi, flat):
+def _series(ring, lo, hi, flat, checked):
     """The series with the flat coordinate list flat on [lo, hi), its exact
     leading zeros stripped; it takes flat over, so the caller must not
-    change that list afterwards."""
+    change that list afterwards.
+
+    checked says whether every int of flat is known to lie in [0, q): a
+    list reduced by construction (`% q`, the kernel's slot reduction, or
+    a slice of a checked list) starts with an empty store of packings and
+    is never scanned; any other list is checked before its first product
+    (`_packings`)."""
     if hi < lo:
         raise EmptyWindow(f"window [{lo}, {hi}) is empty")
     if len(flat) != (hi - lo) * ring.f:
@@ -381,14 +401,16 @@ def _series(ring, lo, hi, flat):
     s.lo = lo
     s.hi = hi
     s._flat = flat
-    # the store of the packings of flat, made when first multiplied
-    s._packed = None
+    # the store of the packings of flat by slot width; None until flat
+    # has been checked
+    s._packed = {} if checked else None
     return s
 
 
 def _packings(x):
-    """The store of the packings of the series x, made on first use, when
-    every coordinate of x is checked (see `_store`)."""
+    """The store of the packings of the series x; a series not reduced by
+    construction gets it on first use, once every coordinate of x is
+    checked (see `_store`)."""
     kept = x._packed
     if kept is None:
         kept = x._packed = _store(x._flat, x.ring.q)
@@ -397,7 +419,10 @@ def _packings(x):
 
 def _store(flat, q):
     """A new, empty store for the packings of flat by slot width (see
-    `_convolve`), once every int of flat is checked to lie in [0, q)."""
+    `_convolve`), once every int of flat is checked to lie in [0, q): for
+    a list that can hold unreduced ints, where it first enters a
+    product.  A list reduced by construction takes an empty store `{}`
+    unchecked."""
     _check_reduced(flat, q)
     return {}
 
@@ -432,7 +457,8 @@ def _add(x, y, sub):
             head = [-v % q for v in head]
     body = _coeff_sum(q, x._flat[(start - x.lo) * f:(hi - x.lo) * f],
                       y._flat[(start - y.lo) * f:(hi - y.lo) * f], sub)
-    return _series(ring, lo, hi, head + body)
+    return _series(ring, lo, hi, head + body,
+                   x._packed is not None and y._packed is not None)
 
 
 def _coeff_sum(q, xs, ys, sub=False):
@@ -443,14 +469,16 @@ def _coeff_sum(q, xs, ys, sub=False):
     return [(u + v) % q for u, v in zip(xs, ys)]
 
 
-def _scale(ring, c, flat):
+def _scale(ring, c, flat, checked):
     """The flat list times the ring constant c, given by canonical
     coordinates: one pass over the ints when c is an integer (always at
-    f = 1), else a product with the length-1 series c."""
+    f = 1), else a product with the length-1 series c, where flat is
+    checked first unless checked says it is reduced (see `_series`)."""
     if not any(c[1:]):
         c0, q = c[0], ring.q
         return [c0 * v % q for v in flat]
-    return _convolve(ring, list(c), flat, len(flat) // ring.f)
+    return _convolve(ring, list(c), flat, len(flat) // ring.f, {},
+                     {} if checked else None)
 
 
 def _convolve(ring, xs, ys, n, xkept=None, ykept=None):
@@ -469,10 +497,12 @@ def _convolve(ring, xs, ys, n, xkept=None, ykept=None):
     columns for x^f ... x^(2f-2) are then folded back through the
     modulus rows.
 
-    xkept and ykept, when given, are the stores of the packings of the
-    whole lists xs and ys (`_store`): a list is then packed at most once
-    per slot width, and its first n coefficients are cut from that
-    packing by a mask.  A list without a store is cut and packed afresh.
+    xkept and ykept, when given, are stores for the packings of the
+    whole lists xs and ys, and say that the list is reduced: a series'
+    store (`_packings`), or a new `{}` for a list reduced by construction.
+    A list is then packed at most once per slot width, and its first n
+    coefficients are cut from that packing by a mask.  A list without a
+    store is cut, checked (`_store`) and packed afresh.
     """
     square = xs is ys
     f = ring.f
@@ -527,7 +557,8 @@ def _packed(ring, flat, n, nb, kept):
     """The first n coefficients of the flat list packed at slot width nb,
     spread to stride 2f - 1 when f > 1: cut by a mask from the packing of
     the whole list in the store kept, built there on first use.  A list
-    without a store is cut first and gets a store for this call only."""
+    without a store is cut first and gets a store for this call only,
+    once it is checked."""
     f = ring.f
     if kept is None:
         flat = flat[:n * f]
@@ -635,22 +666,24 @@ def _power_sum(ring, h_lo, hs, hi, kmax, coeff):
     at order h_lo, and coeff(0) is taken to be 1.
 
     The running power h^k is one product with h per step, cut at hi; the
-    sum stops early once that power is zero below hi.  The packing of hs
-    is kept for the whole loop."""
+    sum stops early once that power is zero below hi.  hs is checked once
+    per call and its packing kept for the whole loop; each running power
+    is kernel output, reduced by construction, so it is packed with no
+    check."""
     f, q = ring.f, ring.q
     kept = _store(hs, q)
     acc_lo, acc = 0, list(ring.one)
     res_lo, res = 0, list(ring.one) + [0] * ((hi - 1) * f)
     for k in range(1, kmax + 1):
         lo = acc_lo + h_lo
-        acc_lo, acc = _strip(f, lo, _convolve(ring, acc, hs, hi - lo, None,
+        acc_lo, acc = _strip(f, lo, _convolve(ring, acc, hs, hi - lo, {},
                                               kept))
         if not acc:
             break
         b = coeff(k) % q
         if b == 0:
             continue
-        term = acc if b == 1 else _scale(ring, ring.from_int(b), acc)
+        term = acc if b == 1 else _scale(ring, ring.from_int(b), acc, True)
         # res reaches hi; it is extended downwards when the term starts lower
         if acc_lo < res_lo:
             res = [0] * ((res_lo - acc_lo) * f) + res
@@ -701,7 +734,7 @@ def eth_root_one_unit(w, e):
     c_int = pow(e, -1, p ** (a + vK))
     res_lo, res = _power_sum(ring, h_lo, hs, work_hi, kmax,
                              lambda k: math.comb(c_int, k))
-    raw = _series(ring, res_lo, work_hi, res)
+    raw = _series(ring, res_lo, work_hi, res, True)
     winv = w.inv()
     hi = min(w.hi, w.hi + raw.lo + winv.lo)
     return raw.truncate(hi)
@@ -809,7 +842,7 @@ def _packed_sum(ring, packed, hi, nb):
         total += P << (at - lo) * bits
     size = (hi - lo) * bits
     buf = (total & ((1 << size) - 1)).to_bytes(size // 8, "little")
-    return _series(ring, lo, hi, _product_coeffs(ring, buf, nb))
+    return _series(ring, lo, hi, _product_coeffs(ring, buf, nb), True)
 
 
 def _power(g, n, cache):

@@ -1013,3 +1013,208 @@ class TestAdversarialTails:
             g = LaurentSeries.from_terms(ring, terms, hi)
             assert sound(compose(f, g, {}),
                          compose(with_tail(rng, f), with_tail(rng, g), {}))
+
+
+# -- where coordinates are checked -----------------------------------------
+#
+# A coordinate list is checked where it can enter unreduced: through the
+# public constructor, and so map_coeffs.  Every list the module reduces
+# itself starts with an empty store and is never scanned; shift and
+# truncate keep their source's state, and a sum is checked when both
+# addends are.  A series with a store must hold only coordinates in
+# [0, q), and a product must raise on an unreduced coordinate exactly as
+# when every factor was checked before its first product.
+
+CHECK_RINGS = [make_ring(p, a, f) for p, a, f in [
+    (3, 2, 1), (3, 2, 2), (2, 3, 1), (5, 1, 2)]]
+
+
+def reduced(s):
+    return all(0 <= v < s.ring.q for v in s._flat)
+
+
+def ref_check(*factors):
+    """The class name and message of the first factor whose list is not
+    reduced, as `_check_reduced` words it, or None."""
+    for s in factors:
+        q, flat = s.ring.q, s._flat
+        if flat and max(flat) >= q:
+            return "PhigammaError", \
+                f"coordinate {max(flat)} is not reduced mod {q}"
+        if flat and min(flat) < 0:
+            return "OverflowError", f"coordinate {min(flat)} is negative"
+    return None
+
+
+def raised(fn):
+    """The class name and message fn raises, or None when it returns."""
+    try:
+        fn()
+    except (PhigammaError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def unreduced_series(rng, ring, hi):
+    """A series from the public constructor with one coordinate moved out
+    of [0, q): to q or more, or below 0."""
+    lo = rng.randrange(-3, min(hi, 3))
+    coeffs = [ring.random(rng) for _ in range(hi - lo)]
+    i, k = rng.randrange(hi - lo), rng.randrange(ring.f)
+    c = list(coeffs[i])
+    c[k] += rng.choice((ring.q, 3 * ring.q, -ring.q))
+    coeffs[i] = tuple(c)
+    return LaurentSeries(ring, lo, hi, coeffs)
+
+
+def count_checks(monkeypatch):
+    """The lists laurent._check_reduced scans from now on in this test."""
+    calls = []
+    check = laurent._check_reduced
+
+    def counted(flat, q):
+        calls.append(flat)
+        return check(flat, q)
+    monkeypatch.setattr(laurent, "_check_reduced", counted)
+    return calls
+
+
+class TestCheckedWhereUnreduced:
+    @settings(max_examples=30, deadline=None)
+    @given(seeds)
+    def test_random_chains(self, seed):
+        rng = random.Random(seed)
+        for ring in CHECK_RINGS:
+            q = ring.q
+            pool = [unreduced_series(rng, ring, rng.randrange(2, 14))
+                    for _ in range(3)]
+            pool += [kernel_series(rng, ring, rng.randrange(1, 14),
+                                   rng.choice(KINDS), lo_min=-2)
+                     for _ in range(3)]
+            for _ in range(25):
+                x, y = rng.choice(pool), rng.choice(pool)
+                op = rng.choice(("+", "-", "neg", "*", "*", "scale",
+                                 "shift", "truncate", "inv", "compose",
+                                 "map", "json"))
+                if op == "*" and not (x.is_zero() or y.is_zero()):
+                    # a product raises as if each factor were checked
+                    want = ref_check(x, y)
+                    if want is not None:
+                        assert raised(lambda: x * y) == want
+                        continue
+                    out = x * y
+                    assert got(out) == ref_mul(x, y)
+                    pool.append(out)
+                    continue
+                fns = {
+                    "+": lambda: x + y,
+                    "-": lambda: x - y,
+                    "neg": lambda: -x,
+                    "*": lambda: x * y,
+                    "scale": lambda: x.scale(rng.randrange(-q, 2 * q)),
+                    "shift": lambda: x.shift(rng.randrange(-3, 4)),
+                    "truncate": lambda: x.truncate(
+                        rng.randrange(x.lo - 1, x.hi + 1)),
+                    "inv": x.inv,
+                    "compose": lambda: compose(x, y, {}),
+                    # every coordinate, zeros included, moved up by q
+                    "map": lambda: x.map_coeffs(
+                        lambda c: tuple(v + q for v in c)),
+                    "json": lambda: LaurentSeries.from_json(ring,
+                                                            x.to_json()),
+                }
+                try:
+                    pool.append(fns[op]())
+                except (PhigammaError, OverflowError):
+                    pass
+                pool = pool[-12:]
+                for s in pool:
+                    assert s._packed is None or reduced(s)
+
+    @pytest.mark.parametrize("coord, error, match",
+                             [(10, PhigammaError, "10 is not reduced mod 9"),
+                              (-2, OverflowError, "-2 is negative")])
+    def test_shifted_truncated_and_summed(self, coord, error, match):
+        # bad holds the unreduced coordinate at u^1
+        bad = LaurentSeries(R9, 0, 6, [(1,), (coord,), (0,), (2,), (0,),
+                                       (1,)])
+        good, one = S({0: 1, 1: 2, 2: 3}, 6), S({0: 1}, 6)
+        for derived in (bad.shift(3), bad.shift(-2), bad.truncate(4),
+                        bad.truncate(2),
+                        # the head of the sum, below u^2 or u^3, is bad's
+                        bad + S({3: 1}, 8), bad - S({2: 1}, 8),
+                        S({3: 1}, 8) + bad):
+            for _ in range(2):
+                for partner in (good, one, derived):
+                    with pytest.raises(error, match=match):
+                        derived * partner
+                    with pytest.raises(error, match=match):
+                        partner * derived
+        # below u^1 bad is reduced; a subtracted head is negated mod q, and
+        # the coordinates of a sum above its head are reduced mod q
+        fixed = S({0: 1, 1: coord % 9, 3: 2, 5: 1}, 6)
+        for derived, want in ((bad.truncate(1), S({0: 1}, 1)),
+                              (S({3: 1}, 8) - bad, S({3: 1}, 8) - fixed),
+                              (S({0: 1}, 8) + bad, S({0: 1}, 8) + fixed)):
+            assert got(derived) == got(want)
+            assert got(derived * good) == ref_mul(want, good)
+
+    def test_kernel_made_series_are_never_scanned(self, monkeypatch):
+        # products, sums, negations, scalings, shifts, truncations, JSON
+        # round trips, inverses, roots and compositions of kernel-made
+        # series all enter products unscanned, monomials (with coefficients
+        # off the integers at f > 1) and matrix-entry dot products included
+        rng = random.Random(5)
+        for ring in CHECK_RINGS:
+            xs = [kernel_series(rng, ring, rng.randrange(6, 20), kind,
+                                lo_min=0)
+                  for kind in ("sparse", "units", "dense", "nilpotent-pole")]
+            x, y = xs[1], xs[2]
+            g = S({1: 1, 2: 1}, 12, ring)
+            m = LaurentSeries.monomial(ring, 2, (1,) * ring.f, 20)
+            w = LaurentSeries.from_terms(ring, {0: 1, 1: ring.random(rng),
+                                                3: ring.random_unit(rng)}, 16)
+            made = xs + [m, x * y, x + y, x - y, -x, x.scale(ring.random(rng)),
+                         x.shift(-2), y.truncate(y.hi - 1),
+                         LaurentSeries.from_json(ring, x.to_json()),
+                         x.inv(), eth_root_one_unit(w, 2 if ring.p != 2
+                                                    else 3),
+                         compose(x, g, {})]
+            calls = count_checks(monkeypatch)
+            for a in made:
+                for b in made:
+                    a * b
+            laurent._dot(made[:4], made[4:8])
+            compose(y, g, {})
+            assert calls == []
+            monkeypatch.undo()
+
+    def test_power_sums_check_their_fixed_factor_once(self, monkeypatch):
+        # inv and eth_root_one_unit scan the fixed factor of each power sum
+        # once, however many powers it forms
+        fixed, products = [], []
+        power_sum, convolve = laurent._power_sum, laurent._convolve
+
+        def recorded_sum(ring, h_lo, hs, *args):
+            fixed.append(hs)
+            return power_sum(ring, h_lo, hs, *args)
+
+        def recorded_product(*args):
+            products.append(args)
+            return convolve(*args)
+        monkeypatch.setattr(laurent, "_power_sum", recorded_sum)
+        monkeypatch.setattr(laurent, "_convolve", recorded_product)
+        calls = count_checks(monkeypatch)
+        rng = random.Random(9)
+        for ring in CHECK_RINGS:
+            x = kernel_series(rng, ring, 16, "units", lo_min=0)
+            w = LaurentSeries.from_terms(ring, {0: 1, 1: ring.random_unit(rng),
+                                                2: ring.random(rng)}, 16)
+            for run, sums in ((x.inv, 1),
+                              (lambda: eth_root_one_unit(w, 2 if ring.p != 2
+                                                         else 3), 2)):
+                del fixed[:], products[:], calls[:]
+                run()
+                assert len(fixed) == sums and len(products) > 3 * sums
+                assert len(calls) == sums
+                assert all(c is h for c, h in zip(calls, fixed))
