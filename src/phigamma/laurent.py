@@ -24,13 +24,9 @@ by the test suite):
             hi = min over the partial sums of the per-term windows of
             c_n * g^n (computed with the rules above, powers of g formed
             by binary powering), further capped by the tail guard
-            d * f.hi - nil,  nil = (a - 1) * max(0, d - lo(g))
+            d * f.hi - (a - 1) * max(0, d - lo(g))
             which bounds the lowest exponent reachable by the unknown
-            coefficients of f.  For n >= 0, g^n is zero below d * n - nil
-            whatever the unknown coefficients of g, so the term c_n * g^n
-            counts as known below max(hi(g^n), d * n - nil).  A term that
-            comes into view when f is known further then never lowers hi
-            below the tail guard it replaces, so hi never shrinks.
+            coefficients of f.
 
 Rationale for inv: if x is known mod u^hi then perturbing x by
 delta = O(u^hi) perturbs the inverse by x^{-1} delta x^{-1} + ..., whose
@@ -134,7 +130,7 @@ class LaurentSeries:
             raise ValueError("coefficient list does not match window")
         s = _series(ring, lo, hi, [v for c in coeffs for v in c], False)
         self.ring, self.lo, self.hi = ring, s.lo, s.hi
-        self._flat, self._packed = s._flat, None
+        self._flat, self._packed = s._flat, s._packed
 
     # -- constructors -----------------------------------------------------
 
@@ -761,8 +757,8 @@ def compose(f, g, powers_cache):
     powers_cache, keyed by exponent, each with the documented mul
     windows, in the order of the terms of f, so the first power that
     raises decides the exception.  The result is known below hi, the
-    least per-term window over the terms of f, further capped by the
-    tail guard, both as described in the module docstring.
+    least hi(g^n) over the terms of f, further capped by the tail guard
+    described in the module docstring.
 
     The sum itself is one packed sum (`_packed_sum`): each power g^n is
     packed below hi through its store, so a power packed at that slot
@@ -778,15 +774,12 @@ def compose(f, g, powers_cache):
         raise NotAUnit("substitution target has no visible unit coefficient")
     if d < 1:
         raise Divergent(f"substitution target has unit degree {d} < 1")
-    nil = (ring.a - 1) * max(0, d - g.lo)
-    hi = d * f.hi - nil
+    hi = d * f.hi - (ring.a - 1) * max(0, d - g.lo)
     terms = []
     for n, c in f.terms():
         gn = _power(g, n, powers_cache)
-        # g^n, n >= 0, is zero below d * n - nil whatever the tail of g
-        known = gn.hi if n < 0 else max(gn.hi, d * n - nil)
-        if known < hi:
-            hi = known
+        if gn.hi < hi:
+            hi = gn.hi
         terms.append((c, gn))
     # a power that starts at or above hi adds nothing below it
     terms = [(c, gn) for c, gn in terms if gn.lo < hi]

@@ -402,12 +402,8 @@ class TestTameWindowShortfall:
             assert "NotAUnit" in v["descent-check"]["detail"]
 
 
-TAME_E6_P7 = {"kind": "tame", "e": 6,
-              "base": {"kind": "cyclotomic", "p": 7, "a": 2, "window": 20}}
-
-
 class TestShortfallNotFailure:
-    """On tame e=6 over p=7 a=2 window 20, cup's well-definedness check
+    """On tame e=4 over p=5 a=2 window 16, cup's well-definedness check
     and solve-twisted's round trip run out of window (EmptyWindow: a matrix inverse forms the
     identity on a window ending at or below 0).  That is a precision
     shortfall, so the verdicts are inconclusive and name the error class;
@@ -416,7 +412,7 @@ class TestShortfallNotFailure:
     @pytest.mark.parametrize("task", ["cup", "solve-twisted"])
     def test_inconclusive_naming_the_error(self, task, tmp_path):
         run = run_cli(tmp_path, {"task": task, "count": 1, "seed": 0,
-                                 "ring": TAME_E6_P7})
+                                 "ring": TAME_E4_P5})
         assert run.returncode == EXIT_INCONCLUSIVE
         assert run.stderr == ""
         v = {x["name"]: x for x in json.loads(run.stdout)["verdicts"]}
@@ -905,7 +901,7 @@ SOLVE_GOLDEN = {
     "tame-e2-p3":
         "ef0c199295553d9a19a9fe4a57f8b16954bdacbe6e75872a77e0dc710ca7635b",
     "tame-e4-p5":
-        "fbe36c40b71f04849f452d29faa70f1413dbcd32caa9204b5899ef7b5c082f23",
+        "f00d3f4593baca1a08e398f0b8d012fb6ae6ce1b56758fe6dbe64bff4569437b",
 }
 
 

@@ -283,9 +283,10 @@ class TestSystemBuilder:
         # d and the builder share the series window rules, so the test
         # above cannot see a fault in a rule; here every column entry must
         # agree with the one built from Phi and Gam known further, with
-        # random coefficients where their windows end.  Values only: that
-        # a known tail never lowers a window is asserted for compose
-        # itself, in tests/test_laurent.py.
+        # random coefficients where their windows end.  Values only: the
+        # windows of compose's powers are not monotone in the power (tame
+        # e=2 phi, hi(g^n) = 21, 20, 19 at n = 1, 2, 3), so a tail that
+        # brings in a higher power can lower an entry's hi (ROADMAP item 2).
         make_ring, make_module = BUILDER_CASES[case]
         ring = make_ring()
         for seed in range(4):

@@ -313,9 +313,10 @@ def test_ring_json_shape():
 # As for series (tests/test_laurent.py): an image is exact on its window
 # whatever the unknown coefficients of the input at and above its hi are,
 # so the images of x and of x extended by random coefficients agree
-# wherever both windows reach.  Only the values are asserted here: that
-# a known tail never lowers the window of a substitution is asserted for
-# compose itself, in tests/test_laurent.py.
+# wherever both windows reach.  Only the values are asserted: the power
+# windows of an operator's image are not monotone in the exponent (for
+# tame e=2 phi, hi(g^n) = 21, 20, 19 at n = 1, 2, 3), so a tail that
+# brings in a higher power can lower the image's hi (ROADMAP item 2).
 
 TAIL_RINGS = {
     "cyc-p3-w24": lambda: standard_cyclotomic(3, 2, window=24),
