@@ -39,11 +39,11 @@ the power basis of the coefficient ring, so the list is (hi - lo) * f
 long, and at f = 1 it is just the list of coefficients.  Every operation
 here works on that list; `coeff`, `terms` and the read-only `coeffs`
 view hand out f-tuples, the ring's element format, and the constructor
-takes a list of them.  Unsigned packing needs every stored coordinate to
-be canonical, an int in [0, q): every constructor here keeps that
-invariant (`from_terms` and `from_json` reduce their input, arithmetic
-reduces its output), and a coordinate tuple handed to the constructor or
-returned by a `map_coeffs` function must keep it too.
+takes a list of them.  Every series holds only canonical coordinates,
+ints in [0, q), as unsigned packing needs: the public constructor
+checks its input (PhigammaError for a coordinate of q or more,
+OverflowError for a negative one), and every other list is reduced
+where it is made.
 
 Series products go through one kernel, `_convolve`, by Kronecker
 substitution: a flat list is packed into one Python int with every
@@ -71,22 +71,7 @@ A series packs its list once per slot width: the packed int is kept in
 the series (its `_packed` store, keyed by slot width) from its first
 product on, and a product that needs only a prefix of the list masks it
 off that int.  `_power_sum` keeps the packing of its fixed factor
-(-w or h) the same way for one call.  The invariant above is checked
-where a list can enter unreduced, and only there.  A list the module
-reduces itself (every product, sum body, `scale`, negation, `inv`,
-`eth_root_one_unit`, `compose`, `from_terms` and `from_json` output)
-is reduced by construction: its series starts with an empty store and
-is never scanned.  `shift` and `truncate` keep their source's state,
-and a sum is checked when both addends are, since its head is a slice
-of one of them.  Every other list (the public constructor's, and so
-`map_coeffs`'s) is checked once, when its store is made before its
-first product, monomial products included: a product with a
-coordinate of q or more raises PhigammaError (a negative one,
-OverflowError) rather than let that coordinate carry into its
-neighbour's slot.  A series that fails the check keeps no store, so it
-raises again on every product it enters.  The running powers of
-`_power_sum` are kernel output and are packed unchecked; its fixed
-factor is checked once per call.
+(-w or h) the same way for one call.
 At f = 1 the product slots are reduced mod q through byte tables when
 nb * (q-1) <= 255, nb the slot width in bytes: byte k of every slot is
 mapped to b * 256^k mod q by one `bytes.translate`, the translated
@@ -97,8 +82,8 @@ The kernel changes how a product is computed, not what it is: the
 window rules above are unchanged.  A product with a monomial, a factor
 with exactly one nonzero coefficient on its window, skips the kernel:
 it is the other factor's list cut to the product window and scaled by
-that coefficient, under the same window rule and the same coordinate
-check.  Likewise the inverse of a monomial is written down, not summed.
+that coefficient, under the same window rule.  Likewise the inverse of
+a monomial is written down, not summed.
 
 Series are values.  Nothing writes into a series' flat list once the
 series owns it (`_series` takes the list over, and every operation
@@ -125,10 +110,12 @@ class LaurentSeries:
     __slots__ = ("ring", "lo", "hi", "_flat", "_packed")
 
     def __init__(self, ring, lo, hi, coeffs):
-        """The series with coordinate tuples coeffs on the window [lo, hi)."""
+        """The series with coordinate tuples coeffs on the window [lo, hi),
+        each coordinate an int in [0, q)."""
         if hi >= lo and len(coeffs) != hi - lo:
             raise ValueError("coefficient list does not match window")
-        s = _series(ring, lo, hi, [v for c in coeffs for v in c], False)
+        s = _series(ring, lo, hi, [v for c in coeffs for v in c])
+        _check_reduced(s._flat, ring.q)
         self.ring, self.lo, self.hi = ring, s.lo, s.hi
         self._flat, self._packed = s._flat, s._packed
 
@@ -136,12 +123,7 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, ring, hi):
-        s = _new(LaurentSeries)
-        s.ring = ring
-        s.lo = s.hi = hi
-        s._flat = []
-        s._packed = None
-        return s
+        return _series(ring, hi, hi, [])
 
     @classmethod
     def from_terms(cls, ring, terms, hi):
@@ -155,7 +137,7 @@ class LaurentSeries:
             if e < hi:
                 i = (e - lo) * f
                 flat[i:i + f] = _as_coords(ring, c)
-        return _series(ring, lo, hi, flat, True)
+        return _series(ring, lo, hi, flat)
 
     @classmethod
     def constant(cls, ring, c, hi):
@@ -249,7 +231,7 @@ class LaurentSeries:
     def __neg__(self):
         q = self.ring.q
         return _series(self.ring, self.lo, self.hi,
-                       [-v % q for v in self._flat], True)
+                       [-v % q for v in self._flat])
 
     def __mul__(self, other):
         ring = self.ring
@@ -259,31 +241,26 @@ class LaurentSeries:
         # two nonzero factors have lo < hi, so the window is not empty
         lo = self.lo + other.lo
         f = ring.f
-        # checks a factor not reduced by construction on its first
-        # product, monomials included
-        xkept, ykept = _packings(self), _packings(other)
         for x, y in ((self, other), (other, self)):
             if not any(islice(x._flat, f, None)):
                 # x = c * u^lo(x): the product is y scaled by c
                 c, ys = x._flat[:f], y._flat[:(hi - lo) * f]
                 if c[0] != 1 or any(c[1:]):
-                    ys = _scale(ring, c, ys, True)
-                return _series(ring, lo, hi, ys, True)
+                    ys = _scale(ring, c, ys)
+                return _series(ring, lo, hi, ys)
         return _series(ring, lo, hi,
                        _convolve(ring, self._flat, other._flat, hi - lo,
-                                 xkept, ykept), True)
+                                 self._packed, other._packed))
 
     def scale(self, c):
         """Multiply by an exactly known ring constant; window unchanged."""
         ring = self.ring
         return _series(ring, self.lo, self.hi,
-                       _scale(ring, _as_coords(ring, c), self._flat,
-                              self._packed is not None), True)
+                       _scale(ring, _as_coords(ring, c), self._flat))
 
     def shift(self, k):
         """Multiply by u^k."""
-        return _series(self.ring, self.lo + k, self.hi + k, self._flat,
-                       self._packed is not None)
+        return _series(self.ring, self.lo + k, self.hi + k, self._flat)
 
     def truncate(self, hi):
         """Forget coefficients at and above hi (hi must not exceed self.hi)."""
@@ -292,17 +269,14 @@ class LaurentSeries:
         if hi <= self.lo:
             return LaurentSeries.zero(self.ring, hi)
         return _series(self.ring, self.lo, hi,
-                       self._flat[:(hi - self.lo) * self.ring.f],
-                       self._packed is not None)
-
-    def map_coeffs(self, fn):
-        return LaurentSeries(self.ring, self.lo, self.hi,
-                             [fn(c) for c in self.coeffs])
+                       self._flat[:(hi - self.lo) * self.ring.f])
 
     def frob_coeffs(self, power=1):
-        if power % self.ring.f == 0:
+        ring = self.ring
+        if power % ring.f == 0:
             return self
-        return self.map_coeffs(lambda c: self.ring.frob(c, power))
+        return _series(ring, self.lo, self.hi,
+                       [v for c in self.coeffs for v in ring.frob(c, power)])
 
     def inv(self):
         """Inverse in the truncated Laurent ring.
@@ -337,11 +311,10 @@ class LaurentSeries:
             if hi <= -d:
                 return LaurentSeries.zero(ring, hi)
             return _series(ring, -d, hi,
-                           list(cd_inv) + [0] * ((hi + d - 1) * f), True)
+                           list(cd_inv) + [0] * ((hi + d - 1) * f))
         # m = c_d^{-1} u^{-d}; w = m*x - 1 has positive or nilpotent terms,
         # and the inverse of m*x is the geometric series sum (-w)^k
-        neg_w = _scale(ring, ring.neg(cd_inv), self._flat,
-                       self._packed is not None)
+        neg_w = _scale(ring, ring.neg(cd_inv), self._flat)
         i = (d - self.lo) * f
         neg_w[i:i + f] = ring.zero
         w_lo, neg_w = _strip(f, self.lo - d, neg_w)
@@ -353,8 +326,8 @@ class LaurentSeries:
         # padded window ends below lo)
         lo = res_lo - d
         n = (work_hi - lo) * f
-        out = _scale(ring, cd_inv, res, True)
-        raw = _series(ring, lo, work_hi, (out + [0] * n)[:n], True)
+        out = _scale(ring, cd_inv, res)
+        raw = _series(ring, lo, work_hi, (out + [0] * n)[:n])
         hi = min(self.hi, self.hi + 2 * raw.lo)
         return raw.truncate(hi)
 
@@ -367,7 +340,7 @@ class LaurentSeries:
     def from_json(cls, ring, data):
         q = ring.q
         return _series(ring, data["lo"], data["hi"],
-                       [v % q for c in data["coeffs"] for v in c], True)
+                       [v % q for c in data["coeffs"] for v in c])
 
     def __repr__(self):
         parts = [f"{c}*u^{e}" for e, c in self.terms()]
@@ -379,16 +352,11 @@ class LaurentSeries:
 _new = object.__new__
 
 
-def _series(ring, lo, hi, flat, checked):
+def _series(ring, lo, hi, flat):
     """The series with the flat coordinate list flat on [lo, hi), its exact
     leading zeros stripped; it takes flat over, so the caller must not
-    change that list afterwards.
-
-    checked says whether every int of flat is known to lie in [0, q): a
-    list reduced by construction (`% q`, the kernel's slot reduction, or
-    a slice of a checked list) starts with an empty store of packings and
-    is never scanned; any other list is checked before its first product
-    (`_packings`)."""
+    change that list afterwards, and every int of flat must lie in
+    [0, q)."""
     if hi < lo:
         raise EmptyWindow(f"window [{lo}, {hi}) is empty")
     if len(flat) != (hi - lo) * ring.f:
@@ -401,30 +369,9 @@ def _series(ring, lo, hi, flat, checked):
     s.lo = lo
     s.hi = hi
     s._flat = flat
-    # the store of the packings of flat by slot width; None until flat
-    # has been checked
-    s._packed = {} if checked else None
+    # the store of the packings of flat by slot width
+    s._packed = {}
     return s
-
-
-def _packings(x):
-    """The store of the packings of the series x; a series not reduced by
-    construction gets it on first use, once every coordinate of x is
-    checked (see `_store`)."""
-    kept = x._packed
-    if kept is None:
-        kept = x._packed = _store(x._flat, x.ring.q)
-    return kept
-
-
-def _store(flat, q):
-    """A new, empty store for the packings of flat by slot width (see
-    `_convolve`), once every int of flat is checked to lie in [0, q): for
-    a list that can hold unreduced ints, where it first enters a
-    product.  A list reduced by construction takes an empty store `{}`
-    unchecked."""
-    _check_reduced(flat, q)
-    return {}
 
 
 def _as_coords(ring, c):
@@ -457,8 +404,7 @@ def _add(x, y, sub):
             head = [-v % q for v in head]
     body = _coeff_sum(q, x._flat[(start - x.lo) * f:(hi - x.lo) * f],
                       y._flat[(start - y.lo) * f:(hi - y.lo) * f], sub)
-    return _series(ring, lo, hi, head + body,
-                   x._packed is not None and y._packed is not None)
+    return _series(ring, lo, hi, head + body)
 
 
 def _coeff_sum(q, xs, ys, sub=False):
@@ -469,19 +415,17 @@ def _coeff_sum(q, xs, ys, sub=False):
     return [(u + v) % q for u, v in zip(xs, ys)]
 
 
-def _scale(ring, c, flat, checked):
+def _scale(ring, c, flat):
     """The flat list times the ring constant c, given by canonical
     coordinates: one pass over the ints when c is an integer (always at
-    f = 1), else a product with the length-1 series c, where flat is
-    checked first unless checked says it is reduced (see `_series`)."""
+    f = 1), else a product with the length-1 series c."""
     if not any(c[1:]):
         c0, q = c[0], ring.q
         return [c0 * v % q for v in flat]
-    return _convolve(ring, list(c), flat, len(flat) // ring.f, {},
-                     {} if checked else None)
+    return _convolve(ring, list(c), flat, len(flat) // ring.f, {}, {})
 
 
-def _convolve(ring, xs, ys, n, xkept=None, ykept=None):
+def _convolve(ring, xs, ys, n, xkept, ykept):
     """First n coefficients of the product of two flat coordinate lists,
     as a flat list of n * f coordinates.
 
@@ -497,12 +441,10 @@ def _convolve(ring, xs, ys, n, xkept=None, ykept=None):
     columns for x^f ... x^(2f-2) are then folded back through the
     modulus rows.
 
-    xkept and ykept, when given, are stores for the packings of the
-    whole lists xs and ys, and say that the list is reduced: a series'
-    store (`_packings`), or a new `{}` for a list reduced by construction.
-    A list is then packed at most once per slot width, and its first n
-    coefficients are cut from that packing by a mask.  A list without a
-    store is cut, checked (`_store`) and packed afresh.
+    xkept and ykept are stores for the packings of the whole lists xs
+    and ys: a series' `_packed` store, or a new `{}` for a list of one
+    call.  A list is packed at most once per slot width, and its first n
+    coefficients are cut from that packing by a mask.
     """
     square = xs is ys
     f = ring.f
@@ -556,13 +498,8 @@ def _product_coeffs(ring, buf, nb):
 def _packed(ring, flat, n, nb, kept):
     """The first n coefficients of the flat list packed at slot width nb,
     spread to stride 2f - 1 when f > 1: cut by a mask from the packing of
-    the whole list in the store kept, built there on first use.  A list
-    without a store is cut first and gets a store for this call only,
-    once it is checked."""
+    the whole list in the store kept, built there on first use."""
     f = ring.f
-    if kept is None:
-        flat = flat[:n * f]
-        kept = _store(flat, ring.q)
     X = kept.get(nb)
     if X is None:
         X = kept[nb] = _pack(_spread(flat, f) if f > 1 else flat, nb)
@@ -623,12 +560,9 @@ def _check_reduced(flat, q):
 
 
 def _pack(flat, nb):
-    """One int holding the ints of flat, nb bytes each, little-endian.
-
-    A coordinate of q or more would overflow its slot into the next one,
-    and a negative one cannot be packed unsigned, so the caller checks
-    flat first (`_check_reduced`).
-    """
+    """One int holding the ints of flat, nb bytes each, little-endian;
+    each int must lie in [0, q), or it would overflow its slot into the
+    next one or could not be packed unsigned."""
     code = _WORD_CODES.get(nb)
     if code is None:
         return int.from_bytes(b"".join([v.to_bytes(nb, "little")
@@ -666,12 +600,10 @@ def _power_sum(ring, h_lo, hs, hi, kmax, coeff):
     at order h_lo, and coeff(0) is taken to be 1.
 
     The running power h^k is one product with h per step, cut at hi; the
-    sum stops early once that power is zero below hi.  hs is checked once
-    per call and its packing kept for the whole loop; each running power
-    is kernel output, reduced by construction, so it is packed with no
-    check."""
+    sum stops early once that power is zero below hi.  The packing of hs
+    is kept for the whole loop."""
     f, q = ring.f, ring.q
-    kept = _store(hs, q)
+    kept = {}
     acc_lo, acc = 0, list(ring.one)
     res_lo, res = 0, list(ring.one) + [0] * ((hi - 1) * f)
     for k in range(1, kmax + 1):
@@ -683,7 +615,7 @@ def _power_sum(ring, h_lo, hs, hi, kmax, coeff):
         b = coeff(k) % q
         if b == 0:
             continue
-        term = acc if b == 1 else _scale(ring, ring.from_int(b), acc, True)
+        term = acc if b == 1 else _scale(ring, ring.from_int(b), acc)
         # res reaches hi; it is extended downwards when the term starts lower
         if acc_lo < res_lo:
             res = [0] * ((res_lo - acc_lo) * f) + res
@@ -734,7 +666,7 @@ def eth_root_one_unit(w, e):
     c_int = pow(e, -1, p ** (a + vK))
     res_lo, res = _power_sum(ring, h_lo, hs, work_hi, kmax,
                              lambda k: math.comb(c_int, k))
-    raw = _series(ring, res_lo, work_hi, res, True)
+    raw = _series(ring, res_lo, work_hi, res)
     winv = w.inv()
     hi = min(w.hi, w.hi + raw.lo + winv.lo)
     return raw.truncate(hi)
@@ -763,9 +695,9 @@ def compose(f, g, powers_cache):
     The sum itself is one packed sum (`_packed_sum`): each power g^n is
     packed below hi through its store, so a power packed at that slot
     width before is only masked, and multiplied by the packed
-    coordinates of c_n, reduced mod q.  A slot sums at most ring.f
-    coordinate products per term, so the slot width is chosen for
-    T * ring.f * (q-1)^2 over T terms: no slot carries.
+    coordinates of c_n.  A slot sums at most ring.f coordinate products
+    per term, so the slot width is chosen for T * ring.f * (q-1)^2 over
+    T terms: no slot carries.
     """
     ring = f.ring
     try:
@@ -785,36 +717,32 @@ def compose(f, g, powers_cache):
     terms = [(c, gn) for c, gn in terms if gn.lo < hi]
     if not terms:
         return LaurentSeries.zero(ring, hi)
-    k, q = ring.f, ring.q
+    k = ring.f
     nb = _slot_width(ring, len(terms) * k)
     # at f = 1 the packed coefficient is its one coordinate
     return _packed_sum(ring, [
-        (gn.lo, (c[0] % q if k == 1 else _pack(_as_coords(ring, c), nb)) *
-         _packed(ring, gn._flat, hi - gn.lo, nb, _packings(gn)))
+        (gn.lo, (c[0] if k == 1 else _pack(c, nb)) *
+         _packed(ring, gn._flat, hi - gn.lo, nb, gn._packed))
         for c, gn in terms], hi, nb)
 
 
 def _dot(xs, ys):
     """The sum of the products x * y over the pairs of xs and ys: the
-    value, window and error of the chain x_0*y_0 + x_1*y_1 + ... of
-    series products and sums.
+    value and window of the chain x_0*y_0 + x_1*y_1 + ... of series
+    products and sums.
 
-    The window is the least product window, zero products included.
-    Every nonzero product has its factors checked in chain order, so the
-    same coordinate error comes out first.  One product alone nonzero
-    below the window is the sum, cut to the window, so a monomial factor
-    keeps its shortcut.  Otherwise each product is one int product of
-    its factors' kept packings, cut to the window, at a slot width for
-    the coordinate products of all terms, and `_packed_sum` adds them.
+    The window is the least product window, zero products included.  One
+    product alone nonzero below the window is the sum, cut to the window,
+    so a monomial factor keeps its shortcut.  Otherwise each product is
+    one int product of its factors' kept packings, cut to the window, at
+    a slot width for the coordinate products of all terms, and
+    `_packed_sum` adds them.
     """
     hi = min([min(x.hi + y.lo, y.hi + x.lo) for x, y in zip(xs, ys)])
     live = []
     for x, y in zip(xs, ys):
-        if x.lo < x.hi and y.lo < y.hi:
-            _packings(x)
-            _packings(y)
-            if x.lo + y.lo < hi:
-                live.append((x.lo + y.lo, x, y))
+        if x.lo < x.hi and y.lo < y.hi and x.lo + y.lo < hi:
+            live.append((x.lo + y.lo, x, y))
     if len(live) == 1:
         xy = live[0][1] * live[0][2]
         return xy if xy.hi == hi else xy.truncate(hi)
@@ -842,7 +770,7 @@ def _packed_sum(ring, packed, hi, nb):
         total += P << (at - lo) * bits
     size = (hi - lo) * bits
     buf = (total & ((1 << size) - 1)).to_bytes(size // 8, "little")
-    return _series(ring, lo, hi, _product_coeffs(ring, buf, nb), True)
+    return _series(ring, lo, hi, _product_coeffs(ring, buf, nb))
 
 
 def _power(g, n, cache):

@@ -11,7 +11,7 @@ construction, so `inv` computes the inverse of each matrix value once
 per ring and keeps it on the ring.
 
 Each entry of a product is one packed dot product (`laurent._dot`), with
-the value, window and error of the chain of series products and sums.
+the value and window of the chain of series products and sums.
 Gauss-Jordan forms only the entries that a later step or the inverse
 reads: a column is dropped from every row once it is cleared, so the
 rows end as the inverse.  `solve_g` inverts x and h once each and no
@@ -284,7 +284,8 @@ def solve_h(g, x, params):
 
 
 def solve_g(h, x, params, max_iter=64):
-    """Inverse problem: g in U_n with twisted_conj(x, g) = h^-1 * x.
+    """Inverse problem: g in U_n with twisted_conj(x, g) = h^-1 * x,
+    returned as the pair (g, y) with y = h^-1 * x.
 
     Fixed-point iteration from the contraction certificate: with
     y = h^-1 x, the residual h_i = x_i * y^-1 satisfies x_i = h_i * y,
@@ -310,7 +311,7 @@ def solve_g(h, x, params, max_iter=64):
         hi_corr = xi * target_inv
         d = hi_corr.congruence_depth()
         if d is None:
-            return g
+            return g, y
         if d <= depth:
             raise NoConvergence(
                 f"correction depth {d} did not grow past {depth}")

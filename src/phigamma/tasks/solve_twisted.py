@@ -1,7 +1,8 @@
 """The `solve-twisted` task: round trips through the twisted-conjugation
 solvers `solve_h` and `solve_g`, and the uniqueness of their answer.
 
-Both checks compare against y = h^-1 x, formed once per instance.  The
+Both checks compare against y = h^-1 x, which `solve_g` forms and hands
+back.  The
 uniqueness check conjugates by g0 * pert through the identity
 
     twisted_conj(x, g0 * pert) = pert^-1 * twisted_conj(x, g0) * phi(pert),
@@ -37,8 +38,7 @@ def run_solve_twisted(ring, cfg, rng, max_iter=64):
             # can end below them
             g0 = rand_uni(rng, ring, n, params.n_cong, spread=3)
             h = solve_h(g0, x, params)
-            g2 = solve_g(h, x, params, max_iter=max_iter)
-            y = h.inv() * x
+            g2, y = solve_g(h, x, params, max_iter=max_iter)
             resid = twisted_conj(x, g2) - y
             good = resid.is_zero()
             t = min(g2.hi, g0.hi)

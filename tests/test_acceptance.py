@@ -120,7 +120,7 @@ def crit_solver(s):
         x = SeriesMatrix(ring, rows)
         g0 = rand_uni(rng, ring, n, depth=3, spread=3)
         h = solve_h(g0, x, params)
-        g2 = solve_g(h, x, params)
+        g2 = solve_g(h, x, params)[0]
         ok = (twisted_conj(x, g2) - h.inv() * x).is_zero()
         t = min(g2.hi, g0.hi)
         ok = ok and g2.truncate(t).agrees(g0.truncate(t))

@@ -1,7 +1,8 @@
 """Lint checks on the package source, with no dependency beyond the
 standard library: every name a module imports at module level is used
-in that module, every definition has a caller outside the tests, and a
-run of every task enters every function and method."""
+in that module, every definition has a caller outside the tests, only
+the series constructor checks coordinates, and a run of every task
+enters every function and method."""
 
 import ast
 import json
@@ -62,6 +63,9 @@ KEPT = {
                   "window; the rings of the run leave room for every step",
     "_shortfalls": "as `_shortfall`, for draws outside the window",
     "_class_names": "names the errors in `_shortfalls`",
+    "_check_reduced": "checks the coordinates the public series "
+                      "constructor takes; every series a task makes comes "
+                      "from arithmetic, reduced where it is made",
 }
 
 
@@ -165,6 +169,45 @@ def test_every_definition_has_a_caller():
     defined = {name for path in MODULES
                for name, _, _ in qualified_definitions(path)}
     assert sorted(set(KEPT) - defined) == []
+
+
+def readers(source, name):
+    """The qualified names of the functions and methods in source that
+    read name, as a bare name or an attribute (see `names_read`); a
+    nested definition that reads it counts for every definition around
+    it too."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                read = names_read(child)
+                if not isinstance(child, ast.ClassDef) and \
+                        read["name", name] + read["attr", name]:
+                    out.append(prefix + child.name)
+                walk(child, prefix + child.name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(source), "")
+    return out
+
+
+def test_finds_the_readers():
+    source = ("def f():\n    g()\n\n\nclass C:\n    def m(self):\n"
+              "        def inner():\n            mod.g()\n"
+              "        return inner\n\n\ndef h():\n    return 1\n")
+    assert readers(source, "g") == ["f", "C.m", "C.m.inner"]
+
+
+def test_one_coordinate_check():
+    """Every series holds only coordinates in [0, q): the public
+    constructor checks the lists that come in, and nothing else scans
+    one, since every other list is reduced where it is made."""
+    assert [name for path in MODULES
+            for name in readers(path.read_text(), "_check_reduced")] == [
+        "LaurentSeries.__init__"]
 
 
 def qualified_definitions(path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phigamma import laurent
+from phigamma.cli import TASKS, run_config
 from phigamma.errors import (BadIndex, Divergent, EmptyWindow,
                              InsufficientWindow, NotAUnit, NotPrincipalForm,
                              PhigammaError)
@@ -602,8 +603,9 @@ class TestKernel:
             n = rng.randrange(0, min(len(xs), len(ys)))
             full = ref_sparse_mul(ring, dict(enumerate(xs)),
                                   dict(enumerate(ys)), n)
-            # the kernel works on flat coordinate lists, f ints a coefficient
-            assert _convolve(ring, flat(xs), flat(ys), n) == flat(
+            # the kernel works on flat coordinate lists, f ints a
+            # coefficient, each packed whole into a new store and masked
+            assert _convolve(ring, flat(xs), flat(ys), n, {}, {}) == flat(
                 full.get(k, ring.zero) for k in range(n))
 
     @settings(max_examples=40, deadline=None)
@@ -805,41 +807,29 @@ class TestKernel:
 
     @pytest.mark.parametrize("a", [2, 21])
     def test_non_canonical_coordinate_raises(self, a):
+        # q - 1 + q would carry into the next slot and -1 cannot be packed
+        # unsigned: the constructor refuses both
         ring = make_ring(3, a, 1)
-        one = LaurentSeries.constant(ring, 1, 4)
-        dense = LaurentSeries(ring, 0, 4, [(1,), (2,), (1,), (1,)])
-        dense * dense  # a partner that already keeps its packing
-        # q - 1 + q would carry into the next slot; it must not pass silently
-        big = LaurentSeries(ring, 0, 4, [(1,), (2 * ring.q - 1,), (0,), (1,)])
-        neg = LaurentSeries(ring, 0, 4, [(1,), (-1,), (0,), (1,)])
-        for bad, error, match in ((big, PhigammaError, "not reduced"),
-                                  (neg, OverflowError, "negative")):
-            # in every product it enters, again after one has raised
-            for _ in range(2):
-                for partner in (one, dense, bad):
-                    with pytest.raises(error, match=match):
-                        bad * partner
-                    with pytest.raises(error, match=match):
-                        partner * bad
+        q = ring.q
+        for bad, error, message in (
+                (2 * q - 1, PhigammaError,
+                 f"coordinate {2 * q - 1} is not reduced mod {q}"),
+                (-1, OverflowError, "coordinate -1 is negative")):
+            with pytest.raises(error) as info:
+                LaurentSeries(ring, 0, 4, [(1,), (bad,), (0,), (1,)])
+            assert str(info.value) == message
+        dense = LaurentSeries(ring, 0, 4, [(1,), (2,), (1,), (q - 1,)])
+        assert got(dense * dense) == ref_mul(dense, dense)
 
     def test_compose_non_canonical(self):
-        # a coefficient of f is reduced mod q before it is packed, as
-        # `scale` reduces it: 17 in two terms at q = 9 would carry out of
-        # its 1-byte slot (2 * 17 * 8 > 255), and -1 cannot be packed
-        g = S({1: 8, 2: 1}, 12)
-        for bad, good in (({1: 17, 2: 17}, {1: 8, 2: 8}),
-                          ({0: -1, 3: 17}, {0: 8, 3: 8})):
-            f = LaurentSeries(R9, 0, 6, [(bad.get(e, 0),) for e in range(6)])
-            want = compose(S(good, 6), g, {}).key()
-            assert compose(f, g, {}).key() == ref_compose(f, g).key() == want
-        # a power of g is packed through its store, so a non-canonical g
-        # raises as in every product it enters
-        f = S({0: 1, 1: 2}, 6)
-        for coord, error, match in ((17, PhigammaError, "not reduced"),
-                                    (-1, OverflowError, "negative")):
-            bad = LaurentSeries(R9, 1, 4, [(1,), (coord,), (0,)])
-            with pytest.raises(error, match=match):
-                compose(f, bad, {})
+        # compose packs the powers of g unchecked, so the constructor must
+        # refuse a g with a coordinate outside [0, q) at q = 9
+        for coord, error, message in (
+                (17, PhigammaError, "coordinate 17 is not reduced mod 9"),
+                (-1, OverflowError, "coordinate -1 is negative")):
+            with pytest.raises(error) as info:
+                LaurentSeries(R9, 1, 4, [(1,), (coord,), (0,)])
+            assert str(info.value) == message
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
@@ -1017,13 +1007,9 @@ class TestAdversarialTails:
 
 # -- where coordinates are checked -----------------------------------------
 #
-# A coordinate list is checked where it can enter unreduced: through the
-# public constructor, and so map_coeffs.  Every list the module reduces
-# itself starts with an empty store and is never scanned; shift and
-# truncate keep their source's state, and a sum is checked when both
-# addends are.  A series with a store must hold only coordinates in
-# [0, q), and a product must raise on an unreduced coordinate exactly as
-# when every factor was checked before its first product.
+# Every series holds only coordinates in [0, q): the public constructor
+# checks its input, and every list the module makes is reduced where it
+# is made, so nothing else scans a list.
 
 CHECK_RINGS = [make_ring(p, a, f) for p, a, f in [
     (3, 2, 1), (3, 2, 2), (2, 3, 1), (5, 1, 2)]]
@@ -1033,16 +1019,13 @@ def reduced(s):
     return all(0 <= v < s.ring.q for v in s._flat)
 
 
-def ref_check(*factors):
-    """The class name and message of the first factor whose list is not
-    reduced, as `_check_reduced` words it, or None."""
-    for s in factors:
-        q, flat = s.ring.q, s._flat
-        if flat and max(flat) >= q:
-            return "PhigammaError", \
-                f"coordinate {max(flat)} is not reduced mod {q}"
-        if flat and min(flat) < 0:
-            return "OverflowError", f"coordinate {min(flat)} is negative"
+def ref_check(flat, q):
+    """The class name and message `_check_reduced` raises for the list
+    flat, or None when every int of it lies in [0, q)."""
+    if flat and max(flat) >= q:
+        return "PhigammaError", f"coordinate {max(flat)} is not reduced mod {q}"
+    if flat and min(flat) < 0:
+        return "OverflowError", f"coordinate {min(flat)} is negative"
     return None
 
 
@@ -1055,8 +1038,8 @@ def raised(fn):
     return None
 
 
-def unreduced_series(rng, ring, hi):
-    """A series from the public constructor with one coordinate moved out
+def unreduced_coeffs(rng, ring, hi):
+    """(lo, coordinate tuples on [lo, hi)) with one coordinate moved out
     of [0, q): to q or more, or below 0."""
     lo = rng.randrange(-3, min(hi, 3))
     coeffs = [ring.random(rng) for _ in range(hi - lo)]
@@ -1064,7 +1047,7 @@ def unreduced_series(rng, ring, hi):
     c = list(coeffs[i])
     c[k] += rng.choice((ring.q, 3 * ring.q, -ring.q))
     coeffs[i] = tuple(c)
-    return LaurentSeries(ring, lo, hi, coeffs)
+    return lo, coeffs
 
 
 def count_checks(monkeypatch):
@@ -1083,11 +1066,21 @@ class TestCheckedWhereUnreduced:
     @settings(max_examples=30, deadline=None)
     @given(seeds)
     def test_random_chains(self, seed):
+        # the constructor refuses an unreduced list as `_check_reduced`
+        # words it and takes the list reduced; chains of every operation
+        # on what it takes hold only reduced coordinates
         rng = random.Random(seed)
         for ring in CHECK_RINGS:
             q = ring.q
-            pool = [unreduced_series(rng, ring, rng.randrange(2, 14))
-                    for _ in range(3)]
+            pool = []
+            for _ in range(3):
+                hi = rng.randrange(2, 14)
+                lo, coeffs = unreduced_coeffs(rng, ring, hi)
+                flat = [v for c in coeffs for v in c]
+                assert raised(lambda: LaurentSeries(ring, lo, hi, coeffs)) \
+                    == ref_check(flat, q) is not None
+                pool.append(LaurentSeries(ring, lo, hi, [
+                    tuple(v % q for v in c) for c in coeffs]))
             pool += [kernel_series(rng, ring, rng.randrange(1, 14),
                                    rng.choice(KINDS), lo_min=-2)
                      for _ in range(3)]
@@ -1095,13 +1088,8 @@ class TestCheckedWhereUnreduced:
                 x, y = rng.choice(pool), rng.choice(pool)
                 op = rng.choice(("+", "-", "neg", "*", "*", "scale",
                                  "shift", "truncate", "inv", "compose",
-                                 "map", "json"))
-                if op == "*" and not (x.is_zero() or y.is_zero()):
-                    # a product raises as if each factor were checked
-                    want = ref_check(x, y)
-                    if want is not None:
-                        assert raised(lambda: x * y) == want
-                        continue
+                                 "frob", "json"))
+                if op == "*":
                     out = x * y
                     assert got(out) == ref_mul(x, y)
                     pool.append(out)
@@ -1110,54 +1098,46 @@ class TestCheckedWhereUnreduced:
                     "+": lambda: x + y,
                     "-": lambda: x - y,
                     "neg": lambda: -x,
-                    "*": lambda: x * y,
                     "scale": lambda: x.scale(rng.randrange(-q, 2 * q)),
                     "shift": lambda: x.shift(rng.randrange(-3, 4)),
                     "truncate": lambda: x.truncate(
                         rng.randrange(x.lo - 1, x.hi + 1)),
                     "inv": x.inv,
                     "compose": lambda: compose(x, y, {}),
-                    # every coordinate, zeros included, moved up by q
-                    "map": lambda: x.map_coeffs(
-                        lambda c: tuple(v + q for v in c)),
+                    "frob": lambda: x.frob_coeffs(rng.randrange(1, 3)),
                     "json": lambda: LaurentSeries.from_json(ring,
                                                             x.to_json()),
                 }
                 try:
                     pool.append(fns[op]())
-                except (PhigammaError, OverflowError):
+                except PhigammaError:
                     pass
                 pool = pool[-12:]
                 for s in pool:
-                    assert s._packed is None or reduced(s)
+                    assert reduced(s)
 
     @pytest.mark.parametrize("coord, error, match",
                              [(10, PhigammaError, "10 is not reduced mod 9"),
                               (-2, OverflowError, "-2 is negative")])
     def test_shifted_truncated_and_summed(self, coord, error, match):
-        # bad holds the unreduced coordinate at u^1
-        bad = LaurentSeries(R9, 0, 6, [(1,), (coord,), (0,), (2,), (0,),
-                                       (1,)])
+        # the constructor refuses bad, which holds the unreduced coordinate
+        # at u^1, so no shift, truncation or sum can carry it; those of
+        # the list reduced hold reduced coordinates and multiply as the
+        # reference does
+        with pytest.raises(error) as info:
+            LaurentSeries(R9, 0, 6, [(1,), (coord,), (0,), (2,), (0,), (1,)])
+        assert str(info.value) == "coordinate " + match
+        fixed = LaurentSeries(R9, 0, 6, [(1,), (coord % 9,), (0,), (2,),
+                                         (0,), (1,)])
         good, one = S({0: 1, 1: 2, 2: 3}, 6), S({0: 1}, 6)
-        for derived in (bad.shift(3), bad.shift(-2), bad.truncate(4),
-                        bad.truncate(2),
-                        # the head of the sum, below u^2 or u^3, is bad's
-                        bad + S({3: 1}, 8), bad - S({2: 1}, 8),
-                        S({3: 1}, 8) + bad):
-            for _ in range(2):
-                for partner in (good, one, derived):
-                    with pytest.raises(error, match=match):
-                        derived * partner
-                    with pytest.raises(error, match=match):
-                        partner * derived
-        # below u^1 bad is reduced; a subtracted head is negated mod q, and
-        # the coordinates of a sum above its head are reduced mod q
-        fixed = S({0: 1, 1: coord % 9, 3: 2, 5: 1}, 6)
-        for derived, want in ((bad.truncate(1), S({0: 1}, 1)),
-                              (S({3: 1}, 8) - bad, S({3: 1}, 8) - fixed),
-                              (S({0: 1}, 8) + bad, S({0: 1}, 8) + fixed)):
-            assert got(derived) == got(want)
-            assert got(derived * good) == ref_mul(want, good)
+        for derived in (fixed.shift(3), fixed.shift(-2), fixed.truncate(4),
+                        fixed.truncate(2), fixed + S({3: 1}, 8),
+                        fixed - S({2: 1}, 8), S({3: 1}, 8) + fixed,
+                        S({3: 1}, 8) - fixed):
+            assert reduced(derived)
+            for partner in (good, one, derived):
+                assert got(derived * partner) == ref_mul(derived, partner)
+                assert got(partner * derived) == ref_mul(partner, derived)
 
     def test_kernel_made_series_are_never_scanned(self, monkeypatch):
         # products, sums, negations, scalings, shifts, truncations, JSON
@@ -1189,32 +1169,12 @@ class TestCheckedWhereUnreduced:
             assert calls == []
             monkeypatch.undo()
 
-    def test_power_sums_check_their_fixed_factor_once(self, monkeypatch):
-        # inv and eth_root_one_unit scan the fixed factor of each power sum
-        # once, however many powers it forms
-        fixed, products = [], []
-        power_sum, convolve = laurent._power_sum, laurent._convolve
-
-        def recorded_sum(ring, h_lo, hs, *args):
-            fixed.append(hs)
-            return power_sum(ring, h_lo, hs, *args)
-
-        def recorded_product(*args):
-            products.append(args)
-            return convolve(*args)
-        monkeypatch.setattr(laurent, "_power_sum", recorded_sum)
-        monkeypatch.setattr(laurent, "_convolve", recorded_product)
+    def test_tasks_never_scan(self, monkeypatch):
+        # one run of every task makes all its series by arithmetic, so no
+        # list of it is ever scanned
         calls = count_checks(monkeypatch)
-        rng = random.Random(9)
-        for ring in CHECK_RINGS:
-            x = kernel_series(rng, ring, 16, "units", lo_min=0)
-            w = LaurentSeries.from_terms(ring, {0: 1, 1: ring.random_unit(rng),
-                                                2: ring.random(rng)}, 16)
-            for run, sums in ((x.inv, 1),
-                              (lambda: eth_root_one_unit(w, 2 if ring.p != 2
-                                                         else 3), 2)):
-                del fixed[:], products[:], calls[:]
-                run()
-                assert len(fixed) == sums and len(products) > 3 * sums
-                assert len(calls) == sums
-                assert all(c is h for c, h in zip(calls, fixed))
+        for task in TASKS:
+            run_config({"task": task, "count": 1, "v_terms": {"1": 1},
+                        "ring": {"kind": "cyclotomic", "p": 3, "a": 2}},
+                       window=16, seed=0)
+        assert calls == []

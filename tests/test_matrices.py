@@ -321,7 +321,7 @@ def oracle_matrix(rng, ring, nrows, ncols):
 
 def unreduced(rng, base, bad):
     """A dense series on [0, 6) whose coordinate at a random place is bad,
-    built without reduction."""
+    through the constructor, which refuses a coordinate outside [0, q)."""
     coords = [list(base.random_unit(rng))] + [list(base.random(rng))
                                               for _ in range(5)]
     coords[rng.randrange(6)][rng.randrange(base.f)] = bad
@@ -376,31 +376,22 @@ class TestProductOracle:
     @pytest.mark.parametrize("ring", ORACLE_RINGS,
                              ids=lambda r: f"q{r.base.q}-f{r.base.f}")
     def test_unreduced_coordinate_raises(self, ring):
+        # an entry with a coordinate outside [0, q) would carry into its
+        # neighbour's slot in a packed dot product, so the series
+        # constructor refuses it
         q = ring.base.q
         for seed in range(24):
-            def build():
-                # a bad entry in a, and half the time one in b as well,
-                # so the order of the checks decides the error
-                rng = random.Random(seed)
-                pair = []
-                for bad in (1, rng.randrange(2)):
-                    rows = [list(r) for r in
-                            oracle_matrix(rng, ring, 2, 2).rows]
-                    if bad:
-                        rows[rng.randrange(2)][rng.randrange(2)] = \
-                            unreduced(rng, ring.base,
-                                      rng.choice((q, q + 1, -1)))
-                    pair.append(SeriesMatrix(ring, rows))
-                return pair
-            assert outcome(SeriesMatrix.__mul__, *build()) == \
-                outcome(chain_product, *build())
-        # a dense partner: the entry is packed, so it must raise
-        for bad, error in ((q, PhigammaError), (-1, OverflowError)):
-            x = unreduced(random.Random(1), ring.base, bad)
-            a = SeriesMatrix(ring, [[ring.one(), x]])
-            b = SeriesMatrix(ring, [[ring.variable()], [ring.variable()]])
-            with pytest.raises(error):
-                a * b
+            rng = random.Random(seed)
+            bad = rng.choice((q, q + 1, -1))
+            with pytest.raises((PhigammaError, OverflowError)) as info:
+                unreduced(rng, ring.base, bad)
+            if bad < 0:
+                assert type(info.value) is OverflowError
+                assert str(info.value) == f"coordinate {bad} is negative"
+            else:
+                assert type(info.value) is PhigammaError
+                assert str(info.value) == \
+                    f"coordinate {bad} is not reduced mod {q}"
 
 
 class TestGaussJordanOracle:
@@ -543,16 +534,17 @@ class TestSolvers:
         g = SeriesMatrix(R2, [[R2.one(), R2.series({3: 1})],
                               [R2.zero(), R2.one()]])
         h = solve_h(g, x, PARAMS2)
-        g2 = solve_g(h, x, PARAMS2)
+        g2, y = solve_g(h, x, PARAMS2)
         t = min(g2.hi, g.hi)
         assert g2.truncate(t).agrees(g.truncate(t))
-        assert (twisted_conj(x, g2) - h.inv() * x).is_zero()
+        assert y.key() == (h.inv() * x).key()
+        assert (twisted_conj(x, g2) - y).is_zero()
 
     def test_identity_cases(self):
         x = diag_x(R2)
         I = SeriesMatrix.identity(R2, 2)
         assert solve_h(I, x, PARAMS2).is_identity()
-        assert solve_g(I, x, PARAMS2).is_identity()
+        assert solve_g(I, x, PARAMS2)[0].is_identity()
 
     def test_precondition_rejected(self):
         x = diag_x(R2)
@@ -596,8 +588,9 @@ class TestSolvers:
         x = diag_x(R9, rng)
         g0 = rand_uni(rng, R9, 2, PARAMS9.n_cong, spread=3)
         h = solve_h(g0, x, PARAMS9)
-        g2 = solve_g(h, x, PARAMS9)
-        assert (twisted_conj(x, g2) - h.inv() * x).is_zero()
+        g2, y = solve_g(h, x, PARAMS9)
+        assert y.key() == (h.inv() * x).key()
+        assert (twisted_conj(x, g2) - y).is_zero()
         t = min(g2.hi, g0.hi)
         assert g2.truncate(t).agrees(g0.truncate(t))
 
@@ -616,6 +609,14 @@ class TestSolvers:
              R9.one()]])
         assert not (twisted_conj(x, g0 * pert) - h.inv() * x).is_zero()
 
+
+
+def solved_g(h, x, params):
+    """The g of solve_g, once the y it hands back is checked to be
+    h^-1 x."""
+    g, y = solve_g(h, x, params)
+    assert y.key() == (h.inv() * x).key()
+    return g
 
 
 def conj_each_solve_g(h, x, params, max_iter=64):
@@ -716,7 +717,7 @@ class TestConjugationIdentities:
                                      spread=3), x, PARAMS9)
             except PhigammaError:
                 continue
-            assert outcome(solve_g, h, x, PARAMS9) == \
+            assert outcome(solved_g, h, x, PARAMS9) == \
                 outcome(conj_each_solve_g, h, x, PARAMS9)
 
     def test_solve_g_inverts_only_x_and_h(self, monkeypatch):
