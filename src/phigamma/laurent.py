@@ -83,7 +83,10 @@ window rules above are unchanged.  A product with a monomial, a factor
 with exactly one nonzero coefficient on its window, skips the kernel:
 it is the other factor's list cut to the product window and scaled by
 that coefficient, under the same window rule.  Likewise the inverse of
-a monomial is written down, not summed.
+a monomial is written down, not summed, and so is each power of a
+one-term h in `_power_sum`: h^k = c^k u^(k lo(h)) is one coefficient
+product per step, as for the inverse of a binomial c_d u^d + c u^(d+j)
+or the root of 1 + c u^j.
 
 Series are values.  Nothing writes into a series' flat list once the
 series owns it (`_series` takes the list over, and every operation
@@ -601,15 +604,21 @@ def _power_sum(ring, h_lo, hs, hi, kmax, coeff):
 
     The running power h^k is one product with h per step, cut at hi; the
     sum stops early once that power is zero below hi.  The packing of hs
-    is kept for the whole loop."""
+    is kept for the whole loop.  When h is one term c u^h_lo, h^k is the
+    one term c^k u^(k h_lo), and the step is the coefficient product
+    c^(k-1) * c, with the same stops: at c^k = 0 or at k h_lo >= hi."""
     f, q = ring.f, ring.q
     kept = {}
+    c = None if any(islice(hs, f, None)) else hs[:f]
     acc_lo, acc = 0, list(ring.one)
     res_lo, res = 0, list(ring.one) + [0] * ((hi - 1) * f)
     for k in range(1, kmax + 1):
         lo = acc_lo + h_lo
-        acc_lo, acc = _strip(f, lo, _convolve(ring, acc, hs, hi - lo, {},
-                                              kept))
+        if c is None:
+            acc = _convolve(ring, acc, hs, hi - lo, {}, kept)
+        else:
+            acc = list(ring.mul(acc, c)) if lo < hi else []
+        acc_lo, acc = _strip(f, lo, acc)
         if not acc:
             break
         b = coeff(k) % q
@@ -776,7 +785,13 @@ def _packed_sum(ring, packed, hi, nb):
 def _power(g, n, cache):
     """g^n for any integer n, by binary powering on |n| with memoization
     in cache, keyed by n; g^-1 is g.inv(), so a negative n powers the
-    inverse of g, and g^0 is 1 on the window of g."""
+    inverse of g, and g^0 is 1 on the window of g.
+
+    An even power is the square of the half power, and an odd power
+    g^(2k+1) is g^(2k) * g: the chain (g^k)^2 * g of binary powering, so
+    the same products in the same order, with the square g^(2k) kept in
+    cache too.  A run of consecutive powers then costs one product per
+    power."""
     if n in cache:
         return cache[n]
     if n == 0:
@@ -785,11 +800,11 @@ def _power(g, n, cache):
         val = g
     elif n == -1:
         val = g.inv()
-    else:
+    elif n % 2:
         sign = 1 if n > 0 else -1
-        half = _power(g, sign * (abs(n) // 2), cache)
+        val = _power(g, n - sign, cache) * _power(g, sign, cache)
+    else:
+        half = _power(g, n // 2, cache)
         val = half * half
-        if n % 2:
-            val = val * _power(g, sign, cache)
     cache[n] = val
     return val

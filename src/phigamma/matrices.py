@@ -267,20 +267,21 @@ def twisted_conj(x, g):
 
 
 def solve_h(g, x, params):
-    """The unique h in U_n with twisted_conj(x, g) = h^-1 * x.
+    """The unique h in U_n with twisted_conj(x, g) = h^-1 * x, returned
+    as the pair (h, c) with c = twisted_conj(x, g).
 
-    Computed directly: h^-1 = g^-1 * x * phi(g) * x^-1.
+    Computed directly: h^-1 = c * x^-1, c = g^-1 * x * phi(g).
     """
     params.check()
     if not g.in_Un(params.n_cong):
         raise PreconditionViolated("g is not in U_n")
     if not x.in_Vm(params.m):
         raise PreconditionViolated("x is not in V_m")
-    h_inv = twisted_conj(x, g) * x.inv()
-    h = h_inv.inv()
+    c = twisted_conj(x, g)
+    h = (c * x.inv()).inv()
     if not h.in_Un(params.n_cong):
         raise PreconditionViolated("solved h left U_n; certificate too weak")
-    return h
+    return h, c
 
 
 def solve_g(h, x, params, max_iter=64):

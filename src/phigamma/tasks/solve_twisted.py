@@ -2,15 +2,14 @@
 solvers `solve_h` and `solve_g`, and the uniqueness of their answer.
 
 Both checks compare against y = h^-1 x, which `solve_g` forms and hands
-back.  The
-uniqueness check conjugates by g0 * pert through the identity
+back.  The uniqueness check conjugates by g0 * pert through the identity
 
     twisted_conj(x, g0 * pert) = pert^-1 * twisted_conj(x, g0) * phi(pert),
 
 which holds because phi is multiplicative and (g0 pert)^-1 =
 pert^-1 g0^-1.  pert is unipotent with one monomial entry, so its
-inverse is cheap, and g0's inverse and phi image are those that `solve_h`
-already formed and the ring keeps."""
+inverse is cheap, and twisted_conj(x, g0) is the product that `solve_h`
+already formed and hands back."""
 
 from . import SHORTFALLS, _filtration_params, _param, _shortfalls
 
@@ -37,7 +36,7 @@ def run_solve_twisted(ring, cfg, rng, max_iter=64):
             # perturbation's at n_cong to n_cong + 3, so a small window
             # can end below them
             g0 = rand_uni(rng, ring, n, params.n_cong, spread=3)
-            h = solve_h(g0, x, params)
+            h, c = solve_h(g0, x, params)
             g2, y = solve_g(h, x, params, max_iter=max_iter)
             resid = twisted_conj(x, g2) - y
             good = resid.is_zero()
@@ -49,8 +48,8 @@ def run_solve_twisted(ring, cfg, rng, max_iter=64):
                     {params.n_cong + rng.randrange(4): 1 + rng.randrange(
                         ring.base.q - 1)})
                 pert = SeriesMatrix(ring, rows)
-                unique = not (pert.inv() * twisted_conj(x, g0) *
-                              pert.apply_phi() - y).is_zero()
+                unique = not (pert.inv() * c * pert.apply_phi() -
+                              y).is_zero()
         except SHORTFALLS as exc:
             shortfalls.append({"instance": idx, "error": str(exc),
                                "class": type(exc).__name__})

@@ -119,7 +119,7 @@ def crit_solver(s):
         rows[0][n - 1] = rows[0][n - 1] + ring.series({0: rng.randrange(q)})
         x = SeriesMatrix(ring, rows)
         g0 = rand_uni(rng, ring, n, depth=3, spread=3)
-        h = solve_h(g0, x, params)
+        h = solve_h(g0, x, params)[0]
         g2 = solve_g(h, x, params)[0]
         ok = (twisted_conj(x, g2) - h.inv() * x).is_zero()
         t = min(g2.hi, g0.hi)

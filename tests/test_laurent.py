@@ -565,6 +565,20 @@ def compose_target(rng, ring):
     return LaurentSeries.from_terms(ring, terms, hi)
 
 
+def one_term(rng, ring):
+    """(d, j, c): a degree d in [0, 3), an offset j in 1..12, or in -3..-1
+    when the ring has nilpotents, and a nonzero c, nilpotent when j < 0."""
+    d = rng.randrange(3)
+    j = rng.choice([k for k in range(-3 if ring.a > 1 else 1, 13) if k])
+    if j < 0 or (ring.a > 1 and rng.random() < 0.3):
+        return d, j, ring.smul(ring.p, ring.random_unit(rng))
+    return d, j, ring.random_unit(rng)
+
+
+def kernel_tripwire(*args):
+    raise AssertionError("a one-term power sum reached the product kernel")
+
+
 class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(seeds)
@@ -638,6 +652,39 @@ class TestKernel:
             w = LaurentSeries.from_terms(ring, terms, hi)
             e = rng.choice([k for k in (1, 2, 3, 4, 5) if k % ring.p])
             assert got(eth_root_one_unit(w, e)) == ref_root(w, e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds)
+    def test_inv_one_term(self, seed):
+        # x = c_d u^d + c u^(d+j): -w = -c_d^-1 c u^j is one term, so the
+        # geometric sum is written down term by term and never reaches the
+        # product kernel.  c_d is an integer, since scaling by a constant
+        # off the integers at f > 1 is itself a kernel product
+        rng = random.Random(seed)
+        for ring in ROOT_RINGS:
+            d, j, c = one_term(rng, ring)
+            hi = d + max(j, 0) + rng.randrange(1, 12)
+            cd = ring.from_int(rng.randrange(ring.q // ring.p) * ring.p +
+                               rng.randrange(1, ring.p))
+            x = LaurentSeries.from_terms(ring, {d: cd, d + j: c}, hi)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(laurent, "_convolve", kernel_tripwire)
+                assert outcome(x.inv) == ref_inv(x)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds)
+    def test_eth_root_one_term(self, seed):
+        # w = 1 + c u^j: the binomial sum in c u^j and the geometric sum of
+        # w's inverse are both written down term by term
+        rng = random.Random(seed)
+        for ring in ROOT_RINGS:
+            _, j, c = one_term(rng, ring)
+            w = LaurentSeries.from_terms(ring, {0: 1, j: c},
+                                         max(j, 0) + rng.randrange(1, 12))
+            for e in (k for k in (1, 2, 3, 4, 5) if k % ring.p):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(laurent, "_convolve", kernel_tripwire)
+                    assert got(eth_root_one_unit(w, e)) == ref_root(w, e)
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
@@ -918,17 +965,49 @@ class TestKernel:
         # the powers formed before it stay in the cache
         assert set(cache) == {1}
 
+    @pytest.mark.parametrize("ring", [KERNEL_RINGS[i] for i in (0, 4, 5, 9)],
+                             ids=lambda r: f"p{r.p}-a{r.a}-f{r.f}")
+    def test_power_run_forms_each_power_once(self, monkeypatch, ring):
+        # g^2, g^3, ..., g^40 asked for in turn from one cache: an odd
+        # power is the kept even power times g, an even one the square of
+        # a kept power, so each costs one product; g^-2 ... g^-40 cost the
+        # same products of g^-1 and one inverse
+        rng = random.Random(ring.q)
+        g = LaurentSeries.from_terms(
+            ring, {e: ring.random_unit(rng) for e in range(-1, 9)}, 9)
+        calls = {"mul": 0, "inv": 0}
+        mul, inv = LaurentSeries.__mul__, LaurentSeries.inv
+
+        def counted_mul(x, y):
+            calls["mul"] += 1
+            return mul(x, y)
+
+        def counted_inv(x):
+            calls["inv"] += 1
+            return inv(x)
+
+        monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
+        monkeypatch.setattr(LaurentSeries, "inv", counted_inv)
+        for sign in (1, -1):
+            cache = {}
+            calls.update(mul=0, inv=0)
+            for n in range(2, 41):
+                _power(g, sign * n, cache)
+            assert calls == {"mul": 39, "inv": int(sign < 0)}
+
     @settings(max_examples=20, deadline=None)
     @given(seeds)
     def test_signed_power(self, seed):
-        # every power in [-8, 8], from a fresh cache and from one cache
-        # shared by all of them, against the powers of g.inv()
+        # every power in [-24, 24], from a fresh cache and from one cache
+        # shared by all of them, against the powers of g.inv(); the random
+        # order asks for some odd powers after their even neighbour and
+        # some before it
         rng = random.Random(seed)
         for ring in ROOT_RINGS:
             hi = rng.randrange(1, 16 if ring.a < 21 else 8)
             g = kernel_series(rng, ring, hi, rng.choice(KINDS), lo_min=-2)
             shared = {}
-            for n in rng.sample(range(-8, 9), 17):
+            for n in rng.sample(range(-24, 25), 49):
                 want = compose_outcome(lambda: ref_power(g, n))
                 assert compose_outcome(lambda: _power(g, n, {})) == want
                 assert compose_outcome(lambda: _power(g, n, shared)) == want

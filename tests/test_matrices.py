@@ -525,15 +525,26 @@ class TestSolvers:
         x = diag_x(R2)
         g = SeriesMatrix(R2, [[R2.one(), R2.series({3: 1})],
                               [R2.zero(), R2.one()]])
-        h = solve_h(g, x, PARAMS2)
+        h = solve_h(g, x, PARAMS2)[0]
         assert dict(h.entry(0, 1).terms()) == {3: (1,), 5: (1,)}
         assert h.entry(0, 0).coeff(0) == (1,) and h.entry(1, 0).is_zero()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_h_returns_the_conjugate(self, seed):
+        # the second value is twisted_conj(x, g), windows included, and
+        # h^-1 * x is the same product
+        rng = random.Random(seed)
+        x = diag_x(R9, rng)
+        g0 = rand_uni(rng, R9, 2, PARAMS9.n_cong, spread=3)
+        h, c = solve_h(g0, x, PARAMS9)
+        assert c.key() == twisted_conj(x, g0).key()
+        assert (c - h.inv() * x).is_zero()
 
     def test_solve_g_frozen_round_trip(self):
         x = diag_x(R2)
         g = SeriesMatrix(R2, [[R2.one(), R2.series({3: 1})],
                               [R2.zero(), R2.one()]])
-        h = solve_h(g, x, PARAMS2)
+        h = solve_h(g, x, PARAMS2)[0]
         g2, y = solve_g(h, x, PARAMS2)
         t = min(g2.hi, g.hi)
         assert g2.truncate(t).agrees(g.truncate(t))
@@ -543,7 +554,7 @@ class TestSolvers:
     def test_identity_cases(self):
         x = diag_x(R2)
         I = SeriesMatrix.identity(R2, 2)
-        assert solve_h(I, x, PARAMS2).is_identity()
+        assert solve_h(I, x, PARAMS2)[0].is_identity()
         assert solve_g(I, x, PARAMS2)[0].is_identity()
 
     def test_precondition_rejected(self):
@@ -587,7 +598,7 @@ class TestSolvers:
         rng = random.Random(seed)
         x = diag_x(R9, rng)
         g0 = rand_uni(rng, R9, 2, PARAMS9.n_cong, spread=3)
-        h = solve_h(g0, x, PARAMS9)
+        h = solve_h(g0, x, PARAMS9)[0]
         g2, y = solve_g(h, x, PARAMS9)
         assert y.key() == (h.inv() * x).key()
         assert (twisted_conj(x, g2) - y).is_zero()
@@ -602,7 +613,7 @@ class TestSolvers:
         g0 = SeriesMatrix(R9, [
             [R9.one(), R9.series({PARAMS9.n_cong: 1 + rng.randrange(8)})],
             [R9.zero(), R9.one()]])
-        h = solve_h(g0, x, PARAMS9)
+        h = solve_h(g0, x, PARAMS9)[0]
         pert = SeriesMatrix(R9, [
             [R9.one(), R9.zero()],
             [R9.series({PARAMS9.n_cong + rng.randrange(5): 1 + rng.randrange(8)}),
@@ -672,7 +683,7 @@ class TestConjugationIdentities:
             rng = random.Random(seed)
             x = diag_x(ring, rng)
             g0 = rand_uni(rng, ring, 2, PARAMS9.n_cong, spread=3)
-            h = solve_h(g0, x, PARAMS9)
+            h = solve_h(g0, x, PARAMS9)[0]
             y = h.inv() * x
             xi = twisted_conj(x, rand_uni(rng, ring, 2, PARAMS9.n_cong,
                                           spread=3))
@@ -714,7 +725,7 @@ class TestConjugationIdentities:
             x = diag_x(ring, rng)
             try:
                 h = solve_h(rand_uni(rng, ring, 2, PARAMS9.n_cong,
-                                     spread=3), x, PARAMS9)
+                                     spread=3), x, PARAMS9)[0]
             except PhigammaError:
                 continue
             assert outcome(solved_g, h, x, PARAMS9) == \
@@ -726,7 +737,7 @@ class TestConjugationIdentities:
         rng = random.Random(0)
         x = diag_x(R9, rng)
         h = solve_h(rand_uni(rng, R9, 2, PARAMS9.n_cong, spread=3), x,
-                    PARAMS9)
+                    PARAMS9)[0]
         monkeypatch.setattr(R9, "_inverses", {})
         depths = []
         depth = SeriesMatrix.congruence_depth
