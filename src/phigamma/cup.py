@@ -41,7 +41,6 @@ from .errors import (BadComposition, BadWitness, InsufficientWindow,
 from .framed import Cochain, FramedModule, commutation_residual, pattern_ok
 from .herr import HerrComplex
 from .matrices import SeriesMatrix
-from .verdicts import holds, inconclusive
 
 
 class ParabolicData:
@@ -236,25 +235,15 @@ def mu(data, i, M_i, Phi_lift, Gam_lift):
 
 def check_mu_well_defined(data, i, M_i, lifts_a, lifts_b, depth=4):
     """The classes of two lifts differ by a coboundary of the adjoint
-    complex; exhibits the witness via the windowed coboundary search.
-
-    Found -> Holds; a missed search is Inconclusive with the window
-    parameters, never a failure.
+    complex: the CoboundaryResult of the windowed coboundary search on
+    their difference.  A found witness shows it; a miss decides
+    nothing, and is never a failure.
     """
     cls_a = mu(data, i, M_i, *lifts_a)
     cls_b = mu(data, i, M_i, *lifts_b)
     diff = Cochain(2, tuple(pa - pb for pa, pb in
                             zip(cls_a.rep.parts, cls_b.rep.parts)))
-    res = cls_a.complex.try_coboundary(diff, depth)
-    if res.found:
-        return holds("mu-well-defined",
-                     "difference of lift classes is a coboundary",
-                     window=cls_a.complex.ring.window,
-                     sub_window=res.sub_window,
-                     witness=res.witness.to_json())
-    return inconclusive("mu-well-defined",
-                        f"no coboundary witness in window ({res.detail})",
-                        window=cls_a.complex.ring.window, depth=depth)
+    return cls_a.complex.try_coboundary(diff, depth)
 
 
 def _check_vanishes(mat, certified, message):

@@ -34,23 +34,16 @@ def _poly_trim(c):
     return c
 
 
-def _poly_divmod_p(a, b, p):
-    # b must be nonzero; works over the field F_p
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, -1, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and _poly_trim(a):
-        da = len(a) - 1
-        coef = (a[-1] * inv_lb) % p
-        q[da - db] = coef
+def _poly_mod_p(a, b, p):
+    # the remainder of a by b over the field F_p; b must be nonzero
+    a, db = _poly_trim(a), len(b) - 1
+    inv_lb = pow(b[-1], -1, p)
+    while len(a) > db:
+        shift, coef = len(a) - 1 - db, (a[-1] * inv_lb) % p
         for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-        a = _poly_trim(a) or [0]
-        if a == [0]:
-            a = []
-            break
-    return _poly_trim(q), _poly_trim(a)
+            a[shift + i] = (a[shift + i] - coef * b[i]) % p
+        a = _poly_trim(a)
+    return a
 
 
 def _poly_irreducible_p(m, p):
@@ -61,8 +54,7 @@ def _poly_irreducible_p(m, p):
     for d in range(1, f // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             g = list(tail) + [1]
-            _, r = _poly_divmod_p(m, g, p)
-            if not r:
+            if not _poly_mod_p(m, g, p):
                 return False
     return True
 
@@ -90,7 +82,7 @@ class CoeffRing:
         self.q = p ** a
         self.modulus = _first_irreducible(p, f)
         self.zero = (0,) * f
-        self.one = ((1,) + (0,) * (f - 1)) if f >= 1 else ()
+        self.one = (1,) + (0,) * (f - 1)
         self._red = self._reduction_rows()
         self._frob_cols = None
 

@@ -31,17 +31,23 @@ from .framed import Cochain, commutation_residual, pattern_ok
 from .laurent import LaurentSeries
 from .linalg import solve_mod_prime_power
 from .matrices import SeriesMatrix
-from .verdicts import fails, holds
 
 KINDS = ("plain", "framed", "adjoint")
 
 
 class CoboundaryResult:
-    def __init__(self, found, witness=None, detail="", sub_window=None):
+    """What a coboundary search found: whether it found a witness z,
+    the witness, and the sub-window below which d(z) = c is certified."""
+
+    def __init__(self, found, witness=None, sub_window=None):
         self.found = found
         self.witness = witness
-        self.detail = detail
         self.sub_window = sub_window
+
+
+def _entries(cochain):
+    """The entries of the cochain in cochain order (part, row, column)."""
+    return [e for part in cochain.parts for row in part.rows for e in row]
 
 
 class HerrComplex:
@@ -114,14 +120,13 @@ class HerrComplex:
         return self.d0(c) if c.degree == 0 else self.d1(c)
 
     def is_cocycle(self, c):
+        """True in degree 2, the top degree; in degree 1, whether d1(c)
+        vanishes on its window."""
         if c.degree == 2:
-            return holds("is-cocycle", "top degree")
+            return True
         if c.degree != 1:
             raise ValueError("cocycle test applies to degree 1 or 2")
-        resid = self.d1(c).parts[0]
-        if resid.is_zero():
-            return holds("is-cocycle", window=resid.hi)
-        return fails("is-cocycle", "d1 does not vanish", window=resid.hi)
+        return self.d1(c).parts[0].is_zero()
 
     # -- windowed coboundary search -------------------------------------------
 
@@ -186,8 +191,7 @@ class HerrComplex:
         nr, nc = self.part_shape()
         z = Cochain(degree, tuple(SeriesMatrix.zero(self.ring, nr, nc)
                                   for _ in range(self.n_parts(degree))))
-        return [e for part in self.d(z).parts for row in part.rows
-                for e in row]
+        return _entries(self.d(z))
 
     def _block_images(self, ops, sign, zero, monos):
         """zero + sign * B(c) for the block B with the given (op, L, R)
@@ -251,23 +255,19 @@ class HerrComplex:
         """The linear system d(z) = target for z a combination of the
         monomial cochains supported on exponents [z_lo, z_hi).
 
-        Returns (keys, hi_map, A, rhs): column t of A is the image of the
+        Returns (keys, cuts, A, rhs): column t of A is the image of the
         monomial cochain keys[t] (see `_column_images`), and the
         equations are the coefficients of each target entry from a common
-        floor up to its cutoff in hi_map.  The cutoff of an entry is the
-        least window among the target entry and the image entries at its
-        position; the floor is the least nonzero image exponent, or z_lo
-        when that is lower."""
+        floor up to its cutoff, cuts listing them in cochain order.  The
+        cutoff of an entry is the least window among the target entry and
+        the image entries at its position; the floor is the least nonzero
+        image exponent, or z_lo when that is lower."""
         degree = target.degree - 1
         keys, images = self._column_images(degree, z_lo, z_hi)
-        positions = [(p_idx, i, j) for p_idx, part in enumerate(target.parts)
-                     for i in range(part.nrows) for j in range(part.ncols)]
-        entries = [e for part in target.parts for row in part.rows
-                   for e in row]
+        entries = _entries(target)
         cuts = [e.hi for e in entries]
         for im in images:
             cuts = [min(h, e.hi) for h, e in zip(cuts, im)]
-        hi_map = dict(zip(positions, cuts))
         # the equation floor must cover every exact image coefficient,
         # or a spurious solution can hide uncancelled terms below it
         eq_lo = min([z_lo] + [e.lo for im in images for e in im
@@ -275,27 +275,20 @@ class HerrComplex:
         rhs = _window_coords(entries, eq_lo, cuts)
         cols = [_window_coords(im, eq_lo, cuts) for im in images]
         A = [list(row) for row in zip(*cols)] if cols else [[] for _ in rhs]
-        return keys, hi_map, A, rhs
+        return keys, cuts, A, rhs
 
     def _attempt_coboundary(self, c, z_lo, z_hi):
-        keys, hi_map, A, rhs = self._windowed_system(c, z_lo, z_hi)
+        keys, cuts, A, rhs = self._windowed_system(c, z_lo, z_hi)
         base = self.ring.base
         sol = solve_mod_prime_power(A, rhs, base.p, base.a)
         if sol is None:
-            return CoboundaryResult(False, detail="no windowed solution")
+            return CoboundaryResult(False)
         z = self._combination(c.degree - 1, keys, sol)
-        diff = self.d(z)
-        for p_idx, part in enumerate(diff.parts):
-            for i in range(part.nrows):
-                for j in range(part.ncols):
-                    h = hi_map[(p_idx, i, j)]
-                    r = part.entry(i, j) - c.parts[p_idx].entry(i, j)
-                    if r.hi < h or not r.truncate(h).is_zero():
-                        return CoboundaryResult(
-                            False,
-                            detail="windowed solution failed re-verification")
-        return CoboundaryResult(True, witness=z,
-                                sub_window=min(hi_map.values()))
+        for dz, x, h in zip(_entries(self.d(z)), _entries(c), cuts):
+            r = dz - x
+            if r.hi < h or not r.truncate(h).is_zero():
+                return CoboundaryResult(False)
+        return CoboundaryResult(True, witness=z, sub_window=min(cuts))
 
     def _combination(self, degree, keys, sol):
         """The cochain sum of sol[t] times the monomial cochain keys[t]."""
@@ -326,23 +319,22 @@ class HerrComplex:
         the depths are tried once more with z reaching up to the largest
         entry window (at most the ring window).  A Found witness
         certifies d(z) = c on the reported sub-window (the smallest
-        per-entry exact range of the linear system); a miss is
-        inconclusive, never a vanishing disproof."""
+        per-entry exact range of the linear system); a miss,
+        CoboundaryResult(False), is inconclusive, never a vanishing
+        disproof."""
         if c.degree not in (1, 2):
             raise ValueError("coboundary search applies in degree 1 or 2")
-        entries = [e for part in c.parts for row in part.rows for e in row]
+        entries = _entries(c)
         exps = [e.lo for e in entries if not e.is_zero()]
         lo_c = min(exps) if exps else 0
         hi_c = min(e.hi for e in entries)
         hi_top = min(max(e.hi for e in entries), self.ring.window)
-        last = CoboundaryResult(False, detail="no windowed solution")
         for z_hi in (hi_c, hi_top) if hi_top > hi_c else (hi_c,):
             for d_try in range(depth + 1):
                 res = self._attempt_coboundary(c, min(lo_c, 0) - d_try, z_hi)
                 if res.found:
                     return res
-                last = res
-        return last
+        return CoboundaryResult(False)
 
 
 def _window_coords(entries, lo, cuts):
@@ -375,8 +367,7 @@ def ext_from_cocycle(complex_, xy):
     the framed 1-cocycle xy (see `_ext_blocks`)."""
     if complex_.kind != "framed":
         raise ValueError("extensions live over the framed complex")
-    check = complex_.is_cocycle(xy)
-    if check.status != "holds":
+    if not complex_.is_cocycle(xy):
         raise NotACocycle("the pair (x, y) is not a framed 1-cocycle")
     return _ext_blocks(complex_, xy)
 

@@ -650,7 +650,7 @@ def eth_root_one_unit(w, e):
     p, a, q, f = ring.p, ring.a, ring.q, ring.f
     if e < 1 or math.gcd(e, p) != 1:
         raise BadIndex(f"root index {e} is not prime to p = {p}")
-    if w.coeff(0) != ring.one and not ring.is_nilpotent(ring.sub(w.coeff(0), ring.one)):
+    if not ring.is_nilpotent(ring.sub(w.coeff(0), ring.one)):
         raise NotPrincipalForm("constant term is not 1 + nilpotent")
     hs = list(w._flat)
     hs[-w.lo * f] = (hs[-w.lo * f] - 1) % q

@@ -112,7 +112,8 @@ class PeriodRing:
         self.phi = phi
         self.gamma = gamma
         self.galois = galois or GaloisGroup([])
-        self.parent = parent  # (base PeriodRing, coeff embedding fn) or None
+        # (base PeriodRing, coefficient embedding, series embedding) or None
+        self.parent = parent
         # SeriesMatrix.inv's memo: matrix value -> inverse, or the class
         # and message of the error its inversion raised
         self._inverses = {}

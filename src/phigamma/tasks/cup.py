@@ -12,7 +12,7 @@ def run_cup(ring, cfg, rng):
     from ..framed import FramedModule, commutation_residual
     from ..matrices import SeriesMatrix
     from ..samplers import diag_const, rand_lift
-    from ..verdicts import HOLDS, fails, holds, inconclusive
+    from ..verdicts import fails, holds, inconclusive
     _check_cup_ring(ring)
     count = _param(cfg, "count", 10, least=1)
     depth = _param(cfg, "depth", 4, least=0)
@@ -64,15 +64,16 @@ def run_cup(ring, cfg, rng):
         for data, i, M, cells in ((d2, 1, M2, ((0, 1),)),
                                   (d3, 2, M3, ((0, 1), (1, 2)))):
             try:
-                v = check_mu_well_defined(data, i, M, rand_lift(rng, M, cells),
-                                          rand_lift(rng, M, cells), depth)
+                same = check_mu_well_defined(
+                    data, i, M, rand_lift(rng, M, cells),
+                    rand_lift(rng, M, cells), depth)
             except SHORTFALLS as exc:
                 mu_short.append(type(exc).__name__)
                 continue
             except PhigammaError:
                 mu_failed += 1
                 continue
-            if v.status == HOLDS:
+            if same.found:
                 found += 1
             try:
                 cls = mu(data, i, M, *rand_lift(rng, M, cells))

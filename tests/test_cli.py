@@ -15,6 +15,7 @@ from phigamma.cli import (EXIT_FAILS, EXIT_HOLDS, EXIT_INCONCLUSIVE,
                           EXIT_USAGE, TASKS, build_ring, main, run_config)
 from phigamma.errors import ConfigError
 from phigamma.tasks.herr import revalidate_witness
+from phigamma.verdicts import FAILS, HOLDS
 
 CYC = {"kind": "cyclotomic", "p": 3, "a": 1, "window": 24}
 TAME_E2 = {"kind": "tame", "e": 2,
@@ -866,6 +867,67 @@ class TestNoTraceback:
             return
         code, _ = run_config(cfg, window=12)
         assert code in (EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE)
+
+
+# the verdicts of the doubling test below that change today, as
+# (window, seed) per ring: solve-twisted Fails that become Holds at twice
+# the window (ROADMAP item 1), and cup lift-step Holds that become
+# Inconclusive (ROADMAP item 6)
+SOLVE_FLIPS = {
+    "cyclotomic-p2-a3": ((6, 1), (7, 0), (7, 1), (8, 1), (8, 2), (9, 2)),
+    "cyclotomic-p3": ((6, 1), (7, 0), (7, 1), (7, 2), (8, 0), (8, 1),
+                      (8, 2)),
+    "cyclotomic-p5-f2": ((6, 2), (7, 0), (7, 1)),
+    "intro": ((6, 1), (7, 0), (7, 1), (7, 2), (8, 0), (8, 1), (8, 2)),
+    "tame-e2-p3": ((8, 0), (8, 1), (8, 2), (9, 0), (9, 1), (9, 2)),
+}
+LIFT_FLIPS = {"intro": ((10, 0), (10, 2), (11, 2)), "tame-e2-p3": ((8, 0),)}
+FLIPS = {
+    "solve-twisted": (SOLVE_FLIPS, "ROADMAP item 1: solve_g claims a window "
+                      "it does not have, a false Fails"),
+    "cup": (LIFT_FLIPS, "ROADMAP item 6: lift-step runs out of window at "
+            "twice the window"),
+}
+DOUBLING_TASKS = ("analyze-phi", "height-check", "solve-twisted", "herr",
+                  "cup", "descent-check")
+SEEDED = ("solve-twisted", "herr", "cup")
+
+
+def doubling_cases():
+    """(ring, task, window, seed) for each pair of the doubling test,
+    the known flips marked as strict xfails."""
+    for ring in sorted(BATTERY_RINGS):
+        for task in DOUBLING_TASKS:
+            flips, reason = FLIPS.get(task, ({}, ""))
+            for window in range(6, 13):
+                for seed in range(3) if task in SEEDED else (0,):
+                    marks = [pytest.mark.xfail(strict=True, reason=reason)] \
+                        if (window, seed) in flips.get(ring, ()) else []
+                    yield pytest.param(ring, task, window, seed, marks=marks,
+                                       id=f"{ring}/{task}/w{window}/s{seed}")
+
+
+class TestWindowDoubling:
+    """A verdict at window W and the same config and seed at 2W: a Holds
+    stays Holds, and a Fails stays Fails.  A Fails that turns into Holds
+    was a precision shortfall reported as a wrong answer.  The six
+    verdict tasks, count 1, at windows 6 to 12; a pair where either side
+    is a config error (cup on p = 2, the tame ring below window 8) has
+    nothing to compare."""
+
+    @pytest.mark.parametrize("ring,task,window,seed", list(doubling_cases()))
+    def test_verdicts_survive(self, ring, task, window, seed):
+        cfg = {"task": task, "ring": BATTERY_RINGS[ring], "count": 1,
+               "v_terms": {"1": 1}}
+        try:
+            small, large = (
+                {v["name"]: v["status"]
+                 for v in run_config(cfg, window=w, seed=seed)[1]["verdicts"]}
+                for w in (window, 2 * window))
+        except ConfigError as exc:
+            pytest.skip(f"config error: {exc}")
+        assert {name: (status, large[name]) for name, status in small.items()
+                if status in (HOLDS, FAILS) and large[name] != status} == {}
 
 
 # sha256, one per ring, of the canonical --json reports of solve-twisted,

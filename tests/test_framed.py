@@ -12,7 +12,6 @@ from phigamma.framed import (DescentDatum, FramedModule, change_basis,
 from phigamma.matrices import SeriesMatrix
 from phigamma.period import standard_cyclotomic, tame_extension
 from phigamma.samplers import rand_uni
-from phigamma.verdicts import HOLDS
 
 seeds = st.integers(0, 10**9)
 
@@ -90,7 +89,7 @@ class TestDescent:
     def test_canonical_datum(self):
         I = SeriesMatrix.identity(EXT, 1)
         M = FramedModule(EXT, I, I)
-        assert check_descent(M, DescentDatum.canonical(EXT, 1)).status == HOLDS
+        assert check_descent(M, DescentDatum.canonical(EXT, 1)) is None
 
     def test_base_change_datum(self):
         # h = v^-1 turns the trivial module into Phi' = v^2 with
@@ -102,7 +101,7 @@ class TestDescent:
         assert dict(M2.Phi.entry(0, 0).terms()) == {2: (1,)}
         D2 = descent_datum_after_change_basis(M, DescentDatum.canonical(EXT, 1), h)
         assert dict(D2.matrix("sigma_ram").entry(0, 0).terms()) == {0: (2,)}
-        assert check_descent(M2, D2).status == HOLDS
+        assert check_descent(M2, D2) is None
 
     def test_broken_datum(self):
         I = SeriesMatrix.identity(EXT, 1)
@@ -120,4 +119,4 @@ class TestDescent:
         ext2 = tame_extension(standard_cyclotomic(3, 1, window=10), 2, 2)
         I = SeriesMatrix.identity(ext2, 2)
         M = FramedModule(ext2, I, I)
-        assert check_descent(M, DescentDatum.canonical(ext2, 2)).status == HOLDS
+        assert check_descent(M, DescentDatum.canonical(ext2, 2)) is None

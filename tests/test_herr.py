@@ -19,7 +19,6 @@ from phigamma.matrices import SeriesMatrix
 from phigamma.period import (make_custom_ring, standard_cyclotomic,
                              tame_extension)
 from phigamma.samplers import rand_module, rand_uni, rand_vec
-from phigamma.verdicts import FAILS, HOLDS
 
 from tails import rand_cochain, rand_mat, truncated_zero, with_tail
 
@@ -54,14 +53,14 @@ class TestDifferentials:
             C = HerrComplex(M, kind)
             c = Cochain(1, (SeriesMatrix(R, [[R.one()]]),
                             SeriesMatrix.zero(R, 1, 1)))
-            assert C.is_cocycle(c).status == HOLDS
+            assert C.is_cocycle(c)
 
     def test_non_cocycle_detected(self):
         I = SeriesMatrix.identity(R, 1)
         C = HerrComplex(FramedModule(R, I, I), "plain")
         c = Cochain(1, (SeriesMatrix(R, [[R.variable()]]),
                         SeriesMatrix.zero(R, 1, 1)))
-        assert C.is_cocycle(c).status == FAILS
+        assert not C.is_cocycle(c)
 
 
 class TestCoboundarySearch:
@@ -113,9 +112,10 @@ class TestCoboundarySearch:
 
 
 def reference_system(C, target, z_lo, z_hi):
-    """(images, A, rhs, hi_map) of the coboundary system, built from the
+    """(images, A, rhs, cuts) of the coboundary system, built from the
     public differentials applied to every monomial cochain e_s * u^k;
-    images[t] lists the entries of the image of column t."""
+    images[t] lists the entries of the image of column t, and cuts the
+    equation cutoff of each target entry in cochain order."""
     ring, base = C.ring, C.ring.base
     W, f = ring.window, base.f
     nr, nc = C.part_shape()
@@ -135,8 +135,6 @@ def reference_system(C, target, z_lo, z_hi):
                             SeriesMatrix(ring, rows) for rows in parts)))
                         images.append([e for p in im.parts for row in p.rows
                                        for e in row])
-    keys = [(p, i, j) for p, part in enumerate(target.parts)
-            for i in range(part.nrows) for j in range(part.ncols)]
     entries = [e for part in target.parts for row in part.rows for e in row]
     cuts = [min([e.hi] + [im[t].hi for im in images])
             for t, e in enumerate(entries)]
@@ -150,7 +148,7 @@ def reference_system(C, target, z_lo, z_hi):
     rhs = coords(entries)
     cols = [coords(im) for im in images]
     A = [[col[r] for col in cols] for r in range(len(rhs))]
-    return images, A, rhs, dict(zip(keys, cuts))
+    return images, A, rhs, cuts
 
 
 def pole_module(rng, ring):
@@ -264,15 +262,15 @@ class TestSystemBuilder:
         # the zero cochain
         for z_hi in (min(e.hi for e in entries), ring.window,
                      ring.window + 1):
-            keys, hi_map, A, rhs = C._windowed_system(target, z_lo, z_hi)
-            ref_images, ref_A, ref_rhs, ref_hi = reference_system(
+            keys, cuts, A, rhs = C._windowed_system(target, z_lo, z_hi)
+            ref_images, ref_A, ref_rhs, ref_cuts = reference_system(
                 C, target, z_lo, z_hi)
             # every image entry, window included, not just the part of it
             # the equations read
             _, images = C._column_images(degree - 1, z_lo, z_hi)
             assert [[e.to_json() for e in im] for im in images] == \
                 [[e.to_json() for e in im] for im in ref_images]
-            assert hi_map == ref_hi
+            assert cuts == ref_cuts
             assert rhs == ref_rhs
             assert A == ref_A
 
@@ -444,7 +442,7 @@ class TestRestrictionDescent:
         up = restrict_to_E(EXT, c)
         # exponents double: the base variable is the square of the new one
         assert dict(up.parts[0].entry(0, 0).terms()) == {-2: (2,), 0: (1,), 6: (2,)}
-        assert check_invariance(EXT, up).status == HOLDS
+        assert check_invariance(EXT, up)
         down = descend_cochain(EXT, up)
         for pu, pd in zip(c.parts, down.parts):
             assert (pu - pd).is_zero()
@@ -452,7 +450,7 @@ class TestRestrictionDescent:
     def test_averaging_kills_odd_part(self):
         odd = Cochain(1, (SeriesMatrix(EXT, [[EXT.series({1: 1, 2: 2})]]),
                           SeriesMatrix(EXT, [[EXT.series({3: 1})]])))
-        assert check_invariance(EXT, odd).status == FAILS
+        assert not check_invariance(EXT, odd)
         av = descend_cochain(EXT, odd)
         assert dict(av.parts[0].entry(0, 0).terms()) == {1: (2,)}
         assert av.parts[1].entry(0, 0).is_zero()
@@ -463,7 +461,7 @@ class TestRestrictionDescent:
         coeff = tuple([0, 1] + [0] * (ext3.base.f - 2))
         moved = Cochain(1, (SeriesMatrix(ext3, [[ext3.series({0: coeff})]]),
                             SeriesMatrix(ext3, [[ext3.zero()]])))
-        assert check_invariance(ext3, moved).status == FAILS
+        assert not check_invariance(ext3, moved)
         with pytest.raises(AveragingUnavailable):
             descend_cochain(ext3, moved)
 

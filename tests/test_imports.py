@@ -1,7 +1,8 @@
 """Lint checks on the package source, with no dependency beyond the
 standard library: every name a module imports at module level is used
 in that module, every definition has a caller outside the tests, only
-the series constructor checks coordinates, and a run of every task
+the series constructor checks coordinates, only the front end, the
+analyzers and the task bodies build verdicts, and a run of every task
 enters every function and method."""
 
 import ast
@@ -208,6 +209,37 @@ def test_one_coordinate_check():
     assert [name for path in MODULES
             for name in readers(path.read_text(), "_check_reduced")] == [
         "LaurentSeries.__init__"]
+
+
+def imports_verdicts(source):
+    """Whether source imports `verdicts`, or a name from it, anywhere:
+    the task modules import the library inside their functions."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                (node.module or "").split(".")[-1] == "verdicts"
+                or any(a.name == "verdicts" for a in node.names)):
+            return True
+        if isinstance(node, ast.Import) and any(
+                a.name.split(".")[-1] == "verdicts" for a in node.names):
+            return True
+    return False
+
+
+def test_finds_a_verdict_import():
+    assert imports_verdicts("def f():\n    from ..verdicts import holds\n")
+    assert imports_verdicts("from . import errors, verdicts\n")
+    assert imports_verdicts("import phigamma.verdicts\n")
+    assert not imports_verdicts("from .errors import Verdicts\n")
+
+
+def test_only_the_report_layer_builds_verdicts():
+    """The report format has one owner: the front end, the analyzers and
+    the task bodies build verdicts, and every other module returns
+    values or raises."""
+    importers = [path.relative_to(PACKAGE) for path in MODULES
+                 if imports_verdicts(path.read_text())]
+    assert sorted(p.as_posix() for p in importers
+                  if p.parts[0] != "tasks") == ["analyzers.py", "cli.py"]
 
 
 def qualified_definitions(path):
