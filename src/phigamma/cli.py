@@ -91,8 +91,7 @@ def build_ring(desc, window=None):
 
 
 def task_ring_info(ring, cfg, rng):
-    return [holds("ring-info", repr(ring), window=ring.window,
-                  ring=ring.to_json())]
+    return [holds("ring-info", repr(ring), ring=ring.to_json())]
 
 
 def task_analyze_phi(ring, cfg, rng):
@@ -206,7 +205,9 @@ def run_config(cfg, window=None, seed=None, max_iter=None):
         "window": ring.window,
         "input_hash": hashlib.sha256(canon.encode()).hexdigest(),
         "ring": ring.to_json(),
-        "verdicts": [v.to_json() for v in verdicts],
+        # every reported verdict carries the ring window
+        "verdicts": [{**v.to_json(), "window": ring.window}
+                     for v in verdicts],
     }
     return exit_code_for(verdicts), report
 

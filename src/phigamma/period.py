@@ -15,8 +15,8 @@ commutation relations on the variable within the window and reject
 inconsistent data.
 """
 
-from .errors import (CommutationFails, NoRootOfUnity, NotGaloisCompatible,
-                     NotPrincipalForm)
+from .errors import (CommutationFails, InsufficientWindow, NoRootOfUnity,
+                     NotGaloisCompatible, NotPrincipalForm)
 from .galois_ring import hensel_root, make_ring, residue_root
 from .laurent import LaurentSeries, _power, compose, eth_root_one_unit
 
@@ -167,8 +167,22 @@ class PeriodRing:
     # -- contraction data -------------------------------------------------------
 
     def c_phi(self):
-        from .analyzers import contraction_constants
-        return contraction_constants(self)["c_phi"]
+        """The least c >= 0 with phi(power series) inside the u^-c
+        lattice."""
+        g = self.phi.image
+        if g.lo >= 0:
+            return 0
+        try:
+            d = g.unit_degree().d
+        except InsufficientWindow:
+            raise InsufficientWindow("phi image has no visible unit degree")
+        kbound = (self.base.a - 1) * (d - g.lo) + self.base.a + 1
+        c = 0
+        for k in range(1, kbound + 1):
+            gk = self.phi.image_power(k)
+            if not gk.is_zero():
+                c = max(c, -gk.lo)
+        return c
 
     def to_json(self):
         return {"p": self.base.p, "a": self.base.a, "f": self.base.f,
@@ -346,7 +360,7 @@ def tame_extension(base_ring, e, f_ext=1):
     ring = PeriodRing(ext, window_v, "v", base_ring.e * e, phi_op, gam_op,
                       galois=GaloisGroup(gens),
                       parent=(base_ring, embed, embed_series))
-    ring.gamma_exponent = getattr(base_ring, "gamma_exponent", None)
+    ring.gamma_exponent = base_ring.gamma_exponent
     return ring
 
 

@@ -1,6 +1,9 @@
 """The bodies of the command line tasks, one module per task, and what
 several of them share: reading task parameters, and the verdict of a
-step that ran out of window.
+step that ran out of window.  With `phigamma.cli` they are the report
+layer: the only code that builds verdicts, and code that no library
+module imports.  A task's verdicts leave the ring window out, since
+`cli.run_config` stamps it on every verdict it reports.
 
 `phigamma.cli` imports a task's module the first time the task runs, so
 a process compiles only the task it runs.  The task modules import the
@@ -114,16 +117,15 @@ def _class_names(names):
     return ", ".join(sorted(set(names)))
 
 
-def _shortfall(name, ring, exc):
+def _shortfall(name, exc):
     """The inconclusive verdict of a check that ran out of window."""
     cls = type(exc).__name__
-    return inconclusive(name, f"ran out of window: {cls}: {exc}",
-                        window=ring.window, error=cls)
+    return inconclusive(name, f"ran out of window: {cls}: {exc}", error=cls)
 
 
-def _shortfalls(name, ring, classes, what, **data):
+def _shortfalls(name, classes, what, **data):
     """The inconclusive verdict of a check whose `what` (a plural noun)
     ran out of window, raising errors of the given class names."""
     cls = _class_names(classes)
     return inconclusive(name, f"{len(classes)} {what} ran out of window: "
-                        f"{cls}", window=ring.window, error=cls, **data)
+                        f"{cls}", error=cls, **data)

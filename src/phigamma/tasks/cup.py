@@ -101,45 +101,39 @@ def run_cup(ring, cfg, rng):
     if lam_bad:
         out.append(fails("cup-lambda-identities",
                          f"{lam_bad} identity checks failed",
-                         window=ring.window, failures=lam_bad))
+                         failures=lam_bad))
     elif lam_short:
-        out.append(_shortfalls("cup-lambda-identities", ring, lam_short,
+        out.append(_shortfalls("cup-lambda-identities", lam_short,
                                "instances"))
     else:
         out.append(holds("cup-lambda-identities",
-                         f"both identities on {count} instances",
-                         window=ring.window))
+                         f"both identities on {count} instances"))
     if mu_failed:
-        out.append(fails("mu-well-defined", f"{mu_failed} errors",
-                         window=ring.window, **data))
+        out.append(fails("mu-well-defined", f"{mu_failed} errors", **data))
     elif mu_short:
         out.append(inconclusive(
             "mu-well-defined", f"{found}/{mu_total} witnessed; "
             f"{len(mu_short)} checks ran out of window: {data['error']}",
-            window=ring.window, **data))
+            **data))
     elif found == mu_total:
         out.append(holds("mu-well-defined", f"{found}/{mu_total} witnessed",
-                         window=ring.window, **data))
+                         **data))
     else:
         out.append(inconclusive("mu-well-defined",
-                                f"{found}/{mu_total} witnessed",
-                                window=ring.window, **data))
+                                f"{found}/{mu_total} witnessed", **data))
     if lift_ok + len(lift_short) < lift_total:
         out.append(fails("lift-step",
-                         f"{lift_total - lift_ok} corrected lifts invalid",
-                         window=ring.window))
+                         f"{lift_total - lift_ok} corrected lifts invalid"))
     elif draw_short:
-        out.append(_shortfalls("lift-step", ring, draw_short, "lifts"))
+        out.append(_shortfalls("lift-step", draw_short, "lifts"))
     elif lift_total == 0:
-        out.append(inconclusive("lift-step", "no witnessed lift to correct",
-                                window=ring.window))
+        out.append(inconclusive("lift-step", "no witnessed lift to correct"))
     elif lift_ok == lift_total:
         out.append(holds("lift-step",
-                         f"{lift_ok}/{lift_total} corrected lifts revalidate",
-                         window=ring.window))
+                         f"{lift_ok}/{lift_total} corrected lifts revalidate"))
     else:
         out.append(inconclusive(
             "lift-step", f"{len(lift_short)} corrected lifts revalidate "
-            "only below the certified sub-window", window=ring.window,
+            "only below the certified sub-window",
             sub_window=min(lift_short)))
     return out

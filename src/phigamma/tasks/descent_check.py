@@ -18,8 +18,7 @@ def run_descent_check(ring, cfg, rng):
     p, f = base.base.p, base.base.f
     if (p ** f - 1) % e:
         return [inconclusive("descent-check",
-                             f"no tame extension of degree {e} exists here",
-                             window=ring.window)]
+                             f"no tame extension of degree {e} exists here")]
     try:
         ext = tame_extension(base, e)
     except PhigammaError as exc:
@@ -29,7 +28,7 @@ def run_descent_check(ring, cfg, rng):
         return [inconclusive("descent-check",
                              f"cannot build the tame extension of degree "
                              f"{e} within the window: {name}: {exc}",
-                             window=ring.window, e=e, error=name)]
+                             e=e, error=name)]
     I = SeriesMatrix.identity(ext, 1)
     M = FramedModule(ext, I, I)
     try:
@@ -40,8 +39,7 @@ def run_descent_check(ring, cfg, rng):
             M, DescentDatum.canonical(ext, 1), h)
         check_descent(M2, D2)
     except PhigammaError as exc:
-        return [fails("descent-check", f"descent equations fail: {exc}",
-                      window=ring.window)]
+        return [fails("descent-check", f"descent equations fail: {exc}")]
     # restriction / invariance / averaging round trip
     c = Cochain(1, (SeriesMatrix(base, [[base.series({-1: 2, 1: 1})]]),
                     SeriesMatrix(base, [[base.series({0: 1})]])))
@@ -53,6 +51,5 @@ def run_descent_check(ring, cfg, rng):
     if inv_ok and round_ok:
         return [holds("descent-check",
                       "descent equations, invariance, and averaging "
-                      "round trip verified", window=ring.window, e=e)]
-    return [fails("descent-check", "restriction round trip failed",
-                  window=ring.window, e=e)]
+                      "round trip verified", e=e)]
+    return [fails("descent-check", "restriction round trip failed", e=e)]

@@ -59,7 +59,7 @@ def run_herr(ring, cfg, rng):
         data["witness_sample"] = witness_blob
     if exact_bad:
         return [fails("herr-suite", f"{exact_bad} exact identities failed",
-                      window=ring.window, **data)]
+                      **data)]
     if misses or unvalidated:
         why = []
         if misses:
@@ -67,10 +67,9 @@ def run_herr(ring, cfg, rng):
         if unvalidated:
             why.append(f"{unvalidated} random modules not invertible "
                        "within the window")
-        return [inconclusive("herr-suite", "; ".join(why),
-                             window=ring.window, **data)]
+        return [inconclusive("herr-suite", "; ".join(why), **data)]
     return [holds("herr-suite", "differentials and round trips verified",
-                  window=ring.window, **data)]
+                  **data)]
 
 
 def revalidate_witness(ring, blob):

@@ -65,12 +65,10 @@ def run_solve_twisted(ring, cfg, rng, max_iter=64):
     data = {"instances": count, "round_trips_ok": ok,
             "uniqueness_ok": uniq_ok, "failures": failures}
     if ok == count and uniq_ok == count:
-        return [holds("solve-twisted", f"{ok}/{count} round trips",
-                      window=ring.window, **data)]
+        return [holds("solve-twisted", f"{ok}/{count} round trips", **data)]
     if shortfalls and not failures and uniq_ok == ok:
-        return [_shortfalls("solve-twisted", ring,
+        return [_shortfalls("solve-twisted",
                             [s["class"] for s in shortfalls], "round trips",
                             shortfalls=shortfalls, **data)]
-    return [fails("solve-twisted",
-                  f"{count - ok} round trips failed", window=ring.window,
+    return [fails("solve-twisted", f"{count - ok} round trips failed",
                   **data)]

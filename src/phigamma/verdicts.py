@@ -1,8 +1,10 @@
-"""Three-valued verdicts shared by analyzers, solvers, and the CLI.
+"""Three-valued verdicts, built only by the report layer: the front end
+`cli` and the task bodies in `tasks`.
 
 A verdict is Holds, Fails, or Inconclusive.  Inconclusive means the
 tracked precision window was too small to decide; it is never conflated
-with Fails.
+with Fails.  A task's verdicts leave the window out: the front end
+stamps the ring window on each one it reports.
 """
 
 HOLDS = "holds"

@@ -12,7 +12,6 @@ import random
 import time
 from fractions import Fraction
 
-from phigamma.analyzers import check_height_theory, check_local_contraction
 from phigamma.cup import (ParabolicData, check_mu_well_defined, lambda_map,
                           lift_step, mu)
 from phigamma.framed import (Cochain, DescentDatum, FramedModule,
@@ -30,6 +29,8 @@ from phigamma.period import (make_custom_ring, one_plus_var_pow,
                              standard_cyclotomic, tame_extension)
 from phigamma.samplers import (diag_const, rand_lift, rand_module, rand_uni,
                                rand_vec)
+from phigamma.tasks.analyze_phi import check_local_contraction
+from phigamma.tasks.height_check import check_height_theory
 from phigamma.verdicts import HOLDS
 
 from tails import rand_cochain, rand_mat, truncated_zero

@@ -1,9 +1,10 @@
 """Lint checks on the package source, with no dependency beyond the
 standard library: every name a module imports at module level is used
 in that module, every definition has a caller outside the tests, only
-the series constructor checks coordinates, only the front end, the
-analyzers and the task bodies build verdicts, and a run of every task
-enters every function and method."""
+the series constructor checks coordinates, only the report layer (the
+front end and the task bodies) builds verdicts and no other module
+imports it, and a run of every task enters every function and method
+that is not kept for a reason that still holds."""
 
 import ast
 import json
@@ -23,8 +24,9 @@ BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
 
 # definitions that only the tests call, or that a run of every task on
 # the rings of `test_every_function_is_entered` does not enter, each kept
-# for the reason given; a method is named Class.method, and a name
-# covers every definition nested in it
+# for the reason given and only while that reason holds (see
+# `stale_kept`); a method is named Class.method, and a name covers every
+# definition nested in it
 KEPT = {
     "CoeffRing.random_unit": "acceptance criterion 9 draws the unit "
                              "coefficient of its substitution targets "
@@ -33,7 +35,6 @@ KEPT = {
                         "the benchmark's series workload",
     "SeriesMatrix.in_Lm_phi": "acceptance criterion 4 checks the "
                               "filtration L_m^phi with it",
-    "PeriodRing.c_phi": "the default constant of `in_Lm_phi`",
     "SeriesMatrix.scale": "scales in `in_Lm_phi` and in the averaging "
                           "branch of `descend_cochain`",
     "GaloisGroup.order": "the averaging branch of `descend_cochain`, "
@@ -211,35 +212,58 @@ def test_one_coordinate_check():
         "LaurentSeries.__init__"]
 
 
-def imports_verdicts(source):
-    """Whether source imports `verdicts`, or a name from it, anywhere:
-    the task modules import the library inside their functions."""
+def imports_any(source, modules):
+    """Whether source imports one of the modules (named by their last
+    dotted part), a module inside one, or a name from one, anywhere: the
+    task modules import the library inside their functions."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (
-                (node.module or "").split(".")[-1] == "verdicts"
-                or any(a.name == "verdicts" for a in node.names)):
+                set((node.module or "").split(".")) & modules
+                or any(a.name in modules for a in node.names)):
             return True
         if isinstance(node, ast.Import) and any(
-                a.name.split(".")[-1] == "verdicts" for a in node.names):
+                set(a.name.split(".")) & modules for a in node.names):
             return True
     return False
 
 
 def test_finds_a_verdict_import():
-    assert imports_verdicts("def f():\n    from ..verdicts import holds\n")
-    assert imports_verdicts("from . import errors, verdicts\n")
-    assert imports_verdicts("import phigamma.verdicts\n")
-    assert not imports_verdicts("from .errors import Verdicts\n")
+    verdicts = {"verdicts"}
+    assert imports_any("def f():\n    from ..verdicts import holds\n",
+                       verdicts)
+    assert imports_any("from . import errors, verdicts\n", verdicts)
+    assert imports_any("import phigamma.verdicts\n", verdicts)
+    assert not imports_any("from .errors import Verdicts\n", verdicts)
+
+
+def test_finds_a_report_layer_import():
+    layer = {"cli", "tasks"}
+    assert imports_any("def f():\n    from .tasks.cup import run_cup\n",
+                       layer)
+    assert imports_any("import phigamma.cli\n", layer)
+    assert not imports_any("from .laurent import compose\n", layer)
 
 
 def test_only_the_report_layer_builds_verdicts():
-    """The report format has one owner: the front end, the analyzers and
-    the task bodies build verdicts, and every other module returns
-    values or raises."""
-    importers = [path.relative_to(PACKAGE) for path in MODULES
-                 if imports_verdicts(path.read_text())]
-    assert sorted(p.as_posix() for p in importers
-                  if p.parts[0] != "tasks") == ["analyzers.py", "cli.py"]
+    """The report format has one owner: the front end and the task
+    bodies build verdicts, and every other module returns values or
+    raises."""
+    assert [path.relative_to(PACKAGE).as_posix() for path in MODULES
+            if path.relative_to(PACKAGE).parts[0] != "tasks"
+            and imports_any(path.read_text(), {"verdicts"})] == ["cli.py"]
+
+
+def test_the_library_never_imports_the_report_layer():
+    """The report layer sits on top: no module outside `tasks/` and
+    `cli.py` imports the front end, a task body, or `analyzers` (where
+    the contraction and height checks once sat), at module level or
+    inside a function."""
+    library = [path.relative_to(PACKAGE) for path in MODULES
+               if path.relative_to(PACKAGE).parts[0] not in ("tasks",
+                                                             "cli.py")]
+    assert [p.as_posix() for p in library
+            if imports_any((PACKAGE / p).read_text(),
+                           {"cli", "tasks", "analyzers"})] == []
 
 
 def qualified_definitions(path):
@@ -309,6 +333,36 @@ def test_finds_a_function_never_entered(tmp_path, monkeypatch):
     assert never_entered([path], run) == ["C.m.inner", "g"]
 
 
+def stale_kept(kept, missed, without_caller):
+    """The names in kept whose reason has lapsed: the run entered them
+    (neither they nor a definition nested in them is in missed, see
+    `never_entered`) and they have a caller outside the tests (they are
+    not in without_caller, see `uncalled`)."""
+    return sorted(
+        name for name in kept
+        if not any(m == name or m.startswith(name + ".") for m in missed)
+        and name.split(".")[-1] not in without_caller)
+
+
+def test_finds_a_stale_kept_name(tmp_path, monkeypatch):
+    path = tmp_path / "stale_probe.py"
+    path.write_text("def f():\n    return g()\n\n\ndef g():\n    pass\n\n\n"
+                    "def h():\n    pass\n\n\nclass C:\n"
+                    "    def m(self):\n        pass\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    import stale_probe
+
+    def run():
+        stale_probe.f()
+        stale_probe.h()
+
+    # g is entered and f calls it; f and h are entered, but only the
+    # tests call them; C.m is never entered
+    assert stale_kept({"f", "g", "h", "C", "C.m"},
+                      never_entered([path], run),
+                      uncalled([path.read_text()])) == ["g"]
+
+
 CYCLOTOMIC = {"kind": "cyclotomic", "p": 3, "a": 2}
 
 # (ring, window) pairs: f = 1, f = 2 and a tame extension
@@ -320,7 +374,9 @@ def test_every_function_is_entered(tmp_path):
     """A method read by name somewhere passes the caller guard even when
     only the tests call it, if another class has a method of that name;
     a run of every task, and of the command line in both output modes,
-    enters every definition that is not kept for a reason."""
+    enters every definition that is not kept for a reason.  A kept name
+    that the run enters and that has a caller outside the tests has
+    outlived its reason, and must leave `KEPT`."""
     config = tmp_path / "ring-info.json"
     config.write_text(json.dumps({"task": "ring-info", "ring": CYCLOTOMIC}))
 
@@ -340,3 +396,6 @@ def test_every_function_is_entered(tmp_path):
                    for k in range(1, len(parts) + 1))
 
     assert [name for name in missed if not kept(name)] == []
+    package = [path.read_text() for path in MODULES]
+    others = [path.read_text() for path in BENCH]
+    assert stale_kept(KEPT, missed, uncalled(package, others)) == []

@@ -1,4 +1,6 @@
-"""Tests for period rings, tame extensions, and the analyzers."""
+"""Tests for period rings, tame extensions, the constant c_phi, and the
+contraction and height checks of the analyze-phi and height-check
+tasks."""
 
 import random
 
@@ -6,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phigamma.analyzers import (check_frobenius_contraction,
-                                check_height_theory, check_local_contraction,
-                                contraction_constants)
 from phigamma.errors import NoRootOfUnity, NotGaloisCompatible
 from phigamma.laurent import LaurentSeries, compose
 from phigamma.period import (OperatorDesc, make_custom_ring, one_plus_var_pow,
                              project_to_base, standard_cyclotomic,
                              tame_extension)
+from phigamma.tasks.analyze_phi import (check_frobenius_contraction,
+                                        check_local_contraction)
+from phigamma.tasks.height_check import check_height_theory
 from phigamma.verdicts import FAILS, HOLDS, INCONCLUSIVE
 
 from tails import with_tail
@@ -171,7 +173,7 @@ class TestLocalContraction:
     def test_holds_lambda_2(self):
         r = make_custom_ring(3, 2, 1, 40, {3: 1, -1: 3})
         v = check_local_contraction(r, 2, 4, 60)
-        assert v.status == HOLDS and v.window == 40
+        assert v.status == HOLDS
         assert v.data["report"] == {
             "lambda": "2", "N": 4, "d_lambda": "1/4",
             "verified_range": [4, 60], "holds": True, "first_failure": None}
@@ -197,21 +199,20 @@ class TestLocalContraction:
 
 class TestContractionConstants:
     def test_power_series_image(self):
-        assert contraction_constants(standard_cyclotomic(3, 1, window=20)) == \
-            {"c_phi": 0}
+        assert standard_cyclotomic(3, 1, window=20).c_phi() == 0
 
     def test_single_pole(self):
         r = make_custom_ring(3, 2, 1, 40, {3: 1, -1: 3})
-        assert contraction_constants(r)["c_phi"] == 1
+        assert r.c_phi() == 1
 
     def test_deeper_pole(self):
         r = make_custom_ring(3, 2, 1, 60, {3: 1, -5: 3})
-        assert contraction_constants(r)["c_phi"] == 5
+        assert r.c_phi() == 5
 
     def test_covers_lattice_images(self):
         # direct check: phi maps u^{-c_phi}*lattice into itself on powers
         r = make_custom_ring(3, 2, 1, 40, {3: 1, -1: 3})
-        c = contraction_constants(r)["c_phi"]
+        c = r.c_phi()
         for n in range(1, 12):
             assert r.phi.image_power(n).in_lattice(c)
 
