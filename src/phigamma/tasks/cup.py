@@ -50,6 +50,9 @@ def run_cup(ring, cfg, rng):
             rhs = a_u.apply_gamma().inv() * (
                 ad(phi_l3.apply_gamma().inv(), b_u.inv()) *
                 (ad(gam_l3.apply_phi().inv(), a_u) * b_u.apply_phi()))
+            if check_hi <= 0:
+                raise InsufficientWindow(
+                    "the lambda identities are checked below window - 10")
             if not (lam - rhs).truncate(check_hi).is_zero():
                 lam_bad += 1
             # lambda identity 2: lambda = 1 + gamma(a)^-1 b^-1 residual

@@ -714,10 +714,11 @@ class TestCupNeedsOddPrime:
 class TestSmallWindowShortfall:
     """Below window 7, solve-twisted's own sample u^(n_cong + k) does not
     fit the window, nor below window 9 its uniqueness perturbation
-    u^(n_cong + k), k < 4; cup's random lifts have terms up to u^7; and
-    at window 4 local-contraction meets phi(u^n) known only below u^-m.
-    All are precision shortfalls: inconclusive verdicts that name the
-    error class."""
+    u^(n_cong + k), k < 4; cup's random lifts have terms up to u^7, and
+    its lambda identities are checked below window - 10; and at window 4
+    local-contraction meets phi(u^n) known only below u^-m.  All are
+    precision shortfalls: inconclusive verdicts that name the error
+    class."""
 
     @pytest.mark.parametrize("window", [4, 5, 6])
     def test_solve_twisted(self, window):
@@ -763,6 +764,20 @@ class TestSmallWindowShortfall:
         assert v[name]["status"] == "inconclusive"
         assert v[name]["data"]["error"] == "EmptyWindow"
         assert "EmptyWindow" in v[name]["detail"]
+
+    @pytest.mark.parametrize("window,status", [
+        (8, "inconclusive"), (10, "inconclusive"), (11, "holds")])
+    def test_cup_lambda_check_window(self, window, status):
+        # both identities are checked below window - 10: at window 10 or
+        # less that sub-window is empty and certifies nothing
+        _, rep = run_config({"task": "cup", "count": 1, "ring": CYC_P3},
+                            window=window, seed=0)
+        v = {x["name"]: x for x in rep["verdicts"]}["cup-lambda-identities"]
+        assert v["status"] == status
+        if status == "inconclusive":
+            assert v["data"]["error"] == "InsufficientWindow"
+            assert v["detail"] == ("1 instances ran out of window: "
+                                   "InsufficientWindow")
 
 
 class TestSolveGClaimedWindow:
